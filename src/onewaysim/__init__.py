@@ -1,8 +1,8 @@
 """Noisy one-way (measurement-based) quantum computation toolkit.
 
-Closed-form fidelity engines for decohered resource states, a brute-force
-density-matrix oracle that validates them, correlation measures of the
-resource, a catalog of canned protocols, and a CLI for parameter sweeps.
+A closed-form fidelity engine for decohered resource states, a brute-force
+density-matrix oracle that validates it, and correlation measures of the
+resource.
 """
 
 __version__ = "0.1.0"

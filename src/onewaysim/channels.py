@@ -78,10 +78,6 @@ class NoiseChannel:
         """Replaces the state by I/2 with probability p = 1 - e^{-4 gamma t}."""
         return cls(B=4.0 * gamma, C=4.0 * gamma, S=0.5, t=t)
 
-    def is_pauli(self) -> bool:
-        """True when the map is a Pauli mixture (no fixed-point shift)."""
-        return abs(lambdas(self)[4]) < 1e-14
-
 
 @dataclass(frozen=True)
 class MixingProbability:

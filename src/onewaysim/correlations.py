@@ -120,6 +120,8 @@ def classical_correlation(
     """
     if rho.n != 2:
         raise ValueError("classical correlation here is two-qubit only")
+    if starts < 1:
+        raise ValueError(f"starts={starts}: at least one start is needed")
     if measured_side not in ("A", "B"):
         raise ValueError("measured_side must be 'A' or 'B'")
     axis = 1 if measured_side == "B" else 0
@@ -151,7 +153,7 @@ def classical_correlation(
             best = improved
         return best
 
-    return max(refine(t, p) for t, p in _fibonacci_sphere(max(16, starts)))
+    return max(refine(t, p) for t, p in _fibonacci_sphere(starts))
 
 
 def bell_diagonal_correlations(c: Sequence[float]) -> tuple[float, float, float]:
@@ -275,6 +277,8 @@ def mep(rho: DensityMatrix, starts: int = 32, tol: float = 1e-6, seed: int = 0, 
     n = rho.n
     if n > 3:
         raise ValueError("activation protocol capped at 3 system qubits")
+    if starts < 1:
+        raise ValueError(f"starts={starts}: at least one start is needed")
     rng = np.random.default_rng(seed)
     mat = rho.entries
 
@@ -283,8 +287,7 @@ def mep(rho: DensityMatrix, starts: int = 32, tol: float = 1e-6, seed: int = 0, 
 
     best = math.inf
     converged = False
-    n_starts = max(32, starts)
-    for trial in range(n_starts):
+    for trial in range(starts):
         if trial == 0:
             x0 = np.zeros(3 * n)
         else:
@@ -300,7 +303,7 @@ def mep(rho: DensityMatrix, starts: int = 32, tol: float = 1e-6, seed: int = 0, 
             converged = bool(res.success)
     best = max(0.0, best)
     if full:
-        return MepResult(value=best, converged=converged, n_starts=n_starts)
+        return MepResult(value=best, converged=converged, n_starts=starts)
     return best
 
 

@@ -1,21 +1,31 @@
-"""Closed-form fidelity engines for noisy one-way computations.
+"""Closed-form fidelity engine for noisy one-way computations.
 
-Decoherence on a measured qubit mixes the two basis outcomes with a weight
-that depends only on the channel and the measurement latitude, while the
-off-diagonal basis terms never survive the final projection.  That turns
-the computation fidelity, for an outcome record r, into a double sum over
-branch pairs (k, l) of bracket factors
+Each measured qubit decoheres and is then touched only by its own
+measurement, so its channel can be moved onto the measurement effects.
+The adjoint channel maps an equatorial effect (I + n.sigma)/2 to
+(I + e^{-Ct} n.sigma)/2 = (1 - p)(I + n.sigma)/2 + p (I - n.sigma)/2,
+p = (1 - e^{-Ct})/2, whatever the bath parameter; it maps the z effects to
+mixtures of |0><0| and |1><1| whose weights depend on the prepared bit,
+because the fixed-point shift breaks the 0/1 symmetry.  Either way, noise
+on a measured qubit is a classical flip of its outcome in the basis it is
+measured in: reading r_i when k_i was prepared has probability
+P(r_i | k_i).
 
-    (1 - p_i)[1 + (-1)^{k_i + r_i} chi_i(k)][1 + (-1)^{l_i + r_i} chi_i(l)*]
-        + p_i [1 - ...][1 - ...]
+An adaptive pattern picks each basis from the bits read so far, so a
+record r fixes every basis through its adaptation bits s(r), its frame.
+Projecting the resource onto the frame's bases gives a branch vector
+psi_{s,k} for every prepared record k, and
 
-against the answer kernel A_{r,k,l} = <A_r| Lambda(|A_k><A_l|) |A_r>, with
-an overall 1/2^{3M} and the phase chi_i(k) = exp(i[(-1)^{s_i(r)} -
-(-1)^{s_i(k)}] theta_i) comparing the branch adaptation against the
-record's.  For z-measured qubits the swap weight is indexed by the
-prepared bit.  Non-adaptive patterns collapse the double sum onto the
-diagonal, and for Pauli answer noise every record gives the same fidelity,
-so one evaluation covers the whole report.
+    Z(r) = sum_k W[r,k] |psi_{s(r),k}|^2,
+    F(r) = sum_k W[r,k] sum_j |<A_r| K_j psi_{s(r),k}>|^2 / Z(r),
+
+with W[r,k] = prod_i P(r_i | k_i), K_j the Kraus operators of the answer
+noise, and A_r the normalized noiseless branch psi_{s(r),r}.  Records that
+share a frame share its contraction, and W, a tensor product of 2x2
+matrices, is applied one qubit at a time: a frame costs O(M 2^M), so a
+non-adaptive pattern (one frame) costs that, and an adaptive one that
+times its number of frames.  See Danos, Kashefi and Panangaden, "The
+measurement calculus", arXiv:0704.1263.
 
 The brute-force simulator in ``oracle`` is the independent ground truth
 for everything here.
@@ -31,16 +41,9 @@ import numpy as np
 
 from .channels import FixedPoleMap, NoiseChannel, _kraus_cached, mixing_probabilities
 from .linalg import kron_all
-from .pattern import (
-    AnswerSet,
-    MeasurementPattern,
-    basis_raw,
-    branch_answers,
-    outcome_index,
-    outcome_tuple,
-)
+from .pattern import MeasurementPattern, frame_branches
 
-MAX_ADAPTIVE_MEASURED = 8
+MAX_ADAPTIVE_MEASURED = 10
 MAX_NA_MEASURED = 20
 _UNREACHABLE = 1e-12
 
@@ -95,7 +98,7 @@ def report_summary(report: FidelityReport, t: float) -> dict:
     return {"t": t, "F_bar": report.average}
 
 
-# -- shared engine plumbing ---------------------------------------------------
+# -- the record-frame engine ----------------------------------------------------
 
 
 def _require_noise_channel(ch, where: str) -> NoiseChannel:
@@ -117,112 +120,64 @@ def _flip_table(pat: MeasurementPattern, measured_channels: Mapping[int, NoiseCh
     return table
 
 
-def _answer_kraus(pat: MeasurementPattern, answer_channels: Mapping[int, object] | None) -> list[np.ndarray]:
-    """Joint operator-sum form of the per-output-qubit channels."""
+def _answer_kraus(pat: MeasurementPattern, answer_channels: Mapping[int, object] | None) -> np.ndarray:
+    """Joint operator-sum form of the per-output-qubit channels, stacked."""
     answer_channels = answer_channels or {}
     per_qubit = []
     for q in pat.outputs:
         ch = answer_channels.get(q)
         per_qubit.append(_kraus_cached(ch) if ch is not None else (np.eye(2, dtype=complex),))
     if not per_qubit:
-        return [np.eye(1, dtype=complex)]
-    return [kron_all(combo) for combo in itertools.product(*per_qubit)]
+        return np.ones((1, 1, 1), dtype=complex)
+    return np.stack([kron_all(combo) for combo in itertools.product(*per_qubit)])
 
 
-def _answers_nonadaptive(resource, pat: MeasurementPattern) -> AnswerSet:
-    """Vectorized branch extraction for non-adaptive patterns: one basis
-    rotation per measured qubit, then an axis shuffle."""
-    from .graphstate import GraphState  # local import to avoid a cycle
-
-    amp = resource.state.amplitudes if isinstance(resource, GraphState) else resource.amplitudes
-    n = pat.n_qubits
-    t = amp.reshape((2,) * n)
-    for pos, q in enumerate(pat.measured):
-        b = np.vstack(
-            [
-                np.conj(basis_raw(pat.thetas[pos], pat.alphas[pos], 0, 0)),
-                np.conj(basis_raw(pat.thetas[pos], pat.alphas[pos], 0, 1)),
-            ]
-        )
-        t = np.moveaxis(np.tensordot(b, t, axes=([1], [q])), 0, q)
-    order = list(pat.measured) + list(pat.outputs)
-    t = np.transpose(t, order)
-    m = pat.n_measured
-    tilde = t.reshape(2**m, -1) * 2.0 ** (m / 2.0)
-    probs = np.einsum("ka,ka->k", tilde, np.conj(tilde)).real / 2.0**m
-    hat = np.zeros_like(tilde)
-    good = probs > 1e-20
-    hat[good] = tilde[good] / np.sqrt(2.0**m * probs[good])[:, None]
-    return AnswerSet(outputs=pat.outputs, probs=probs, tilde=tilde, hat=hat)
-
-
-def _branch_bits(pat: MeasurementPattern, m: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    idx = np.arange(2**m)
-    bits = ((idx[:, None] >> (m - 1 - np.arange(m))[None, :]) & 1).astype(np.uint8)
-    columns = {q: bits[:, pos] for pos, q in enumerate(pat.measured)}
-    return bits, columns
-
-
-class AnswerKernel:
-    """A_{r,k,l} = <A_r| Lambda(|A_k><A_l|) |A_r> over branch answers.
-
-    Rows are built lazily; the dense cube is only materialized for small
-    patterns.  Hermitian in (k, l) with real diagonal in [0, 1].
-    """
-
-    def __init__(self, answers: AnswerSet, kraus_ops: Sequence[np.ndarray]):
-        self.answers = answers
-        self._kraus = list(kraus_ops)
-        # Stacks T K_m^T so a kernel row is a sum of outer products.
-        self._tk = [answers.tilde @ k.T for k in self._kraus]
-
-    @property
-    def n_branches(self) -> int:
-        return self.answers.n_branches
-
-    def row(self, r: int | Sequence[int]) -> np.ndarray:
-        if not isinstance(r, (int, np.integer)):
-            r = outcome_index(r)
-        bra = np.conj(self.answers.hat[r])
-        out = np.zeros((self.n_branches, self.n_branches), dtype=complex)
-        for tk in self._tk:
-            g = tk @ bra
-            out += np.outer(g, np.conj(g))
-        return out
-
-    def diagonal(self, r: int | Sequence[int]) -> np.ndarray:
-        if not isinstance(r, (int, np.integer)):
-            r = outcome_index(r)
-        bra = np.conj(self.answers.hat[r])
-        acc = np.zeros(self.n_branches)
-        for tk in self._tk:
-            acc += np.abs(tk @ bra) ** 2
-        return acc
-
-    def entry(self, r, k, l) -> complex:
-        if not isinstance(k, (int, np.integer)):
-            k = outcome_index(k)
-        if not isinstance(l, (int, np.integer)):
-            l = outcome_index(l)
-        return complex(self.row(r)[k, l])
-
-    def to_array(self) -> np.ndarray:
-        if self.n_branches > 2**7:
-            raise ValueError("dense kernel cube is limited to 7 measured qubits")
-        return np.stack([self.row(r) for r in range(self.n_branches)])
-
-
-def answer_kernel(
+def _record_frame_report(
     pat: MeasurementPattern,
     resource,
-    answer_channels: Mapping[int, object] | None = None,
-) -> AnswerKernel:
-    """Kernel of answer overlaps under the output-qubit noise."""
-    answers = branch_answers(resource, pat)
-    return AnswerKernel(answers, _answer_kraus(pat, answer_channels))
+    measured_channels: Mapping[int, NoiseChannel] | None,
+    answer_channels: Mapping[int, object] | None,
+) -> FidelityReport:
+    """Z(r) and F(r) of every record from the branches of its own frame.
 
+    Hermitian matrices travel as the real code Re + Im of their entries:
+    the real part is the symmetric half and the imaginary part the
+    antisymmetric one, so nothing is lost, and tr(A B) is the dot product
+    of the codes of A and B.
+    """
+    m = pat.n_measured
+    frame_of, psi = frame_branches(resource, pat)
+    n_frames, _, d = psi.shape
+    # rho[f, r] = sum_k W[r, k] |psi_fk><psi_fk|, with W the product over the
+    # measured qubits of P(read r_i | prepared k_i), applied one qubit at a time.
+    outer = psi[..., :, None] * psi[..., None, :].conj()
+    rho = outer.real + outer.imag
+    for pos, (p0, p1) in enumerate(_flip_table(pat, measured_channels)):
+        read = np.array([[1.0 - p0, p1], [p0, 1.0 - p1]])
+        rho = read @ rho.reshape(n_frames, 2**pos, 2, -1)
+    records = np.arange(2**m)
+    rho = rho.reshape(n_frames, 2**m, d * d)[frame_of, records]
+    ideal = psi[frame_of, records]
 
-# -- adaptive engine ----------------------------------------------------------
+    norm2 = np.einsum("ra,ra->r", ideal, ideal.conj()).real
+    z_raw = rho[:, :: d + 1].sum(axis=1)
+    reachable = (z_raw > _UNREACHABLE) & (norm2 > 1e-20)
+    hat = ideal[reachable] / np.sqrt(norm2[reachable])[:, None]
+    # The effect sum_j K_j^dagger |A_r><A_r| K_j of the answer noise, whose
+    # trace against rho_r is the unnormalized fidelity.
+    kraus = _answer_kraus(pat, answer_channels)
+    adjoint = np.einsum("jca,jdb->cdab", kraus.conj(), kraus).reshape(d * d, d * d)
+    effect = (hat[:, :, None] * hat.conj()[:, None, :]).reshape(-1, d * d) @ adjoint
+    f_reached = np.einsum("ri,ri->r", effect.real + effect.imag, rho[reachable]) / z_raw[reachable]
+
+    total = float(z_raw.sum())
+    if abs(total - 1.0) > 1e-6:
+        raise AssertionError(f"record probabilities sum to {total}; engine inconsistency")
+    z = z_raw / total
+    f = np.full(2**m, None, dtype=object)
+    f[reachable] = f_reached.tolist()
+    per = dict(zip(itertools.product((0, 1), repeat=m), zip(z.tolist(), f.tolist())))
+    return FidelityReport(per_outcome=per, average=float(z[reachable] @ f_reached))
 
 
 def fidelity_adaptive(
@@ -233,107 +188,14 @@ def fidelity_adaptive(
 ) -> FidelityReport:
     """Exact per-record fidelity for (possibly) adaptive patterns.
 
-    Implements the full (k, l) double sum with the adaptation phase
-    brackets and per-bit swap weights; record probabilities come from the
-    same decomposition with the kernel replaced by answer overlaps, then
-    the set is renormalized (the factor must already be 1 to 1e-6).
+    Record probabilities are renormalized; the factor must already be 1 to
+    1e-6.  Records below 1e-12 probability are flagged unreachable.
     """
-    m = pat.n_measured
-    if m > MAX_ADAPTIVE_MEASURED:
-        raise ValueError(f"adaptive engine refuses more than {MAX_ADAPTIVE_MEASURED} measured qubits")
-    answers = branch_answers(resource, pat)
-    kernel = AnswerKernel(answers, _answer_kraus(pat, answer_channels))
-    flip = _flip_table(pat, measured_channels)
-
-    bits, columns = _branch_bits(pat, m)
-    s_signs = np.empty((2**m, m))
-    for pos in range(m):
-        s_signs[:, pos] = 1.0 - 2.0 * pat.adapt[pos].evaluate_columns(columns).astype(float)
-    thetas = np.asarray(pat.thetas)
-    gram = answers.tilde @ answers.tilde.conj().T  # gram[k, l] = <A_l|A_k>
-
-    z_raw = np.empty(2**m)
-    f_raw: list[float | None] = [None] * 2**m
-    for r in range(2**m):
-        rbits = bits[r]
-        chi = np.exp(1j * thetas[None, :] * (s_signs[r][None, :] - s_signs))
-        parity = 1.0 - 2.0 * ((bits ^ rbits[None, :]).astype(float))
-        u = 1.0 + parity * chi
-        w = 1.0 - parity * chi
-        p_stay = flip[np.arange(m), rbits]
-        p_flip = flip[np.arange(m), 1 - rbits]
-        weight = np.ones((2**m, 2**m), dtype=complex)
-        for i in range(m):
-            weight *= (1.0 - p_stay[i]) * np.outer(u[:, i], np.conj(u[:, i])) + p_flip[
-                i
-            ] * np.outer(w[:, i], np.conj(w[:, i]))
-        s_z = float(np.sum(weight * gram).real)
-        z_raw[r] = s_z / 8.0**m
-        if z_raw[r] > _UNREACHABLE and answers.probs[r] > 1e-20:
-            bra = np.conj(answers.hat[r])
-            s_f = 0.0
-            for tk in kernel._tk:
-                g = tk @ bra
-                s_f += float((g @ weight @ np.conj(g)).real)
-            f_raw[r] = s_f / s_z
-
-    total = float(z_raw.sum())
-    if abs(total - 1.0) > 1e-6:
-        raise AssertionError(f"record probabilities sum to {total}; engine inconsistency")
-    per = {
-        outcome_tuple(r, m): (float(z_raw[r] / total), f_raw[r]) for r in range(2**m)
-    }
-    avg = sum(z * f for z, f in per.values() if f is not None)
-    return FidelityReport(per_outcome=per, average=float(avg))
-
-
-# -- non-adaptive engine ------------------------------------------------------
-
-
-def _na_weights(bits: np.ndarray, rbits: np.ndarray, flip: np.ndarray) -> np.ndarray:
-    """Product over qubits of stay/swap weights for every branch, given a
-    record; z-measured qubits with a fixed-point shift weight the two bits
-    differently."""
-    m = rbits.size
-    w = np.ones(bits.shape[0])
-    for i in range(m):
-        stay = 1.0 - flip[i, rbits[i]]
-        swap = flip[i, 1 - rbits[i]]
-        w *= np.where(bits[:, i] == rbits[i], stay, swap)
-    return w
-
-
-def na_fidelity_for_outcomes(
-    pat: MeasurementPattern,
-    resource,
-    measured_channels: Mapping[int, NoiseChannel] | None = None,
-    answer_channels: Mapping[int, object] | None = None,
-    outcomes: Sequence[Sequence[int]] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Direct diagonal sum F(r) = sum_k prod_i w_i(k_i; r_i) A_{r,k,k} for
-    selected records, with no reuse across records.  Returns (Z, F)."""
-    if not pat.is_nonadaptive():
-        raise ValueError("pattern is adaptive; use fidelity_adaptive")
-    m = pat.n_measured
-    if m > MAX_NA_MEASURED:
-        raise ValueError(f"non-adaptive engine refuses more than {MAX_NA_MEASURED} measured qubits")
-    answers = _answers_nonadaptive(resource, pat)
-    kernel = AnswerKernel(answers, _answer_kraus(pat, answer_channels))
-    flip = _flip_table(pat, measured_channels)
-    bits, _ = _branch_bits(pat, m)
-    norm2 = answers.probs * 2.0**m
-    if outcomes is None:
-        records = list(range(2**m))
-    else:
-        records = [outcome_index(o) for o in outcomes]
-    zs = np.empty(len(records))
-    fs = np.empty(len(records))
-    for out_pos, r in enumerate(records):
-        w = _na_weights(bits, bits[r], flip)
-        denom = float(np.dot(w, norm2))
-        zs[out_pos] = denom / 2.0**m
-        fs[out_pos] = float(np.dot(w, kernel.diagonal(r))) / denom
-    return zs, fs
+    if pat.n_measured > MAX_ADAPTIVE_MEASURED:
+        raise ValueError(
+            f"adaptive engine refuses {pat.n_measured} measured qubits; the limit is {MAX_ADAPTIVE_MEASURED}"
+        )
+    return _record_frame_report(pat, resource, measured_channels, answer_channels)
 
 
 def fidelity_nonadaptive(
@@ -342,51 +204,12 @@ def fidelity_nonadaptive(
     measured_channels: Mapping[int, NoiseChannel] | None = None,
     answer_channels: Mapping[int, object] | None = None,
 ) -> FidelityReport:
-    """Fidelity report for non-adaptive patterns.
-
-    When the answer noise is a Pauli mixture, the by-products are affine,
-    and the swap weights are bit-independent, every record shares the
-    fidelity of the all-zero record, so it is evaluated once.  Otherwise
-    each record is summed directly (guarded to eight measured qubits).
-    """
+    """Fidelity report for non-adaptive patterns: the one-frame case of the
+    same engine, whose cost grows as M 2^M, hence the higher limit."""
     if not pat.is_nonadaptive():
         raise ValueError("pattern is adaptive; use fidelity_adaptive")
-    m = pat.n_measured
-    if m > MAX_NA_MEASURED:
-        raise ValueError(f"non-adaptive engine refuses more than {MAX_NA_MEASURED} measured qubits")
-    flip = _flip_table(pat, measured_channels)
-    answer_channels = answer_channels or {}
-    pauli_answers = all(
-        isinstance(ch, NoiseChannel) and ch.is_pauli() for ch in answer_channels.values()
-    )
-    affine = all(
-        pat.byproduct_for(q).fx.is_affine() and pat.byproduct_for(q).fz.is_affine()
-        for q in pat.outputs
-    )
-    bit_independent = bool(np.all(np.abs(flip[:, 0] - flip[:, 1]) < 1e-14))
-
-    if pauli_answers and affine and bit_independent:
-        zs, fs = na_fidelity_for_outcomes(
-            pat, resource, measured_channels, answer_channels, outcomes=[(0,) * m]
-        )
-        # Record-independence additionally needs uniform record probability
-        # (answers of equal weight); otherwise fall through to the direct sum.
-        if abs(float(zs[0]) * 2**m - 1.0) < 1e-9:
-            f0 = float(fs[0])
-            per = {outcome_tuple(r, m): (1.0 / 2**m, f0) for r in range(2**m)}
-            return FidelityReport(per_outcome=per, average=f0)
-
-    if m > MAX_ADAPTIVE_MEASURED:
+    if pat.n_measured > MAX_NA_MEASURED:
         raise ValueError(
-            "record-dependent non-adaptive evaluation is limited to "
-            f"{MAX_ADAPTIVE_MEASURED} measured qubits"
+            f"non-adaptive engine refuses {pat.n_measured} measured qubits; the limit is {MAX_NA_MEASURED}"
         )
-    zs, fs = na_fidelity_for_outcomes(pat, resource, measured_channels, answer_channels)
-    total = float(zs.sum())
-    if abs(total - 1.0) > 1e-6:
-        raise AssertionError(f"record probabilities sum to {total}; engine inconsistency")
-    per = {
-        outcome_tuple(r, m): (float(zs[r] / total), float(fs[r])) for r in range(2**m)
-    }
-    avg = sum(z * f for z, f in per.values())
-    return FidelityReport(per_outcome=per, average=float(avg))
+    return _record_frame_report(pat, resource, measured_channels, answer_channels)

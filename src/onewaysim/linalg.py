@@ -204,9 +204,3 @@ def apply_single_qubit_kraus(mat: np.ndarray, kraus: Sequence[np.ndarray], qubit
     d = 2**n
     return out.reshape(d, d)
 
-
-def project_qubit(vec: np.ndarray, bra: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Contract <bra| onto one qubit of a state vector (returns n-1 qubits,
-    unnormalized)."""
-    t = vec.reshape((2,) * n)
-    return np.tensordot(np.conj(bra), t, axes=([0], [qubit])).reshape(-1)

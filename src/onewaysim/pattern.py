@@ -14,13 +14,13 @@ by-product (-1)^{f_sig} X^{f_x} Z^{f_z} per output qubit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .graphstate import GraphState
-from .linalg import PureState, X, Z, kron_all, project_qubit
+from .linalg import PureState, X, Z, kron_all
 
 _ZERO_BRANCH = 1e-20
 
@@ -69,9 +69,6 @@ class BooleanExpr:
 
     def is_zero(self) -> bool:
         return self.const == 0 and not self.xor and not self.and2
-
-    def is_affine(self) -> bool:
-        return not self.and2
 
     def evaluate(self, bits: Mapping[int, int]) -> int:
         v = self.const
@@ -244,30 +241,17 @@ def outcome_tuple(index: int, m: int) -> tuple[int, ...]:
     return tuple((index >> (m - 1 - j)) & 1 for j in range(m))
 
 
-def outcome_index(bits: Sequence[int], m: int | None = None) -> int:
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | (int(b) & 1)
-    return idx
-
-
 @dataclass(frozen=True)
 class AnswerSet:
-    """All measurement branches of a resource state under a pattern.
+    """The noiseless branch of every outcome record under a pattern.
 
-    ``tilde`` rows are the branch components scaled by 2^{M/2}; for a
-    deterministic pattern they are unit vectors.  ``hat`` rows are
-    normalized (zero where the branch probability vanishes).
+    ``probs`` are the exact branch probabilities; ``hat`` rows are the
+    normalized answers (zero where the branch probability vanishes).
     """
 
     outputs: tuple[int, ...]
     probs: np.ndarray
-    tilde: np.ndarray
     hat: np.ndarray
-
-    @property
-    def n_branches(self) -> int:
-        return self.probs.size
 
 
 def _resource_vector(resource) -> tuple[np.ndarray, int]:
@@ -278,44 +262,46 @@ def _resource_vector(resource) -> tuple[np.ndarray, int]:
     raise TypeError(f"expected PureState or GraphState, got {type(resource).__name__}")
 
 
-def branch_answers(resource, pat: MeasurementPattern) -> AnswerSet:
-    """Walk the adaptive measurement tree and collect every branch.
+def frame_branches(resource, pat: MeasurementPattern) -> tuple[np.ndarray, np.ndarray]:
+    """Every branch of every adaptation frame, from one contraction.
 
-    Sequential-projection semantics: each qubit is projected in its adapted
-    basis; the leaf norm squared is the exact branch probability.
+    A frame is one vector of adaptation bits s(r).  Returns ``frame_of``,
+    the frame row of each record r, and ``psi`` of shape (frames, 2^M,
+    2^outputs): psi[f, k] is the unnormalized output vector left when the
+    measured qubits are projected onto <M_{k_i}^{s_i}| with s the bits of
+    frame f.  Record r's own branch is psi[frame_of[r], r].
     """
     amp, n = _resource_vector(resource)
     if n != pat.n_qubits:
         raise ValueError(f"pattern expects {pat.n_qubits} qubits, state has {n}")
     m = pat.n_measured
-    d_out = 2 ** len(pat.outputs)
-    probs = np.zeros(2**m)
-    tilde = np.zeros((2**m, d_out), dtype=complex)
+    if pat.is_nonadaptive():
+        frames, frame_of = np.zeros((1, m), dtype=np.uint8), np.zeros(2**m, dtype=np.intp)
+    else:
+        records = np.arange(2**m)
+        columns = {q: ((records >> (m - 1 - pos)) & 1).astype(np.uint8) for pos, q in enumerate(pat.measured)}
+        bits = np.stack([e.evaluate_columns(columns) for e in pat.adapt], axis=1)
+        frames, frame_of = np.unique(bits, axis=0, return_inverse=True)
+    # Measured axes first in temporal order, so record bits read MSB-first.
+    t = np.transpose(amp.reshape((2,) * n), list(pat.measured) + list(pat.outputs))
+    t = t.reshape((1,) + t.shape)
+    for pos in range(m):
+        bras = np.conj([[basis_raw(pat.thetas[pos], pat.alphas[pos], s, k) for k in (0, 1)] for s in (0, 1)])
+        b = bras[frames[:, pos]][:, None, :, :, None]  # (frame, 1, k, a, 1)
+        t = t.reshape(t.shape[0], 2**pos, 2, -1)
+        t = b[:, :, :, 0] * t[:, :, None, 0] + b[:, :, :, 1] * t[:, :, None, 1]
+    return frame_of.reshape(-1), t.reshape(len(frames), 2**m, -1)
 
-    def walk(vec: np.ndarray, depth: int, bits: dict[int, int], idx: int):
-        if depth == m:
-            # Remaining axes are the outputs in ascending vertex order.
-            tilde[idx] = vec * 2.0 ** (m / 2.0)
-            probs[idx] = float(np.vdot(vec, vec).real)
-            return
-        qubit = pat.measured[depth]
-        # Measured qubits are removed as we descend; surviving vertex order
-        # is preserved, so the axis is the rank of `qubit` among survivors.
-        remaining = sorted(set(range(n)) - set(pat.measured[:depth]))
-        axis = remaining.index(qubit)
-        s = pat.adapt[depth].evaluate(bits)
-        for k in (0, 1):
-            bra = basis_raw(pat.thetas[depth], pat.alphas[depth], s, k)
-            child = project_qubit(vec, bra, axis, len(remaining))
-            bits[qubit] = k
-            walk(child, depth + 1, bits, (idx << 1) | k)
-        del bits[qubit]
 
-    walk(amp, 0, {}, 0)
-    hat = np.zeros_like(tilde)
+def branch_answers(resource, pat: MeasurementPattern) -> AnswerSet:
+    """Each record's noiseless branch, taken from its own frame."""
+    frame_of, psi = frame_branches(resource, pat)
+    vec = psi[frame_of, np.arange(frame_of.size)]
+    probs = np.einsum("ka,ka->k", vec, vec.conj()).real
+    hat = np.zeros_like(vec)
     good = probs > _ZERO_BRANCH
-    hat[good] = tilde[good] / np.sqrt(2.0**m * probs[good])[:, None]
-    return AnswerSet(outputs=pat.outputs, probs=probs, tilde=tilde, hat=hat)
+    hat[good] = vec[good] / np.sqrt(probs[good])[:, None]
+    return AnswerSet(outputs=pat.outputs, probs=probs, hat=hat)
 
 
 def ideal_answers(resource, pat: MeasurementPattern) -> dict[tuple[int, ...], tuple[float, PureState | None]]:

@@ -197,8 +197,14 @@ class TestMep:
 
     def test_full_result(self):
         res = mep(bell(), starts=8, full=True)
-        assert res.n_starts >= 32 or res.n_starts == 8 or True
+        assert res.n_starts == 8
         assert 0.0 <= res.value <= 1.0 + 1e-9
+
+    def test_rejects_no_starts(self):
+        with pytest.raises(ValueError, match="starts=0"):
+            mep(bell(), starts=0)
+        with pytest.raises(ValueError, match="starts=0"):
+            classical_correlation(bell(), starts=0)
 
 
 def test_profile_selects_measures():

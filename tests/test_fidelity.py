@@ -6,11 +6,9 @@ import pytest
 from onewaysim.channels import NoiseChannel
 from onewaysim.fidelity import (
     FidelityReport,
-    answer_kernel,
     average,
     fidelity_adaptive,
     fidelity_nonadaptive,
-    na_fidelity_for_outcomes,
     report_rows,
     report_summary,
 )
@@ -53,29 +51,142 @@ def zchain_pattern(theta=0.7):
     )
 
 
-class TestAnswerKernel:
-    def test_identity_diagonal(self):
-        k = answer_kernel(rsp_pattern(0.8), g2())
-        for r in range(2):
-            assert abs(k.entry(r, r, r) - 1.0) < 1e-12
+# PAULI_POW[x][z] = X^x Z^z
+PAULI_POW = [
+    [np.eye(2), np.diag([1.0, -1.0])],
+    [np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, -1.0], [1.0, 0.0]])],
+]
 
-    def test_rsp_crossed_entry_vanishes(self):
-        # The flipped answer is orthogonal to the target for every angle.
-        k = answer_kernel(rsp_pattern(1.1), g2())
-        assert abs(k.entry(0, 1, 1)) < 1e-12
+# The paper's 15-qubit CNOT (0-indexed vertices): control input 0, target
+# input 8, outputs 6 (control) and 14 (target); Y on CNOT15_Y, X elsewhere.
+CNOT15_EDGES = [(i, i + 1) for i in range(6)] + [(i, i + 1) for i in range(8, 14)] + [(3, 7), (7, 11)]
+CNOT15_MEASURED = (0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 12, 13)
+CNOT15_Y = {1, 2, 3, 4, 5, 7, 11}
+# Supports of fx and fz on output 6, then on output 14; fz on 6 also holds
+# a constant 1, so branch 0 is (Z x I) CNOT |psi>.
+CNOT15_BYPRODUCTS = ((1, 2, 4, 5), (0, 2, 3, 4, 7, 8, 10), (1, 2, 7, 9, 11, 13), (8, 10, 12))
 
-    def test_hermitian_rows(self):
+
+def cnot15_pattern():
+    fx6, fz6, fx14, fz14 = CNOT15_BYPRODUCTS
+    return MeasurementPattern(
+        n_qubits=15,
+        measured=CNOT15_MEASURED,
+        thetas=tuple(math.pi / 2 if q in CNOT15_Y else 0.0 for q in CNOT15_MEASURED),
+        alphas=(math.pi / 2,) * 13,
+        adapt=(BooleanExpr.zero(),) * 13,
+        byproducts=(
+            ByproductSpec(qubit=6, fx=BooleanExpr.of(*fx6), fz=BooleanExpr.of(*fz6, const=1)),
+            ByproductSpec(qubit=14, fx=BooleanExpr.of(*fx14), fz=BooleanExpr.of(*fz14)),
+        ),
+    )
+
+
+def bloch_map(mat, q, B, C, S, t):
+    """The paper's Bloch map on qubit q of a two-qubit operator, by its
+    action on the Pauli basis: I -> I + (2S - 1)(1 - e^{-Bt}) Z, X -> e^{-Ct} X,
+    Y -> e^{-Ct} Y, Z -> e^{-Bt} Z."""
+    x, z = PAULI_POW[1][0], PAULI_POW[0][1]
+    y = 1j * x @ z
+    images = {
+        0: np.eye(2) + (2 * S - 1) * (1 - math.exp(-B * t)) * z,
+        1: math.exp(-C * t) * x,
+        2: math.exp(-C * t) * y,
+        3: math.exp(-B * t) * z,
+    }
+    out = np.zeros((2, 2, 2, 2), dtype=complex)
+    blocks = np.moveaxis(mat.reshape(2, 2, 2, 2), (q, 2 + q), (0, 1))  # (a, b, rest, rest')
+    for i, pauli in enumerate((np.eye(2), x, y, z)):
+        coeff = np.einsum("ba,abij->ij", pauli, blocks) / 2
+        out += np.einsum("ab,ij->abij", images[i], coeff)
+    return np.moveaxis(out, (0, 1), (q, 2 + q)).reshape(4, 4)
+
+
+def chain_pattern(thetas):
+    """Cluster chain 0-1-...-m measured in order; the output m carries X
+    from outcomes at odd distance and Z from those at even distance."""
+    m = len(thetas)
+    return MeasurementPattern(
+        n_qubits=m + 1,
+        measured=tuple(range(m)),
+        thetas=tuple(thetas),
+        alphas=(math.pi / 2,) * m,
+        adapt=tuple(BooleanExpr.of(*range(j - 1, -1, -2)) for j in range(m)),
+        byproducts=(
+            ByproductSpec(
+                qubit=m,
+                fx=BooleanExpr.of(*range(m - 1, -1, -2)),
+                fz=BooleanExpr.of(*range(m - 2, -1, -2)),
+            ),
+        ),
+    )
+
+
+class TestRecordFrameEngine:
+    def test_zero_noise_gives_unit_fidelity(self):
+        for theta in (0.0, 0.8, 2.5):
+            rep = fidelity_adaptive(rsp_pattern(theta), g2())
+            for z, f in rep.per_outcome.values():
+                assert abs(z - 0.5) < 1e-12
+                assert abs(f - 1.0) < 1e-12
+
+    def test_rsp_branches_orthogonal(self):
+        # F = 1 - p_xy exactly needs the flipped branch to be orthogonal to
+        # the record's answer for every angle; no channel has p_xy > 1/2, so
+        # a partial overlap would show as a larger F.
+        ch = NoiseChannel.phase_flip(0.9, 0.7)
+        p_xy = (1 - math.exp(-2 * 0.9 * 0.7)) / 2
+        for theta in np.linspace(0.0, 2 * np.pi, 7):
+            rep = fidelity_adaptive(rsp_pattern(theta), g2(), {0: ch})
+            for _, f in rep.per_outcome.values():
+                assert abs(f - (1 - p_xy)) < 1e-12
+
+    def test_general_noise_bounds(self):
         rng = np.random.default_rng(2)
-        pat = rotation_pattern(*rng.uniform(0, 2 * np.pi, size=3))
-        resource = resource_state(Graph.path(5), {0: random_state(rng)})
-        chans = {4: random_cp_channel(rng)}
-        k = answer_kernel(pat, resource, chans)
-        cube = k.to_array()
-        for r in range(16):
-            row = cube[r]
-            assert np.max(np.abs(row - row.conj().T)) < 1e-10
-            d = np.diag(row).real
-            assert np.all(d > -1e-12) and np.all(d < 1 + 1e-9)
+        for _ in range(5):
+            pat = rotation_pattern(*rng.uniform(0, 2 * np.pi, size=3))
+            resource = resource_state(Graph.path(5), {0: random_state(rng)})
+            chans = {q: random_cp_channel(rng) for q in range(5)}
+            rep = fidelity_adaptive(pat, resource, chans, {4: chans[4]})
+            zs = np.array([z for z, _ in rep.per_outcome.values()])
+            fs = np.array([f for _, f in rep.per_outcome.values()])
+            assert abs(zs.sum() - 1.0) < 1e-12
+            assert np.all(fs > -1e-12) and np.all(fs < 1 + 1e-12)
+
+    def test_ten_qubit_chain_phase_flip(self):
+        # Above the oracle's reach: with every theta = 0 the bases ignore the
+        # adaptation, a flip pattern d leaves X^{fx(d)} Z^{fz(d)} on the
+        # output, and F(r) = sum_d P(d) |<A_0| X^{fx(d)} Z^{fz(d)} |A_0>|^2.
+        m, gamma, t = 10, 0.5, 0.3
+        rng = np.random.default_rng(11)
+        psi = random_state(rng)
+        pat = chain_pattern((0.0,) * m)
+        resource = resource_state(Graph.path(m + 1), {0: psi})
+        chans = {q: NoiseChannel.phase_flip(gamma, t) for q in range(m)}
+        rep = fidelity_adaptive(pat, resource, chans)
+
+        vec = psi.amplitudes
+        for _ in range(m):
+            vec = np.kron(vec, np.ones(2) / math.sqrt(2))
+        idx = np.arange(2 ** (m + 1))
+        for j in range(m):
+            both = (idx >> (m - j)) & (idx >> (m - j - 1)) & 1
+            vec = np.where(both == 1, -vec, vec)
+        a0 = (np.ones(2**m) / math.sqrt(2**m)) @ vec.reshape(2**m, 2)
+        a0 /= np.linalg.norm(a0)
+
+        p = (1 - math.exp(-2 * gamma * t)) / 2
+        flips = (np.arange(2**m)[:, None] >> (m - 1 - np.arange(m))[None, :]) & 1
+        prob = np.prod(np.where(flips == 1, p, 1 - p), axis=1)
+        fx = np.bitwise_xor.reduce(flips[:, m - 1 :: -2], axis=1)
+        fz = np.bitwise_xor.reduce(flips[:, m - 2 :: -2], axis=1)
+        overlap = np.array(
+            [[abs(a0.conj() @ PAULI_POW[x][z] @ a0) ** 2 for z in (0, 1)] for x in (0, 1)]
+        )
+        expected = float(prob @ overlap[fx, fz])
+        for z, f in rep.per_outcome.values():
+            assert abs(z - 2.0**-m) < 1e-12
+            assert abs(f - expected) < 1e-12
 
 
 class TestAdaptiveEngine:
@@ -166,15 +277,9 @@ class TestAdaptiveEngine:
             assert abs(f - f_p) < 1e-10
 
     def test_guard(self):
-        pat = MeasurementPattern(
-            n_qubits=10,
-            measured=tuple(range(9)),
-            thetas=(0.0,) * 9,
-            alphas=(math.pi / 2,) * 9,
-            adapt=(BooleanExpr.zero(),) * 9,
-        )
-        with pytest.raises(ValueError, match="refuses"):
-            fidelity_adaptive(pat, PureState.plus(10))
+        # Ten measured qubits run (test_ten_qubit_chain_phase_flip); eleven do not.
+        with pytest.raises(ValueError, match="refuses 11 measured qubits; the limit is 10"):
+            fidelity_adaptive(chain_pattern((0.0,) * 11), PureState.plus(12))
 
 
 class TestNonAdaptiveEngine:
@@ -207,24 +312,29 @@ class TestNonAdaptiveEngine:
             assert abs(f_n - f_a) < 1e-10
 
     def test_record_independence_with_pauli_noise(self):
+        # A deterministic chain (only the first angle needs no adaptation
+        # when the rest are 0) under white noise everywhere: the oracle
+        # gives every record the same probability and fidelity.
         rng = np.random.default_rng(8)
         pat = MeasurementPattern(
             n_qubits=4,
             measured=(0, 1, 2),
-            thetas=(0.0, 0.7, 1.9),
+            thetas=(1.9, 0.0, 0.0),
             alphas=(math.pi / 2,) * 3,
             adapt=(BooleanExpr.zero(),) * 3,
-            byproducts=(
-                ByproductSpec(qubit=3, fx=BooleanExpr.of(0, 2), fz=BooleanExpr.of(1, const=1)),
-            ),
+            byproducts=(ByproductSpec(qubit=3, fx=BooleanExpr.of(0, 2), fz=BooleanExpr.of(1)),),
         )
-        resource = resource_state(Graph.path(4))
-        chans = {q: NoiseChannel.white(0.5, rng.uniform(0.2, 1.0)) for q in range(3)}
-        zs, fs = na_fidelity_for_outcomes(pat, resource, chans, outcomes=None)
-        assert np.max(np.abs(zs - 1 / 8)) < 1e-10
-        assert np.max(np.abs(fs - fs[0])) < 1e-10
-        rep = fidelity_nonadaptive(pat, resource, chans)
-        assert abs(rep.average - fs[0]) < 1e-10
+        resource = resource_state(Graph.path(4), {0: random_state(rng)})
+        chans = {q: NoiseChannel.white(0.5, rng.uniform(0.2, 1.0)) for q in range(4)}
+        run = simulate(resource, pat, chans)
+        f0 = run.fidelities[(0, 0, 0)]
+        rep = fidelity_nonadaptive(pat, resource, {q: chans[q] for q in range(3)}, {3: chans[3]})
+        for key, (z, f) in rep.per_outcome.items():
+            assert abs(run.branches[key][0] - 1 / 8) < 1e-10
+            assert abs(run.fidelities[key] - f0) < 1e-10
+            assert abs(z - 1 / 8) < 1e-10
+            assert abs(f - f0) < 1e-10
+        assert abs(rep.average - f0) < 1e-10
 
     def test_oracle_agreement(self):
         rng = np.random.default_rng(9)
@@ -236,6 +346,63 @@ class TestNonAdaptiveEngine:
         for key, (z, f) in rep.per_outcome.items():
             assert abs(z - run.branches[key][0]) < 1e-9
             assert abs(f - run.fidelities[key]) < 1e-9
+
+    def test_cnot15_general_noise(self):
+        # A shifted (non-Pauli) map on all 15 qubits makes F depend on the
+        # record.  Every measurement is equatorial, so a flip pattern d has
+        # probability prod_i p^{d_i} (1 - p)^{1 - d_i}, p = (1 - e^{-Ct})/2,
+        # and turns branch r into branch r ^ d: the by-product class of r ^ d
+        # times (Z x I) CNOT |psi>.
+        B, C, S, t = 0.5, 1.0, 0.8, 0.4
+        rng = np.random.default_rng(12)
+        psi_c, psi_t = random_state(rng), random_state(rng)
+        resource = resource_state(Graph.from_edges(15, CNOT15_EDGES), {0: psi_c, 8: psi_t})
+        ch = NoiseChannel(B=B, C=C, S=S, t=t)
+        rep = fidelity_nonadaptive(
+            cnot15_pattern(), resource, {q: ch for q in CNOT15_MEASURED}, {6: ch, 14: ch}
+        )
+
+        cnot = np.eye(4)[[0, 1, 3, 2]]
+        a0 = np.kron(PAULI_POW[0][1], np.eye(2)) @ cnot @ np.kron(psi_c.amplitudes, psi_t.amplitudes)
+        records = np.arange(2**13)
+        classes = np.zeros(2**13, dtype=int)
+        for support in CNOT15_BYPRODUCTS:
+            bit = np.zeros(2**13, dtype=int)
+            for v in support:
+                bit ^= (records >> (12 - CNOT15_MEASURED.index(v))) & 1
+            classes = 2 * classes + bit
+        answers = []
+        for c in range(16):
+            x6, z6, x14, z14 = (c >> 3) & 1, (c >> 2) & 1, (c >> 1) & 1, c & 1
+            answers.append(np.kron(PAULI_POW[x6][z6], PAULI_POW[x14][z14]) @ a0)
+        p = (1 - math.exp(-C * t)) / 2
+        n_flips = np.array([bin(d).count("1") for d in range(2**13)])
+        flip_class = np.bincount(classes, weights=p**n_flips * (1 - p) ** (13 - n_flips), minlength=16)
+        expected = np.empty(16)
+        for c in range(16):
+            ref = answers[c]
+            acc = 0.0
+            for e in range(16):
+                noisy = bloch_map(np.outer(answers[c ^ e], answers[c ^ e].conj()), 0, B, C, S, t)
+                noisy = bloch_map(noisy, 1, B, C, S, t)
+                acc += flip_class[e] * float((ref.conj() @ noisy @ ref).real)
+            expected[c] = acc
+        fs = np.array([f for _, f in rep.per_outcome.values()])
+        zs = np.array([z for z, _ in rep.per_outcome.values()])
+        assert np.max(np.abs(zs - 2.0**-13)) < 1e-12
+        assert np.ptp(expected) > 1e-3  # the case is record-dependent
+        assert np.max(np.abs(fs - expected[classes])) < 1e-10
+
+    def test_guard(self):
+        pat = MeasurementPattern(
+            n_qubits=22,
+            measured=tuple(range(21)),
+            thetas=(0.0,) * 21,
+            alphas=(math.pi / 2,) * 21,
+            adapt=(BooleanExpr.zero(),) * 21,
+        )
+        with pytest.raises(ValueError, match="refuses 21 measured qubits; the limit is 20"):
+            fidelity_nonadaptive(pat, PureState.plus(1))
 
 
 class TestReport:
