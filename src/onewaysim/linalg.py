@@ -16,7 +16,8 @@ ATOL = 1e-10
 EIG_ATOL = 1e-9
 
 MAX_PURE_QUBITS = 15
-# 7-qubit mixed states (128 x 128) are needed by the Deutsch-Jozsa analyses.
+# Validating a density matrix takes a full eigendecomposition; 7 qubits
+# (128 x 128) keeps that in the millisecond range.
 MAX_MIXED_QUBITS = 7
 
 ID2 = np.eye(2, dtype=complex)
@@ -86,6 +87,22 @@ class PureState:
         return float(abs(self.overlap(other)) ** 2)
 
 
+def check_density_matrices(mats: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of the stack ``mats`` (k, d, d)
+    is Hermitian, has unit trace and no eigenvalue below -EIG_ATOL; the
+    message names the worst matrix of the stack.  NaN entries fail the
+    Hermitian check."""
+    if not np.abs(mats - mats.conj().transpose(0, 2, 1)).max() <= ATOL:
+        raise ValueError("density matrix is not Hermitian")
+    traces = mats.trace(axis1=1, axis2=2)
+    worst = np.abs(traces - 1.0).argmax()
+    if abs(traces[worst] - 1.0) > ATOL:
+        raise ValueError(f"density matrix trace {complex(traces[worst])!r} differs from 1")
+    lowest = np.linalg.eigvalsh(mats)[:, 0].min()
+    if lowest < -EIG_ATOL:
+        raise ValueError(f"density matrix has negative eigenvalue {lowest!r}")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix over ``n`` qubits."""
@@ -98,14 +115,7 @@ class DensityMatrix:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
         n = _n_qubits(mat.shape[0], "density matrix", MAX_MIXED_QUBITS)
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL:
-            raise ValueError("density matrix is not Hermitian")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > ATOL:
-            raise ValueError(f"density matrix trace {tr!r} differs from 1")
-        evals = np.linalg.eigvalsh(mat)
-        if evals[0] < -EIG_ATOL:
-            raise ValueError(f"density matrix has negative eigenvalue {evals[0]!r}")
+        check_density_matrices(mat[None])
         object.__setattr__(self, "entries", _frozen(mat))
         object.__setattr__(self, "n", n)
 
@@ -192,15 +202,4 @@ def apply_single_qubit_unitary(vec: np.ndarray, u: np.ndarray, qubit: int, n: in
     t = np.tensordot(u, t, axes=([1], [qubit]))
     t = np.moveaxis(t, 0, qubit)
     return t.reshape(-1)
-
-
-def apply_single_qubit_kraus(mat: np.ndarray, kraus: Sequence[np.ndarray], qubit: int, n: int) -> np.ndarray:
-    t = mat.reshape((2,) * (2 * n))
-    out = np.zeros_like(t)
-    for k in kraus:
-        a = np.moveaxis(np.tensordot(k, t, axes=([1], [qubit])), 0, qubit)
-        a = np.moveaxis(np.tensordot(np.conj(k), a, axes=([1], [n + qubit])), 0, n + qubit)
-        out += a
-    d = 2**n
-    return out.reshape(d, d)
 

@@ -1,9 +1,14 @@
 """Brute-force noisy simulator: ground truth for the closed-form engines.
 
-Evolves the full density matrix through per-qubit maps, then walks the
-adaptive measurement tree projecting each measured qubit onto its adapted
-basis.  Branch fidelities are taken against the by-product-corrected
-canonical answer.  Dimension-guarded to six qubits.
+The density matrix is a Liouville tensor, one axis of size 4 per qubit
+holding its (row bit, column bit), with the measured qubits first in
+temporal order.  Each channel is one 4x4 superoperator on its qubit's axis;
+at each depth every surviving record prefix is projected at once onto the
+effect |M_k^s><M_k^s| of its own adaptation bit s.  Noise acts on the
+state, never on the effects, so the oracle stays independent of the
+outcome-flip reduction that ``fidelity`` rests on.  Fidelities are taken
+against the by-product-corrected canonical answer BP(r) A_0.
+Dimension-guarded to ten qubits (4^10 entries).
 """
 
 from __future__ import annotations
@@ -13,102 +18,113 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channels import _kraus_cached
-from .graphstate import GraphState
-from .linalg import DensityMatrix, PureState, apply_single_qubit_kraus
+from .channels import superoperator
+from .linalg import DensityMatrix, PureState, check_density_matrices
 from .pattern import (
     MeasurementPattern,
+    _ZERO_BRANCH,
+    _resource_vector,
+    apply_byproducts,
     basis_raw,
-    branch_answers,
-    byproduct_unitary,
-    outcome_tuple,
+    record_columns,
 )
 
-MAX_ORACLE_QUBITS = 6
+MAX_ORACLE_QUBITS = 10
 _PRUNE = 1e-14
 
 
 @dataclass(frozen=True)
 class OracleRun:
-    """Per-outcome probabilities, post-measurement answers, and fidelities."""
+    """Per-outcome probabilities, post-measurement answers, and fidelities.
 
-    branches: dict[tuple[int, ...], tuple[float, DensityMatrix | None]]
-    fidelities: dict[tuple[int, ...], float | None]
+    ``branches`` maps each unpruned record to (probability, read-only
+    density matrix of its answer); pruned records are absent everywhere.
+    """
+
+    branches: dict[tuple[int, ...], tuple[float, np.ndarray]]
+    fidelities: dict[tuple[int, ...], float]
     average: float
 
     def probability(self, outcome: tuple[int, ...]) -> float:
         return self.branches.get(outcome, (0.0, None))[0]
 
 
-def _resource_amplitudes(resource) -> tuple[np.ndarray, int]:
-    if isinstance(resource, GraphState):
-        return resource.state.amplitudes, resource.state.n
-    if isinstance(resource, PureState):
-        return resource.amplitudes, resource.n
-    raise TypeError(f"expected PureState or GraphState, got {type(resource).__name__}")
-
-
-def _project_out(mat: np.ndarray, bra: np.ndarray, axis: int, n: int) -> np.ndarray:
-    """<bra| rho |bra> on one qubit; returns the (n-1)-qubit block."""
-    t = mat.reshape((2,) * (2 * n))
-    t = np.tensordot(np.conj(bra), t, axes=([0], [axis]))
-    # The matching column axis sat at n + axis and has shifted down by one.
-    t = np.tensordot(bra, t, axes=([0], [n + axis - 1]))
-    d = 2 ** (n - 1)
-    return t.reshape(d, d)
+def _effect_rows(vecs) -> np.ndarray:
+    """Rows <<E| with <<E|rho>> = <v|rho|v> on one qubit's (row bit, column
+    bit) pair, for a stack of vectors v: shape (..., 2) to (..., 4)."""
+    vecs = np.asarray(vecs)
+    return (np.conj(vecs)[..., :, None] * vecs[..., None, :]).reshape(vecs.shape[:-1] + (4,))
 
 
 def simulate(resource, pat: MeasurementPattern, channels: Mapping[int, object] | None = None) -> OracleRun:
-    """Noisy run of a pattern: channels first, then sequential adaptive
-    projective measurements over every branch."""
-    amp, n = _resource_amplitudes(resource)
+    """Noisy run of a pattern: every qubit's channel, then sequential
+    adaptive projective measurements over every branch."""
+    amp, n = _resource_vector(resource)
     if n > MAX_ORACLE_QUBITS:
         raise ValueError(f"brute-force simulation capped at {MAX_ORACLE_QUBITS} qubits, got {n}")
     if n != pat.n_qubits:
         raise ValueError("pattern size does not match the resource")
     channels = channels or {}
-    rho = np.outer(amp, np.conj(amp))
-    for q in sorted(channels):
-        rho = apply_single_qubit_kraus(rho, _kraus_cached(channels[q]), q, n)
-
-    # Reference answers: by-product times the canonical (all-zero) branch of
-    # the noiseless resource.
-    ideal = branch_answers(resource, pat)
+    stray = sorted(set(channels) - set(range(n)))
+    if stray:
+        raise ValueError(f"channels on qubits {stray} outside the {n}-qubit resource")
     m = pat.n_measured
-    a0 = ideal.hat[0]
-    refs = np.empty((2**m, a0.size), dtype=complex)
-    for idx in range(2**m):
-        refs[idx] = byproduct_unitary(pat, outcome_tuple(idx, m)) @ a0
+    psi = np.transpose(amp.reshape((2,) * n), list(pat.measured) + list(pat.outputs)).reshape(-1)
+    columns = record_columns(pat, np.arange(2**m))
 
-    branches: dict[tuple[int, ...], tuple[float, DensityMatrix | None]] = {}
-    fidelities: dict[tuple[int, ...], float | None] = {}
+    # Row b of ``rho`` is the normalized state left on the unmeasured qubits
+    # by the record prefix ``prefix[b]``, reached with probability prob[b].
+    rho = np.multiply.outer(psi, psi.conj()).reshape((2,) * (2 * n))
+    rho = rho.transpose([a for q in range(n) for a in (q, n + q)]).reshape(1, -1)
+    prefix = np.zeros(1, dtype=np.int64)
+    prob = np.ones(1)
+    # Positions of the diagonal entries of an n-qubit Liouville vector; the
+    # first 2^r of them are those of its last r qubits.
+    diagonal = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        diagonal = (4 * diagonal[:, None] + (0, 3)).reshape(-1)
+    for depth, q in enumerate(pat.measured):
+        # The qubit's channel acts on the state just before its measurement,
+        # when its axis leads and the tensor is smallest: channels on other
+        # qubits commute with it and with this measurement.
+        t = rho.reshape(len(prefix), 4, -1)
+        if q in channels:
+            t = superoperator(channels[q]) @ t
+        vecs = [[basis_raw(pat.thetas[depth], pat.alphas[depth], s, k) for k in (0, 1)] for s in (0, 1)]
+        adapt = pat.adapt[depth].evaluate_columns(columns)[prefix << (m - depth)]
+        block = _effect_rows(vecs)[adapt] @ t
+        pk = block[:, :, diagonal[: 2 ** (n - 1 - depth)]].sum(axis=2).real
+        keep = pk > _PRUNE
+        rho = block[keep] / pk[keep][:, None]
+        prefix = ((prefix[:, None] << 1) | (0, 1))[keep]
+        prob = (prob[:, None] * pk)[keep]
+    for j, q in enumerate(pat.outputs):
+        if q in channels:
+            rho = superoperator(channels[q]) @ rho.reshape(len(prefix) * 4**j, 4, -1)
 
-    def walk(mat: np.ndarray, depth: int, bits: dict[int, int], prob: float, idx: int):
-        if depth == m:
-            key = outcome_tuple(idx, m)
-            dm = DensityMatrix(mat)
-            ref = refs[idx]
-            fid = float(np.real(np.conj(ref) @ mat @ ref))
-            branches[key] = (prob, dm)
-            fidelities[key] = fid
-            return
-        qubit = pat.measured[depth]
-        remaining = sorted(set(range(n)) - set(pat.measured[:depth]))
-        axis = remaining.index(qubit)
-        s = pat.adapt[depth].evaluate(bits)
-        for k in (0, 1):
-            bra = basis_raw(pat.thetas[depth], pat.alphas[depth], s, k)
-            block = _project_out(mat, bra, axis, len(remaining))
-            pk = float(np.real(np.trace(block)))
-            if pk <= _PRUNE:
-                continue
-            bits[qubit] = k
-            walk(block / pk, depth + 1, bits, prob * pk, (idx << 1) | k)
-        bits.pop(qubit, None)
+    # Leaves as (record, row bits, column bits) matrices over the outputs.
+    k = n - m
+    d = 2**k
+    mats = rho.reshape((-1,) + (2, 2) * k).transpose([0] + list(range(1, 2 * k, 2)) + list(range(2, 2 * k + 1, 2)))
+    mats = mats.reshape(-1, d, d)
+    check_density_matrices(mats)
+    mats.setflags(write=False)
 
-    walk(rho, 0, {}, 1.0, 0)
-    avg = sum(p * f for (p, _), f in zip(branches.values(), fidelities.values()))
-    return OracleRun(branches=branches, fidelities=fidelities, average=float(avg))
+    # Reference answers BP(r) A_0, with A_0 the normalized noiseless branch of
+    # record 0, whose adaptation bits are the constant terms.
+    a0 = psi
+    for depth, e in enumerate(pat.adapt):
+        a0 = np.conj(basis_raw(pat.thetas[depth], pat.alphas[depth], e.const, 0)) @ a0.reshape(2, -1)
+    norm2 = float(np.vdot(a0, a0).real)
+    a0 = a0 / np.sqrt(norm2) if norm2 > _ZERO_BRANCH else np.zeros_like(a0)
+    refs = apply_byproducts(pat, a0)[prefix]
+    fids = np.einsum("ra,rab,rb->r", refs.conj(), mats, refs).real
+    keys = list(map(tuple, ((prefix[:, None] >> np.arange(m - 1, -1, -1)) & 1).tolist()))
+    return OracleRun(
+        branches=dict(zip(keys, zip(prob.tolist(), mats))),
+        fidelities=dict(zip(keys, fids.tolist())),
+        average=float(prob @ fids),
+    )
 
 
 def measure_distribution(
@@ -126,13 +142,13 @@ def measure_distribution(
         abs(np.linalg.norm(v) - 1.0) > 1e-10 for v in vecs
     ):
         raise ValueError("basis must be an orthonormal pair")
-    if not (0 <= qubit < state.n):
+    n = state.n
+    if not (0 <= qubit < n):
         raise IndexError(f"qubit {qubit} out of range")
-    probs = []
-    posts: list[DensityMatrix | None] = []
-    for v in vecs:
-        block = _project_out(state.entries, v, qubit, state.n)
-        p = float(np.real(np.trace(block)))
-        probs.append(p)
-        posts.append(DensityMatrix(block / p) if p > _PRUNE else None)
-    return probs[0], probs[1], (posts[0], posts[1])
+    # The measured qubit's (row bit, column bit) in front of the rest.
+    t = np.moveaxis(state.entries.reshape((2,) * (2 * n)), (qubit, n + qubit), (0, 1))
+    d = 2 ** (n - 1)
+    blocks = (_effect_rows(vecs) @ t.reshape(4, d * d)).reshape(2, d, d)
+    probs = np.trace(blocks, axis1=1, axis2=2).real.tolist()
+    posts = tuple(DensityMatrix(b / p) if p > _PRUNE else None for b, p in zip(blocks, probs))
+    return probs[0], probs[1], posts

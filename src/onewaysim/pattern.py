@@ -79,8 +79,9 @@ class BooleanExpr:
         return v
 
     def evaluate_columns(self, columns: Mapping[int, np.ndarray]) -> np.ndarray:
-        """Vectorized evaluation over stacked outcome records."""
-        some = next(iter(columns.values()))
+        """Vectorized evaluation over stacked outcome records; an empty
+        mapping stands for the one empty record."""
+        some = next(iter(columns.values()), np.zeros(1, dtype=np.uint8))
         v = np.full(some.shape, self.const, dtype=np.uint8)
         for q in self.xor:
             v ^= columns[q]
@@ -241,6 +242,13 @@ def outcome_tuple(index: int, m: int) -> tuple[int, ...]:
     return tuple((index >> (m - 1 - j)) & 1 for j in range(m))
 
 
+def record_columns(pat: MeasurementPattern, records: np.ndarray) -> dict[int, np.ndarray]:
+    """The outcome bit of each measured qubit over stacked record indices,
+    read as in ``outcome_tuple``."""
+    m = pat.n_measured
+    return {q: ((records >> (m - 1 - pos)) & 1).astype(np.uint8) for pos, q in enumerate(pat.measured)}
+
+
 @dataclass(frozen=True)
 class AnswerSet:
     """The noiseless branch of every outcome record under a pattern.
@@ -278,8 +286,7 @@ def frame_branches(resource, pat: MeasurementPattern) -> tuple[np.ndarray, np.nd
     if pat.is_nonadaptive():
         frames, frame_of = np.zeros((1, m), dtype=np.uint8), np.zeros(2**m, dtype=np.intp)
     else:
-        records = np.arange(2**m)
-        columns = {q: ((records >> (m - 1 - pos)) & 1).astype(np.uint8) for pos, q in enumerate(pat.measured)}
+        columns = record_columns(pat, np.arange(2**m))
         bits = np.stack([e.evaluate_columns(columns) for e in pat.adapt], axis=1)
         frames, frame_of = np.unique(bits, axis=0, return_inverse=True)
     # Measured axes first in temporal order, so record bits read MSB-first.
@@ -339,3 +346,22 @@ def byproduct_unitary(pat: MeasurementPattern, outcome: Sequence[int]) -> np.nda
     if not factors:
         return np.array([[sign]], dtype=complex)
     return sign * kron_all(factors)
+
+
+def apply_byproducts(pat: MeasurementPattern, vec: np.ndarray) -> np.ndarray:
+    """BP(r) vec for every record r, stacked in record order: the rows are
+    ``byproduct_unitary(pat, outcome_tuple(r, M)) @ vec``."""
+    n_records = 2**pat.n_measured
+    columns = record_columns(pat, np.arange(n_records))
+    k = len(pat.outputs)
+    out = np.repeat(np.asarray(vec, dtype=complex).reshape((1,) + (2,) * k), n_records, axis=0)
+    sign = np.ones(n_records)
+    for axis, q in enumerate(pat.outputs, start=1):
+        bp = pat.byproduct_for(q)
+        sign *= (-1.0) ** bp.fsig.evaluate_columns(columns)
+        view = np.moveaxis(out, axis, 1)  # (record, bit of q, other outputs)
+        fz = bp.fz.evaluate_columns(columns).astype(bool)
+        view[fz, 1] *= -1.0
+        fx = bp.fx.evaluate_columns(columns).astype(bool)
+        view[fx] = view[fx, ::-1]
+    return out.reshape(n_records, -1) * sign[:, None]

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from onewaysim.channels import (
     NoiseChannel,
     apply,
     choi_matrix,
+    choi_min_eigenvalue,
     from_json,
     kraus,
     lambdas,
@@ -194,6 +196,16 @@ class TestKraus:
         via = sum(k @ rho.entries @ k.conj().T for k in ops)
         assert np.max(np.abs(via - apply(ch, rho, 0).entries)) < 1e-10
 
+    def test_apply_on_each_qubit_of_three(self):
+        # The superoperator path against the Kraus sum on the full space.
+        rng = np.random.default_rng(9)
+        ch = random_cp_channel(rng)
+        rho = random_density(rng, 3)
+        for q in range(3):
+            full = [np.kron(np.kron(np.eye(2**q), k), np.eye(2 ** (2 - q))) for k in kraus(ch)]
+            via = sum(k @ rho.entries @ k.conj().T for k in full)
+            assert np.max(np.abs(via - apply(ch, rho, q).entries)) < 1e-12
+
     def test_non_cp_rejected(self):
         # B > 2C shrinks z faster than the CP boundary allows.
         with pytest.raises(InvalidMapError):
@@ -206,6 +218,25 @@ class TestChoi:
         for _ in range(50):
             w = np.linalg.eigvalsh(choi_matrix(random_cp_channel(rng)))
             assert w[0] > -1e-9
+
+
+    def test_closed_form_min_eigenvalue(self):
+        # Draws on both sides of the CP boundary C = B/2, with t = 0 and
+        # t = inf among them; the channel is rejected exactly when the Choi
+        # matrix has an eigenvalue below -CHOI_ATOL.
+        rng = np.random.default_rng(8)
+        for i in range(2000):
+            b = rng.uniform(0.0, 3.0)
+            params = SimpleNamespace(
+                B=b, C=rng.uniform(0.0, 3.0), S=rng.uniform(), t=(0.0, math.inf, rng.uniform(0.0, 3.0))[i % 3]
+            )
+            w = np.linalg.eigvalsh(choi_matrix(params))
+            assert abs(choi_min_eigenvalue(params) - w[0]) < 1e-14
+            if w[0] < -1e-9:
+                with pytest.raises(InvalidMapError, match=f"Choi eigenvalue {w[0]:.3e}"):
+                    NoiseChannel(params.B, params.C, params.S, params.t)
+            else:
+                NoiseChannel(params.B, params.C, params.S, params.t)
 
 
 class TestProtectedBasis:

@@ -7,6 +7,7 @@ from onewaysim.linalg import (
     X,
     Y,
     Z,
+    check_density_matrices,
     hermitian_eig,
     partial_trace,
     tensor,
@@ -49,6 +50,41 @@ class TestDensityMatrix:
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(2))
+
+
+class TestCheckDensityMatrices:
+    # A stack of valid states with one bad matrix in the middle: the check
+    # covers every matrix of the stack, not only the first.
+    @staticmethod
+    def stack_with(bad):
+        good = np.eye(2, dtype=complex) / 2
+        return np.stack([good, np.asarray(bad, dtype=complex), good])
+
+    def test_accepts_valid_stack(self):
+        rho = np.array([[0.7, 0.2j], [-0.2j, 0.3]])
+        check_density_matrices(self.stack_with(rho))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_density_matrices(self.stack_with([[0.5, 0.5], [0.0, 0.5]]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_density_matrices(self.stack_with([[np.nan, 0.0], [0.0, 0.5]]))
+
+    def test_rejects_wrong_trace(self):
+        with pytest.raises(ValueError, match=r"trace \(1\.2\+0j\) differs from 1"):
+            check_density_matrices(self.stack_with([[0.6, 0.0], [0.0, 0.6]]))
+
+    def test_rejects_negative_eigenvalue(self):
+        with pytest.raises(ValueError, match=r"negative eigenvalue .*-0\.5"):
+            check_density_matrices(self.stack_with([[1.5, 0.0], [0.0, -0.5]]))
+
+    def test_tolerances(self):
+        # Deviations just inside ATOL (Hermiticity, trace) and EIG_ATOL
+        # (eigenvalues) pass.
+        check_density_matrices(self.stack_with([[0.5 + 5e-11, 5e-11], [0.0, 0.5]]))
+        check_density_matrices(self.stack_with([[1.0 + 5e-10, 0.0], [0.0, -5e-10]]))
 
 
 class TestTensor:

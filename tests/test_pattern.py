@@ -9,6 +9,7 @@ from onewaysim.pattern import (
     BooleanExpr,
     ByproductSpec,
     MeasurementPattern,
+    apply_byproducts,
     basis_vector,
     branch_answers,
     byproduct_unitary,
@@ -240,3 +241,45 @@ class TestByproductUnitary:
         )
         u = byproduct_unitary(pat, (1, 1))
         assert np.allclose(u, -kron_all([X, Z]))
+
+
+class TestApplyByproducts:
+    @pytest.mark.parametrize(
+        "pat",
+        [
+            rotation_pattern(0.1, 0.2, 0.3),
+            rsp_pattern(0.5),
+            MeasurementPattern(
+                n_qubits=6,
+                measured=(4, 0, 2),
+                thetas=(0.0, 0.3, 0.0),
+                alphas=(math.pi / 2,) * 3,
+                adapt=(BooleanExpr.zero(), BooleanExpr.of(4), BooleanExpr.zero()),
+                byproducts=(
+                    ByproductSpec(qubit=1, fx=BooleanExpr.of(4, 2), fz=BooleanExpr.of(0, const=1)),
+                    ByproductSpec(qubit=3, fz=BooleanExpr.of(2, 4), fsig=BooleanExpr(and2=((0, 4),))),
+                    ByproductSpec(qubit=5, fx=BooleanExpr.of(0), fsig=BooleanExpr.of(2, const=1)),
+                ),
+            ),
+            # No measured qubit: one empty record, whose by-product is the
+            # constant part alone.
+            MeasurementPattern(
+                n_qubits=1,
+                measured=(),
+                thetas=(),
+                alphas=(),
+                adapt=(),
+                byproducts=(ByproductSpec(qubit=0, fx=BooleanExpr(const=1), fsig=BooleanExpr(const=1)),),
+            ),
+        ],
+    )
+    def test_matches_byproduct_unitary_on_every_record(self, pat):
+        rng = np.random.default_rng(11)
+        d = 2 ** len(pat.outputs)
+        vec = rng.normal(size=d) + 1j * rng.normal(size=d)
+        rows = apply_byproducts(pat, vec)
+        m = pat.n_measured
+        assert rows.shape == (2**m, d)
+        for r in range(2**m):
+            expect = byproduct_unitary(pat, outcome_tuple(r, m)) @ vec
+            assert np.max(np.abs(rows[r] - expect)) < 1e-15
