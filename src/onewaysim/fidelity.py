@@ -24,8 +24,9 @@ noise, and A_r the normalized noiseless branch psi_{s(r),r}.  Records that
 share a frame share its contraction, and W, a tensor product of 2x2
 matrices, is applied one qubit at a time: a frame costs O(M 2^M), so a
 non-adaptive pattern (one frame) costs that, and an adaptive one that
-times its number of frames.  See Danos, Kashefi and Panangaden, "The
-measurement calculus", arXiv:0704.1263.
+times its number of frames.  The answer noise is one real matrix on the
+codes of the records' noiseless projectors.  See Danos, Kashefi and
+Panangaden, "The measurement calculus", arXiv:0704.1263.
 
 The brute-force simulator in ``oracle`` is the independent ground truth
 for everything here.
@@ -33,14 +34,15 @@ for everything here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channels import FixedPoleMap, NoiseChannel, _kraus_cached, mixing_probabilities
-from .linalg import kron_all
+from .channels import FixedPoleMap, NoiseChannel, mixing_probabilities, superoperator
+from .linalg import _frozen
 from .pattern import MeasurementPattern, frame_branches
 
 MAX_ADAPTIVE_MEASURED = 10
@@ -48,30 +50,44 @@ MAX_NA_MEASURED = 20
 _UNREACHABLE = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FidelityReport:
-    """Per-outcome record probability and fidelity, plus their average.
+    """Probability Z and fidelity F of every outcome record, and their
+    weighted average.
 
-    ``per_outcome`` maps each outcome tuple to (Z, F); F is None for
-    records flagged unreachable (Z below 1e-12 before renormalization).
+    ``z`` and ``f`` are read-only arrays over the 2^M records; record r has
+    the bits of r, first-measured qubit most significant (as in
+    ``pattern.outcome_tuple``).  ``f`` is NaN on records flagged unreachable
+    (Z below 1e-12 before renormalization), and ``average`` sums Z F over
+    the rest.  ``per_outcome``, built on first access, maps each outcome
+    tuple to (Z, F), F None where unreachable.
     """
 
-    per_outcome: dict[tuple[int, ...], tuple[float, float | None]]
+    z: np.ndarray
+    f: np.ndarray
     average: float
 
     def __post_init__(self):
-        total = sum(z for z, _ in self.per_outcome.values())
-        if abs(total - 1.0) > 1e-9:
+        for name in ("z", "f"):
+            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=float)))
+        z, f = self.z, self.f
+        if z.ndim != 1 or f.shape != z.shape or z.size & (z.size - 1):
+            raise ValueError(f"z and f need one power-of-two length, got shapes {z.shape} and {f.shape}")
+        total = z.sum()
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"outcome probabilities sum to {total}, not 1")
-        acc = 0.0
-        for z, f in self.per_outcome.values():
-            if f is None:
-                continue
-            if not -1e-9 <= f <= 1.0 + 1e-9:
-                raise ValueError(f"fidelity {f} outside [0, 1]")
-            acc += z * f
-        if abs(acc - self.average) > 1e-10:
+        outside = (f < -1e-9) | (f > 1.0 + 1e-9)  # False on NaN
+        if outside.any():
+            raise ValueError(f"fidelity {f[outside][0]} outside [0, 1]")
+        reached = ~np.isnan(f)
+        if not abs(z[reached] @ f[reached] - self.average) <= 1e-10:
             raise ValueError("average does not match the outcome sum")
+
+    @functools.cached_property
+    def per_outcome(self) -> dict[tuple[int, ...], tuple[float, float | None]]:
+        f = np.where(np.isnan(self.f), None, self.f).tolist()
+        keys = itertools.product((0, 1), repeat=self.z.size.bit_length() - 1)
+        return dict(zip(keys, zip(self.z.tolist(), f)))
 
     def fidelity(self, outcome: Sequence[int]) -> float | None:
         return self.per_outcome[tuple(int(b) for b in outcome)][1]
@@ -80,31 +96,7 @@ class FidelityReport:
         return self.per_outcome[tuple(int(b) for b in outcome)][0]
 
 
-def average(report: FidelityReport) -> float:
-    """Outcome-probability-weighted mean fidelity."""
-    return float(sum(z * f for z, f in report.per_outcome.values() if f is not None))
-
-
-def report_rows(report: FidelityReport, t: float) -> list[tuple[float, str, float, float | None]]:
-    """CSV-ready rows (t, outcome, Z, F) in outcome order."""
-    rows = []
-    for key in sorted(report.per_outcome):
-        z, f = report.per_outcome[key]
-        rows.append((t, "".join(str(b) for b in key), z, f))
-    return rows
-
-
-def report_summary(report: FidelityReport, t: float) -> dict:
-    return {"t": t, "F_bar": report.average}
-
-
 # -- the record-frame engine ----------------------------------------------------
-
-
-def _require_noise_channel(ch, where: str) -> NoiseChannel:
-    if isinstance(ch, FixedPoleMap):
-        raise TypeError(f"{where} must be a NoiseChannel; fixed-pole maps have no diagonal mixing rule")
-    return ch
 
 
 def _flip_table(pat: MeasurementPattern, measured_channels: Mapping[int, NoiseChannel] | None) -> np.ndarray:
@@ -113,23 +105,33 @@ def _flip_table(pat: MeasurementPattern, measured_channels: Mapping[int, NoiseCh
     table = np.zeros((pat.n_measured, 2))
     for pos, q in enumerate(pat.measured):
         ch = measured_channels.get(q)
-        if ch is None:
-            continue
-        mp = mixing_probabilities(_require_noise_channel(ch, f"channel on measured qubit {q}"))
-        table[pos] = mp.flip_probs(pat.alphas[pos])
+        if isinstance(ch, FixedPoleMap):
+            raise TypeError(
+                f"channel on measured qubit {q} must be a NoiseChannel; fixed-pole maps have no diagonal mixing rule"
+            )
+        if ch is not None:
+            table[pos] = mixing_probabilities(ch).flip_probs(pat.alphas[pos])
     return table
 
 
-def _answer_kraus(pat: MeasurementPattern, answer_channels: Mapping[int, object] | None) -> np.ndarray:
-    """Joint operator-sum form of the per-output-qubit channels, stacked."""
+def _answer_code_map(pat: MeasurementPattern, answer_channels: Mapping[int, object] | None) -> np.ndarray:
+    """The real matrix R with code(sum_j K_j^dagger X K_j) = code(X) @ R for
+    Hermitian X on the outputs, K_j the joint Kraus operators of the answer
+    noise.  With S = sum_j K_j (x) K_j^* on one qubit's (row bit, column
+    bit), the row-major vec(sum_j K_j^dagger X K_j) is vec(X) @ conj(S)."""
     answer_channels = answer_channels or {}
-    per_qubit = []
+    k, d = len(pat.outputs), 2 ** len(pat.outputs)
+    joint = np.ones(())
     for q in pat.outputs:
         ch = answer_channels.get(q)
-        per_qubit.append(_kraus_cached(ch) if ch is not None else (np.eye(2, dtype=complex),))
-    if not per_qubit:
-        return np.ones((1, 1, 1), dtype=complex)
-    return np.stack([kron_all(combo) for combo in itertools.product(*per_qubit)])
+        s = np.eye(4) if ch is None else superoperator(ch).conj()
+        joint = np.multiply.outer(joint, s.reshape(2, 2, 2, 2))
+    # Axes (row, column, row', column') of each qubit to all rows, columns,
+    # rows' and columns'.
+    joint = joint.transpose([4 * i + a for a in range(4) for i in range(k)]).reshape(d, d, d * d)
+    # vec(X) = (c + c^T) / 2 + i (c - c^T) / 2 for c = code(X), so Re + Im
+    # of vec(X) @ J is c @ (Re J + Im J with its row pairs (a, b) swapped).
+    return (joint.real + joint.imag.transpose(1, 0, 2)).reshape(d * d, d * d)
 
 
 def _record_frame_report(
@@ -148,36 +150,32 @@ def _record_frame_report(
     m = pat.n_measured
     frame_of, psi = frame_branches(resource, pat)
     n_frames, _, d = psi.shape
-    # rho[f, r] = sum_k W[r, k] |psi_fk><psi_fk|, with W the product over the
-    # measured qubits of P(read r_i | prepared k_i), applied one qubit at a time.
+    # code[f, k] is the code of |psi_fk><psi_fk|.  rho[f, r] = sum_k W[r, k]
+    # code[f, k], with W the product over the measured qubits of
+    # P(read r_i | prepared k_i), is applied one qubit at a time.
     outer = psi[..., :, None] * psi[..., None, :].conj()
-    rho = outer.real + outer.imag
+    code = outer.real + outer.imag
+    rho = code
     for pos, (p0, p1) in enumerate(_flip_table(pat, measured_channels)):
         read = np.array([[1.0 - p0, p1], [p0, 1.0 - p1]])
         rho = read @ rho.reshape(n_frames, 2**pos, 2, -1)
-    records = np.arange(2**m)
-    rho = rho.reshape(n_frames, 2**m, d * d)[frame_of, records]
-    ideal = psi[frame_of, records]
+    own = frame_of * 2**m + np.arange(2**m)  # record r's row among all frames
+    rho = rho.reshape(-1, d * d)[own]
+    ideal = code.reshape(-1, d * d)[own]  # |psi_r><psi_r|, unnormalized
 
-    norm2 = np.einsum("ra,ra->r", ideal, ideal.conj()).real
+    norm2 = ideal[:, :: d + 1].sum(axis=1)
     z_raw = rho[:, :: d + 1].sum(axis=1)
     reachable = (z_raw > _UNREACHABLE) & (norm2 > 1e-20)
-    hat = ideal[reachable] / np.sqrt(norm2[reachable])[:, None]
-    # The effect sum_j K_j^dagger |A_r><A_r| K_j of the answer noise, whose
-    # trace against rho_r is the unnormalized fidelity.
-    kraus = _answer_kraus(pat, answer_channels)
-    adjoint = np.einsum("jca,jdb->cdab", kraus.conj(), kraus).reshape(d * d, d * d)
-    effect = (hat[:, :, None] * hat.conj()[:, None, :]).reshape(-1, d * d) @ adjoint
-    f_reached = np.einsum("ri,ri->r", effect.real + effect.imag, rho[reachable]) / z_raw[reachable]
+    # F(r) = tr(rho_r sum_j K_j^dagger |psi_r><psi_r| K_j) / (|psi_r|^2 Z(r)).
+    overlap = np.einsum("ri,ri->r", ideal @ _answer_code_map(pat, answer_channels), rho)
+    f = np.full(2**m, np.nan)
+    np.divide(overlap, norm2 * z_raw, out=f, where=reachable)
 
     total = float(z_raw.sum())
     if abs(total - 1.0) > 1e-6:
         raise AssertionError(f"record probabilities sum to {total}; engine inconsistency")
     z = z_raw / total
-    f = np.full(2**m, None, dtype=object)
-    f[reachable] = f_reached.tolist()
-    per = dict(zip(itertools.product((0, 1), repeat=m), zip(z.tolist(), f.tolist())))
-    return FidelityReport(per_outcome=per, average=float(z[reachable] @ f_reached))
+    return FidelityReport(z=z, f=f, average=float(z[reachable] @ f[reachable]))
 
 
 def fidelity_adaptive(

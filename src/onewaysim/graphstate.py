@@ -87,10 +87,14 @@ class Graph:
 
 
 def _cz_phases(amp: np.ndarray, n: int, edges) -> np.ndarray:
-    idx = np.arange(amp.size)
+    """Multiply amp by (-1)^(sum over edges ij of x_i x_j): the edge terms
+    are XORed into one parity bit per amplitude, then the signs flip once."""
+    # bit[v] broadcasts vertex v's bit of the amplitude index over (2,) * n.
+    bit = [np.arange(2, dtype=np.uint8).reshape((2,) + (1,) * (n - 1 - v)) for v in range(n)]
+    parity = np.zeros((2,) * n, dtype=np.uint8)
     for i, j in edges:
-        both = ((idx >> (n - 1 - i)) & (idx >> (n - 1 - j)) & 1).astype(bool)
-        amp[both] *= -1.0
+        parity ^= bit[i] & bit[j]
+    np.negative(amp, out=amp, where=parity.reshape(-1).view(bool))
     return amp
 
 

@@ -120,10 +120,6 @@ class DensityMatrix:
         object.__setattr__(self, "n", n)
 
     @classmethod
-    def from_pure(cls, state: PureState) -> "DensityMatrix":
-        return state.density()
-
-    @classmethod
     def maximally_mixed(cls, n: int) -> "DensityMatrix":
         d = 2**n
         return cls(np.eye(d, dtype=complex) / d)
@@ -169,21 +165,6 @@ def partial_trace_raw(mat: np.ndarray, keep: Sequence[int], n: int) -> np.ndarra
         offset -= 1
     d = 2 ** len(keep)
     return t.reshape(d, d)
-
-
-def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns eigenvalues in descending order and the matching eigenvectors as
-    columns; reconstruction ``V diag(w) V+`` matches the input to 1e-9.
-    """
-    mat = m.entries if isinstance(m, DensityMatrix) else np.asarray(m, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if np.max(np.abs(mat - mat.conj().T)) > 1e-8:
-        raise ValueError("matrix is not Hermitian within 1e-8")
-    w, v = np.linalg.eigh(mat)
-    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:

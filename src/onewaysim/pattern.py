@@ -249,19 +249,6 @@ def record_columns(pat: MeasurementPattern, records: np.ndarray) -> dict[int, np
     return {q: ((records >> (m - 1 - pos)) & 1).astype(np.uint8) for pos, q in enumerate(pat.measured)}
 
 
-@dataclass(frozen=True)
-class AnswerSet:
-    """The noiseless branch of every outcome record under a pattern.
-
-    ``probs`` are the exact branch probabilities; ``hat`` rows are the
-    normalized answers (zero where the branch probability vanishes).
-    """
-
-    outputs: tuple[int, ...]
-    probs: np.ndarray
-    hat: np.ndarray
-
-
 def _resource_vector(resource) -> tuple[np.ndarray, int]:
     if isinstance(resource, GraphState):
         return resource.state.amplitudes, resource.state.n
@@ -298,34 +285,6 @@ def frame_branches(resource, pat: MeasurementPattern) -> tuple[np.ndarray, np.nd
         t = t.reshape(t.shape[0], 2**pos, 2, -1)
         t = b[:, :, :, 0] * t[:, :, None, 0] + b[:, :, :, 1] * t[:, :, None, 1]
     return frame_of.reshape(-1), t.reshape(len(frames), 2**m, -1)
-
-
-def branch_answers(resource, pat: MeasurementPattern) -> AnswerSet:
-    """Each record's noiseless branch, taken from its own frame."""
-    frame_of, psi = frame_branches(resource, pat)
-    vec = psi[frame_of, np.arange(frame_of.size)]
-    probs = np.einsum("ka,ka->k", vec, vec.conj()).real
-    hat = np.zeros_like(vec)
-    good = probs > _ZERO_BRANCH
-    hat[good] = vec[good] / np.sqrt(probs[good])[:, None]
-    return AnswerSet(outputs=pat.outputs, probs=probs, hat=hat)
-
-
-def ideal_answers(resource, pat: MeasurementPattern) -> dict[tuple[int, ...], tuple[float, PureState | None]]:
-    """Map outcome record -> (probability, normalized answer state).
-
-    Zero-probability branches are flagged with a ``None`` state.
-    """
-    ans = branch_answers(resource, pat)
-    m = pat.n_measured
-    out: dict[tuple[int, ...], tuple[float, PureState | None]] = {}
-    for idx in range(2**m):
-        key = outcome_tuple(idx, m)
-        if ans.probs[idx] > _ZERO_BRANCH:
-            out[key] = (float(ans.probs[idx]), PureState(ans.hat[idx]))
-        else:
-            out[key] = (0.0, None)
-    return out
 
 
 _POW_X = (np.eye(2, dtype=complex), X)

@@ -1,19 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from onewaysim.channels import NoiseChannel
-from onewaysim.fidelity import (
-    FidelityReport,
-    average,
-    fidelity_adaptive,
-    fidelity_nonadaptive,
-    report_rows,
-    report_summary,
-)
+from onewaysim.channels import FixedPoleMap, NoiseChannel, kraus
+from onewaysim.fidelity import FidelityReport, _answer_code_map, fidelity_adaptive, fidelity_nonadaptive
 from onewaysim.graphstate import Graph, build_graph_state, resource_state
-from onewaysim.linalg import PureState
+from onewaysim.linalg import PureState, kron_all
 from onewaysim.oracle import simulate
 from onewaysim.pattern import BooleanExpr, ByproductSpec, MeasurementPattern, outcome_tuple
 
@@ -408,19 +402,134 @@ class TestNonAdaptiveEngine:
 class TestReport:
     def test_validation_rejects_bad_sum(self):
         with pytest.raises(ValueError, match="sum"):
-            FidelityReport(per_outcome={(0,): (0.4, 1.0), (1,): (0.4, 1.0)}, average=1.0)
+            FidelityReport(z=[0.4, 0.4], f=[1.0, 1.0], average=0.8)
+        with pytest.raises(ValueError, match="probabilities sum to nan"):
+            FidelityReport(z=[np.nan, 0.5], f=[1.0, 1.0], average=1.0)
 
-    def test_average_helper(self):
-        rep = FidelityReport(
-            per_outcome={(0,): (0.5, 0.9), (1,): (0.5, 0.7)}, average=0.8
-        )
-        assert abs(average(rep) - 0.8) < 1e-12
+    @pytest.mark.parametrize("f0", [-0.9e-9, 1.0 + 0.9e-9])
+    def test_fidelity_just_inside_range(self, f0):
+        rep = FidelityReport(z=[0.5, 0.5], f=[f0, 0.5], average=0.5 * f0 + 0.25)
+        assert rep.f[0] == f0
 
-    def test_serialization(self):
-        rep = FidelityReport(
-            per_outcome={(0, 1): (0.5, 0.9), (0, 0): (0.5, 0.7)}, average=0.8
+    @pytest.mark.parametrize("f0", [-1.1e-9, 1.0 + 1.1e-9])
+    def test_fidelity_just_outside_range(self, f0):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            FidelityReport(z=[0.5, 0.5], f=[f0, 0.5], average=0.5 * f0 + 0.25)
+
+    def test_wrong_average(self):
+        FidelityReport(z=[0.5, 0.5], f=[0.9, 0.7], average=0.8 + 0.5e-10)
+        with pytest.raises(ValueError, match="average does not match"):
+            FidelityReport(z=[0.5, 0.5], f=[0.9, 0.7], average=0.8 + 2e-10)
+        with pytest.raises(ValueError, match="average does not match"):
+            FidelityReport(z=[0.5, 0.5], f=[0.9, 0.7], average=np.nan)
+
+    def test_unreachable_reads_none(self):
+        rep = FidelityReport(z=[0.25, 0.0, 0.5, 0.25], f=[0.9, np.nan, 0.7, 0.5], average=0.7)
+        assert rep.per_outcome == {(0, 0): (0.25, 0.9), (0, 1): (0.0, None), (1, 0): (0.5, 0.7), (1, 1): (0.25, 0.5)}
+        assert rep.fidelity((0, 1)) is None
+        assert rep.probability([0, 1]) == 0.0
+        assert rep.fidelity((1, 0)) == 0.7
+
+    def test_read_only_arrays(self):
+        z, f = np.array([0.5, 0.5]), np.array([0.9, 0.7])
+        rep = FidelityReport(z=z, f=f, average=0.8)
+        z[0], f[0] = 0.0, 0.0  # the report keeps its own copies
+        assert rep.z[0] == 0.5 and rep.f[0] == 0.9
+        for arr in (rep.z, rep.f):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError, match="power-of-two length"):
+            FidelityReport(z=[0.5, 0.5], f=[1.0], average=0.5)
+        with pytest.raises(ValueError, match="power-of-two length"):
+            FidelityReport(z=[0.5, 0.25, 0.25], f=[1.0, 1.0, 1.0], average=1.0)
+
+    def test_record_order(self):
+        # Record r holds the bits of r, first-measured qubit most significant.
+        rng = np.random.default_rng(13)
+        pat = rotation_pattern(0.4, 1.2, 2.2)
+        resource = resource_state(Graph.path(5), {0: random_state(rng)})
+        chans = {q: random_cp_channel(rng) for q in range(5)}
+        rep = fidelity_adaptive(pat, resource, chans, {4: chans[4]})
+        assert list(rep.per_outcome) == [outcome_tuple(r, 4) for r in range(16)]
+        for r, (z, f) in enumerate(rep.per_outcome.values()):
+            assert (z, f) == (rep.z[r], rep.f[r])
+
+
+def explicit_adjoint(kraus_per_qubit, x):
+    """sum_j K_j^dagger X K_j over the joint Kraus operators K_j, the
+    tensor products of one operator per qubit."""
+    out = np.zeros_like(x)
+    for ops in itertools.product(*kraus_per_qubit):
+        k = kron_all(ops) if ops else np.eye(1)
+        out += k.conj().T @ x @ k
+    return out
+
+
+class TestAnswerNoise:
+    @pytest.mark.parametrize("n_outputs", [0, 1, 2, 3])
+    def test_code_map_is_the_adjoint_channel(self, n_outputs):
+        rng = np.random.default_rng(20 + n_outputs)
+        fixed_pole = FixedPoleMap(p=0.3, axis=(0.0, 0.6, 0.8), phi=1.1)
+        shifted = NoiseChannel(B=0.9, C=0.6, S=0.9, t=0.7)
+        chans = [[], [fixed_pole], [random_cp_channel(rng), fixed_pole], [fixed_pole, None, shifted]][n_outputs]
+        pat = MeasurementPattern(
+            n_qubits=n_outputs + 1,
+            measured=(0,),
+            thetas=(0.0,),
+            alphas=(math.pi / 2,),
+            adapt=(BooleanExpr.zero(),),
         )
-        rows = report_rows(rep, t=0.25)
-        assert rows[0] == (0.25, "00", 0.5, 0.7)
-        assert rows[1] == (0.25, "01", 0.5, 0.9)
-        assert report_summary(rep, 0.25) == {"t": 0.25, "F_bar": 0.8}
+        answer = {q + 1: ch for q, ch in enumerate(chans) if ch is not None}
+        r = _answer_code_map(pat, answer)
+        d = 2**n_outputs
+        assert r.shape == (d * d, d * d) and r.dtype == float
+        per_qubit = [kraus(ch) if ch is not None else [np.eye(2)] for ch in chans]
+        for _ in range(3):
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            x = a + a.conj().T
+            y = explicit_adjoint(per_qubit, x)
+            code_x = (x.real + x.imag).reshape(-1)
+            assert np.max(np.abs(code_x @ r - (y.real + y.imag).reshape(-1))) < 1e-12
+
+    def test_fixed_pole_answer_channel_matches_oracle(self):
+        rng = np.random.default_rng(21)
+        for _ in range(3):
+            pat = rotation_pattern(*rng.uniform(0, 2 * np.pi, size=3))
+            resource = resource_state(Graph.path(5), {0: random_state(rng)})
+            chans = {q: NoiseChannel(B=0.4, C=0.5, S=0.8, t=rng.uniform(0.1, 0.4)) for q in range(4)}
+            chans[4] = FixedPoleMap(p=rng.uniform(0.3, 0.7), axis=(0.48, 0.6, 0.64), phi=rng.uniform(1.0, 5.0))
+            rep = fidelity_adaptive(pat, resource, {q: chans[q] for q in range(4)}, {4: chans[4]})
+            run = simulate(resource, pat, chans)
+            noiseless_answer = fidelity_adaptive(pat, resource, {q: chans[q] for q in range(4)})
+            assert np.max(np.abs(rep.f - noiseless_answer.f)) > 1e-2  # the map matters
+            for key, (z, f) in rep.per_outcome.items():
+                assert abs(z - run.branches[key][0]) < 1e-9
+                assert abs(f - run.fidelities[key]) < 1e-9
+            assert abs(rep.average - run.average) < 1e-9
+
+    def test_two_outputs_different_channels_match_oracle(self):
+        # Two remote state preparations side by side: outputs 1 and 3 carry
+        # a fixed-pole map and a shifted general channel.
+        rng = np.random.default_rng(22)
+        pat = MeasurementPattern(
+            n_qubits=4,
+            measured=(0, 2),
+            thetas=(0.7, 2.3),
+            alphas=(math.pi / 2,) * 2,
+            adapt=(BooleanExpr.zero(),) * 2,
+            byproducts=(ByproductSpec(qubit=1, fx=BooleanExpr.of(0)), ByproductSpec(qubit=3, fx=BooleanExpr.of(2))),
+        )
+        resource = resource_state(Graph.from_edges(4, [(0, 1), (2, 3)]), {0: random_state(rng), 2: random_state(rng)})
+        chans = {
+            0: random_cp_channel(rng),
+            1: FixedPoleMap(p=0.4, axis=(1.0, 0.0, 0.0), phi=0.9),
+            2: random_cp_channel(rng),
+            3: NoiseChannel(B=0.8, C=0.7, S=0.9, t=0.6),
+        }
+        rep = fidelity_nonadaptive(pat, resource, {0: chans[0], 2: chans[2]}, {1: chans[1], 3: chans[3]})
+        run = simulate(resource, pat, chans)
+        for key, (z, f) in rep.per_outcome.items():
+            assert abs(z - run.branches[key][0]) < 1e-9
+            assert abs(f - run.fidelities[key]) < 1e-9

@@ -122,3 +122,24 @@ def test_resource_state_embeds_inputs():
     psi = resource_state(g, {0: PureState.computational([1])})
     # CZ on |1>|+> gives |1>|->.
     assert np.allclose(psi.amplitudes, [0, 0, 1 / np.sqrt(2), -1 / np.sqrt(2)])
+
+
+def test_resource_state_matches_per_edge_build():
+    # One CZ at a time, each a sign flip where both of its bits are set.
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = [p for p in pairs if rng.uniform() < 0.5]
+        inputs = {}
+        for v in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False):
+            w = rng.normal(size=2) + 1j * rng.normal(size=2)
+            inputs[int(v)] = PureState(w / np.linalg.norm(w))
+        amp = np.ones(1, dtype=complex)
+        for v in range(n):
+            amp = np.kron(amp, inputs[v].amplitudes if v in inputs else np.ones(2) / np.sqrt(2))
+        idx = np.arange(2**n)
+        for i, j in edges:
+            amp = np.where((idx >> (n - 1 - i)) & (idx >> (n - 1 - j)) & 1, -amp, amp)
+        built = resource_state(Graph.from_edges(n, edges), inputs).amplitudes
+        assert np.array_equal(built, amp)

@@ -8,7 +8,6 @@ from onewaysim.linalg import (
     Y,
     Z,
     check_density_matrices,
-    hermitian_eig,
     partial_trace,
     tensor,
 )
@@ -160,35 +159,6 @@ class TestPartialTrace:
         for keep in ({0}, {1, 2}, {0, 2}):
             r = partial_trace(rho, keep)
             assert abs(np.trace(r.entries) - 1.0) < 1e-10
-
-
-class TestHermitianEig:
-    def test_pauli_z(self):
-        w, _ = hermitian_eig(Z)
-        assert np.allclose(w, [1.0, -1.0])
-
-    def test_mixed(self):
-        w, _ = hermitian_eig(np.eye(2) / 2.0)
-        assert np.allclose(w, [0.5, 0.5])
-
-    def test_pauli_x_eigenvectors(self):
-        w, v = hermitian_eig(X)
-        assert np.allclose(w, [1.0, -1.0])
-        plus = np.array([1, 1]) / np.sqrt(2)
-        assert abs(abs(np.vdot(v[:, 0], plus)) - 1.0) < 1e-12
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        m = a + a.conj().T
-        w, v = hermitian_eig(m)
-        assert np.all(np.diff(w) <= 1e-12)
-        recon = v @ np.diag(w) @ v.conj().T
-        assert np.max(np.abs(m - recon)) < 1e-9
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def _random_density(rng, n):
