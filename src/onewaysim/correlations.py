@@ -5,6 +5,15 @@ quantum discord with its projective-measurement optimization, normalized
 linear entropy, and the minimum entanglement potential of the activation
 protocol (adversarial local unitaries followed by per-qubit CNOTs onto
 fresh ancillas).
+
+Two-qubit discord works on the Pauli tensor M_ij = tr(rho sigma_i x sigma_j),
+i, j in 0..3, which one product of a constant (4, 4, 16) array with vec(rho)
+gives: the local Bloch vectors are a = M[1:, 0] and b = M[0, 1:], the
+correlation matrix is T = M[1:, 1:].  Measuring B along the unit vector n
+gives outcome probabilities p+- = (1 +- b.n)/2 and leaves A with Bloch
+vector (a +- T n)/(2 p+-), so the conditional entropy of the discord search
+is sum+- p+- h(|a +- T n|/(2 p+-)) with h the entropy of a qubit of that
+Bloch length; measuring A swaps a and b and transposes T.
 """
 
 from __future__ import annotations
@@ -15,10 +24,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import xlogy
 
 from .linalg import DensityMatrix, PAULIS, Y, kron_all, partial_trace_raw
 
 _LOG2 = math.log(2.0)
+# tr(rho P) = vec(rho) . vec(P^T) for row-major vec, so this stack of the
+# vec(sigma_i x sigma_j)^T turns vec(rho) into the Pauli tensor M_ij.
+_PAULI_TENSOR = np.array([[np.kron(p, q).T.reshape(16) for q in PAULIS] for p in PAULIS])
+_YY = np.kron(Y, Y)
+# Coordinate-descent probes along one Bloch angle, in units of the span.
+_PROBES = np.array([-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0])
 
 
 def von_neumann_entropy(rho) -> float:
@@ -38,14 +54,13 @@ def concurrence(rho: DensityMatrix) -> float:
     """
     if rho.n != 2:
         raise ValueError("concurrence is defined for two qubits")
-    yy = np.kron(Y, Y)
     w, v = np.linalg.eigh(rho.entries)
     w = np.where(w < 1e-13, 0.0, w)  # sqrt amplifies kernel-space noise
     sqrt_rho = (v * np.sqrt(w)) @ v.conj().T
     # sqrt(rho) (YxY) conj(sqrt(rho)) has the flipped-product roots as its
     # singular values, and SVD is stable where eigvals of the non-normal
     # product are not.
-    m = sqrt_rho @ yy @ np.conj(sqrt_rho)
+    m = sqrt_rho @ _YY @ np.conj(sqrt_rho)
     roots = np.linalg.svd(m, compute_uv=False)
     return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
 
@@ -80,24 +95,29 @@ def mutual_information(rho: DensityMatrix) -> float:
     return sa + sb - von_neumann_entropy(rho)
 
 
-def _measurement_kets(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
-    a = np.array([math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2)], dtype=complex)
-    b = np.array([-np.exp(-1j * phi) * math.sin(theta / 2), math.cos(theta / 2)], dtype=complex)
-    return a, b
+def _bloch_decomposition(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, T) of a 4x4 two-qubit density matrix, read off its Pauli tensor."""
+    m = (_PAULI_TENSOR @ rho.reshape(16)).real
+    return m[1:, 0], m[0, 1:], m[1:, 1:]
 
 
-def _conditional_entropy(rho: np.ndarray, measured_axis: int, theta: float, phi: float) -> float:
-    """sum_k p_k S(rho_other | k) for a projective measurement on one side."""
-    t = rho.reshape(2, 2, 2, 2)
+def _bloch_entropy(r):
+    """Base-2 entropy of qubit states with Bloch lengths r."""
+    lam = np.clip(np.stack(((1.0 + r) / 2.0, (1.0 - r) / 2.0)), 0.0, 1.0)
+    return -xlogy(lam, lam).sum(axis=0) / _LOG2
+
+
+def _measured_entropy(a, b, t, n):
+    """sum_+- p+- S(A | +-) after measuring B along the unit vectors n
+    (shape (..., 3)), from A's and B's Bloch vectors a, b and the
+    correlation matrix t; outcomes below probability 1e-14 count nothing."""
+    bn = n @ b
+    tn = n @ t.T
     total = 0.0
-    for ket in _measurement_kets(theta, phi):
-        if measured_axis == 1:
-            block = np.einsum("i,aibj,j->ab", np.conj(ket), t, ket)
-        else:
-            block = np.einsum("i,iajb,j->ab", np.conj(ket), t, ket)
-        p = float(np.trace(block).real)
-        if p > 1e-14:
-            total += p * von_neumann_entropy(block / p)
+    for sign in (1.0, -1.0):
+        p = (1.0 + sign * bn) / 2.0
+        r = np.linalg.norm(a + sign * tn, axis=-1) / np.maximum(2.0 * p, 1e-14)
+        total = total + np.where(p > 1e-14, p * _bloch_entropy(r), 0.0)
     return total
 
 
@@ -116,7 +136,8 @@ def classical_correlation(
     """max over projective measurements of S(other) - S(other | outcome).
 
     Multi-start coordinate descent over the Bloch angles of the measured
-    projector pair.
+    projector pair; each probe costs the closed-form conditional entropy of
+    the Pauli tensor.
     """
     if rho.n != 2:
         raise ValueError("classical correlation here is two-qubit only")
@@ -124,36 +145,45 @@ def classical_correlation(
         raise ValueError(f"starts={starts}: at least one start is needed")
     if measured_side not in ("A", "B"):
         raise ValueError("measured_side must be 'A' or 'B'")
-    axis = 1 if measured_side == "B" else 0
-    other = [0] if axis == 1 else [1]
-    s_other = von_neumann_entropy(partial_trace_raw(rho.entries, other, 2))
+    a, b, t = _bloch_decomposition(rho.entries)
+    if measured_side == "A":
+        a, b, t = b, a, t.T
+    s_other = float(_bloch_entropy(np.linalg.norm(a)))
 
     def objective(theta, phi):
-        return s_other - _conditional_entropy(rho.entries, axis, theta, phi)
+        st = np.sin(theta)
+        n = np.stack((st * np.cos(phi), st * np.sin(phi), np.cos(theta)), axis=-1)
+        return s_other - _measured_entropy(a, b, t, n)
 
-    def refine(theta, phi):
-        best = objective(theta, phi)
-        span_t, span_p = math.pi / 4, math.pi / 4
-        for _ in range(120):
-            improved = best
-            for grid in range(2):
-                if grid == 0:
-                    cand = [(theta + d, phi) for d in (-span_t, -span_t / 3, span_t / 3, span_t)]
-                else:
-                    cand = [(theta, phi + d) for d in (-span_p, -span_p / 3, span_p / 3, span_p)]
-                for ct, cp in cand:
-                    v = objective(ct, cp)
-                    if v > improved:
-                        improved, theta, phi = v, ct, cp
-            if improved - best < tol:
-                span_t *= 0.5
-                span_p *= 0.5
-                if span_t < tol:
-                    break
-            best = improved
-        return best
-
-    return max(refine(t, p) for t, p in _fibonacci_sphere(starts))
+    # Every start runs the same coordinate descent, all of them in lockstep:
+    # a start whose span has shrunk below tol keeps its best value.
+    theta, phi = np.array(_fibonacci_sphere(starts)).T
+    best = objective(theta, phi)
+    span = np.full(starts, math.pi / 4)
+    active = np.ones(starts, dtype=bool)
+    rows = np.arange(starts)
+    for _ in range(120):
+        improved = best
+        for grid in range(2):
+            # Four probes along theta (grid 0) or phi (grid 1); the first
+            # strict improvement wins ties, as in a sequential scan.
+            step = span[:, None] * _PROBES
+            cand_t = theta[:, None] + step * (grid == 0)
+            cand_p = phi[:, None] + step * (grid == 1)
+            v = objective(cand_t, cand_p)
+            i = v.argmax(axis=1)
+            up = active & (v[rows, i] > improved)
+            improved = np.where(up, v[rows, i], improved)
+            theta = np.where(up, cand_t[rows, i], theta)
+            phi = np.where(up, cand_p[rows, i], phi)
+        stalled = improved - best < tol
+        span = np.where(stalled, span / 2, span)
+        done = stalled & (span < tol)
+        best = np.where(done, best, improved)
+        active &= ~done
+        if not active.any():
+            break
+    return float(best.max())
 
 
 def bell_diagonal_correlations(c: Sequence[float]) -> tuple[float, float, float]:
@@ -180,15 +210,6 @@ def bell_diagonal_correlations(c: Sequence[float]) -> tuple[float, float, float]
         if x > 1e-15:
             cc += x * math.log2(2.0 * x)
     return info, cc, info - cc
-
-
-def _bloch_decomposition(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    a = np.array([np.trace(rho @ np.kron(PAULIS[i], PAULIS[0])).real for i in (1, 2, 3)])
-    b = np.array([np.trace(rho @ np.kron(PAULIS[0], PAULIS[i])).real for i in (1, 2, 3)])
-    t = np.array(
-        [[np.trace(rho @ np.kron(PAULIS[i], PAULIS[j])).real for j in (1, 2, 3)] for i in (1, 2, 3)]
-    )
-    return a, b, t
 
 
 def discord(
@@ -305,42 +326,3 @@ def mep(rho: DensityMatrix, starts: int = 32, tol: float = 1e-6, seed: int = 0, 
     if full:
         return MepResult(value=best, converged=converged, n_starts=starts)
     return best
-
-
-@dataclass(frozen=True)
-class CorrelationProfile:
-    """Snapshot of the correlation measures of a state."""
-
-    concurrence: float | None = None
-    negativity: float | None = None
-    discord: float | None = None
-    mutual_info: float | None = None
-    classical_corr: float | None = None
-    linear_entropy: float | None = None
-    mep: float | None = None
-
-
-def profile(
-    rho: DensityMatrix,
-    measures: Iterable[str] = ("concurrence", "negativity", "discord"),
-    negativity_partition: Iterable[int] = (0,),
-) -> CorrelationProfile:
-    values: dict[str, float] = {}
-    for name in measures:
-        if name == "concurrence":
-            values[name] = concurrence(rho)
-        elif name == "negativity":
-            values[name] = negativity(rho, negativity_partition)
-        elif name == "discord":
-            values[name] = discord(rho)
-        elif name == "mutual_info":
-            values[name] = mutual_information(rho)
-        elif name == "classical_corr":
-            values[name] = classical_correlation(rho)
-        elif name == "linear_entropy":
-            values[name] = linear_entropy(rho)
-        elif name == "mep":
-            values[name] = mep(rho)
-        else:
-            raise ValueError(f"unknown correlation measure {name!r}")
-    return CorrelationProfile(**values)

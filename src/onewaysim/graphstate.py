@@ -7,12 +7,13 @@ build in milliseconds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import ATOL, H, ID2, PureState, X, Y, Z, apply_single_qubit_unitary
+from .linalg import ATOL, H, ID2, PLUS, PureState, X, Y, Z, apply_single_qubit_unitary
 
 _GATES = {"I": ID2, "X": X, "Y": Y, "Z": Z, "H": H}
 
@@ -110,10 +111,9 @@ def resource_state(graph: Graph, inputs: Mapping[int, PureState] | None = None) 
                 raise ValueError(f"input on vertex {v} must be a single qubit")
             factors.append(s.amplitudes)
         else:
-            factors.append(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0))
-    amp = factors[0].copy()
-    for f in factors[1:]:
-        amp = np.kron(amp, f)
+            factors.append(PLUS)
+    # The 0-d start makes a fresh writable array even for one vertex.
+    amp = functools.reduce(np.multiply.outer, factors, np.ones((), dtype=complex)).reshape(-1)
     return PureState(_cz_phases(amp, graph.n, graph.edges))
 
 

@@ -7,7 +7,7 @@ at each depth every surviving record prefix is projected at once onto the
 effect |M_k^s><M_k^s| of its own adaptation bit s.  Noise acts on the
 state, never on the effects, so the oracle stays independent of the
 outcome-flip reduction that ``fidelity`` rests on.  Fidelities are taken
-against the by-product-corrected canonical answer BP(r) A_0.
+against the by-product-corrected canonical answer BP(r) BP(0)^-1 A_0.
 Dimension-guarded to ten qubits (4^10 entries).
 """
 
@@ -35,7 +35,8 @@ _PRUNE = 1e-14
 
 @dataclass(frozen=True)
 class OracleRun:
-    """Per-outcome probabilities, post-measurement answers, and fidelities.
+    """Per-outcome probabilities, post-measurement answers, and fidelities
+    against BP(r) BP(0)^-1 A_0, with A_0 the noiseless answer of record 0.
 
     ``branches`` maps each unpruned record to (probability, read-only
     density matrix of its answer); pruned records are absent everywhere.
@@ -110,14 +111,23 @@ def simulate(resource, pat: MeasurementPattern, channels: Mapping[int, object] |
     check_density_matrices(mats)
     mats.setflags(write=False)
 
-    # Reference answers BP(r) A_0, with A_0 the normalized noiseless branch of
-    # record 0, whose adaptation bits are the constant terms.
+    # Reference answers BP(r) BP(0)^-1 A_0, with A_0 the normalized noiseless
+    # branch of record 0, whose adaptation bits are the constant terms.
     a0 = psi
     for depth, e in enumerate(pat.adapt):
         a0 = np.conj(basis_raw(pat.thetas[depth], pat.alphas[depth], e.const, 0)) @ a0.reshape(2, -1)
     norm2 = float(np.vdot(a0, a0).real)
     a0 = a0 / np.sqrt(norm2) if norm2 > _ZERO_BRANCH else np.zeros_like(a0)
-    refs = apply_byproducts(pat, a0)[prefix]
+    # By-products are signed Paulis, so BP(0)^-1 A_0 = +-BP(0) A_0, whose sign
+    # drops out of F: the constant Z, then X, terms on A_0's output axes.
+    a0 = a0.reshape((2,) * k)
+    for axis, q in enumerate(pat.outputs):
+        bp = pat.byproduct_for(q)
+        if bp.fz.const:
+            a0 = a0 * np.array([1.0, -1.0]).reshape((2,) + (1,) * (k - 1 - axis))
+        if bp.fx.const:
+            a0 = np.flip(a0, axis)
+    refs = apply_byproducts(pat, a0.reshape(-1))[prefix]
     fids = np.einsum("ra,rab,rb->r", refs.conj(), mats, refs).real
     keys = list(map(tuple, ((prefix[:, None] >> np.arange(m - 1, -1, -1)) & 1).tolist()))
     return OracleRun(

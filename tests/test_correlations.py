@@ -5,6 +5,8 @@ import pytest
 
 from onewaysim.channels import NoiseChannel, apply
 from onewaysim.correlations import (
+    _bloch_decomposition,
+    _measured_entropy,
     bell_diagonal_correlations,
     classical_correlation,
     concurrence,
@@ -13,11 +15,10 @@ from onewaysim.correlations import (
     mep,
     mutual_information,
     negativity,
-    profile,
     von_neumann_entropy,
 )
 from onewaysim.graphstate import Graph, build_graph_state, axis_rotation
-from onewaysim.linalg import DensityMatrix, PureState, kron_all, tensor
+from onewaysim.linalg import ID2, PAULIS, DensityMatrix, PureState, kron_all, tensor
 
 
 def bell():
@@ -115,6 +116,72 @@ class TestEntropies:
             assert abs(linear_entropy(rho) - (1 - v**2)) < 1e-12
 
 
+def random_directions(rng, count):
+    n = rng.normal(size=(count, 3))
+    return n / np.linalg.norm(n, axis=1, keepdims=True)
+
+
+def conditional_entropy_reference(rho, measured_side, n):
+    """sum_k p_k S(other | k) from the post-measurement blocks of the
+    projectors (I +- n.sigma)/2 on the measured side, one eigvalsh each."""
+    t = rho.reshape(2, 2, 2, 2)
+    nsigma = sum(c * p for c, p in zip(n, PAULIS[1:]))
+    total = 0.0
+    for sign in (1.0, -1.0):
+        proj = (ID2 + sign * nsigma) / 2
+        if measured_side == "B":
+            block = np.einsum("ibjc,cb->ij", t, proj)
+        else:
+            block = np.einsum("bicj,cb->ij", t, proj)
+        p = np.trace(block).real
+        if p > 1e-14:
+            total += p * von_neumann_entropy(block / p)
+    return total
+
+
+class TestPauliTensor:
+    def test_matches_explicit_traces(self):
+        # Random states are not Bell-diagonal: a transposed T or a sign
+        # flip, invisible to T's singular values, shows here.
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            rho = random_density(rng, 2).entries
+            m = np.array([[np.trace(rho @ np.kron(p, q)).real for q in PAULIS] for p in PAULIS])
+            a, b, t = _bloch_decomposition(rho)
+            assert np.max(np.abs(a - m[1:, 0])) < 1e-12
+            assert np.max(np.abs(b - m[0, 1:])) < 1e-12
+            assert np.max(np.abs(t - m[1:, 1:])) < 1e-12
+
+    @pytest.mark.parametrize("measured_side", ["A", "B"])
+    def test_conditional_entropy_matches_blocks(self, measured_side):
+        rng = np.random.default_rng(5)
+        states = [random_density(rng, 2).entries for _ in range(4)]
+        # A product state measured along z has an outcome of probability 0.
+        states.append(PureState.computational([0, 0]).density().entries)
+        for rho in states:
+            a, b, t = _bloch_decomposition(rho)
+            if measured_side == "A":
+                a, b, t = b, a, t.T
+            n = np.vstack([random_directions(rng, 20), [[0.0, 0.0, 1.0]]])
+            closed = _measured_entropy(a, b, t, n)
+            for k in range(len(n)):
+                assert abs(closed[k] - conditional_entropy_reference(rho, measured_side, n[k])) < 1e-12
+
+    @pytest.mark.parametrize("measured_side", ["A", "B"])
+    def test_classical_correlation_reaches_reference_maximum(self, measured_side):
+        # The search must reach the best of many reference directions and
+        # can only exceed it by the grid's resolution.
+        rng = np.random.default_rng(6)
+        for _ in range(2):
+            rho = random_density(rng, 2)
+            other = 0 if measured_side == "B" else 1
+            s_other = von_neumann_entropy(np.trace(rho.entries.reshape(2, 2, 2, 2), axis1=1 - other, axis2=3 - other))
+            grid = random_directions(rng, 2000)
+            ref = max(s_other - conditional_entropy_reference(rho.entries, measured_side, n) for n in grid)
+            cc = classical_correlation(rho, measured_side)
+            assert ref - 1e-12 <= cc <= ref + 1e-3
+
+
 class TestDiscord:
     def test_classical_state_zero(self):
         rho = DensityMatrix(np.diag([0.4, 0.0, 0.0, 0.6]).astype(complex))
@@ -205,11 +272,3 @@ class TestMep:
             mep(bell(), starts=0)
         with pytest.raises(ValueError, match="starts=0"):
             classical_correlation(bell(), starts=0)
-
-
-def test_profile_selects_measures():
-    prof = profile(bell(), measures=("concurrence", "negativity", "mutual_info"))
-    assert abs(prof.concurrence - 1.0) < 1e-10
-    assert abs(prof.negativity - 0.5) < 1e-10
-    assert abs(prof.mutual_info - 2.0) < 1e-10
-    assert prof.discord is None

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -156,6 +157,62 @@ class TestSimulate:
         )
         with pytest.raises(ValueError, match="capped"):
             simulate(resource_state(g), pat)
+
+
+def chain_with_constants(thetas):
+    """``chain_pattern`` with a constant in every adaptation bit and in each
+    by-product term: still deterministic (the constant adaptation negates
+    every angle), and its by-product on record 0 is not the identity."""
+    pat = chain_pattern(thetas)
+    bp = pat.byproducts[0]
+    return dataclasses.replace(
+        pat,
+        adapt=tuple(BooleanExpr(1, e.xor) for e in pat.adapt),
+        byproducts=(
+            ByproductSpec(bp.qubit, fx=BooleanExpr(1, bp.fx.xor), fz=BooleanExpr(1, bp.fz.xor), fsig=BooleanExpr(1)),
+        ),
+    )
+
+
+def rsp_pairs_with_constants(theta0, theta1):
+    """Two independent RSP pairs whose outputs carry different constant
+    by-products: Z on output 1, X on output 3."""
+    return MeasurementPattern(
+        n_qubits=4,
+        measured=(0, 2),
+        thetas=(theta0, theta1),
+        alphas=(math.pi / 2,) * 2,
+        adapt=(BooleanExpr.zero(),) * 2,
+        byproducts=(
+            ByproductSpec(qubit=1, fx=BooleanExpr.of(0), fz=BooleanExpr.of(const=1)),
+            ByproductSpec(qubit=3, fx=BooleanExpr.of(2, const=1)),
+        ),
+    )
+
+
+CONSTANT_BYPRODUCT_CASES = [
+    # 2-qubit RSP with a constant Z by-product, where scoring against
+    # BP(r) A_0 gave F = 0.585 at zero noise.
+    (Graph.path(2), dataclasses.replace(
+        rsp_pattern(0.7), byproducts=(ByproductSpec(qubit=1, fx=BooleanExpr.of(0), fz=BooleanExpr.of(const=1)),)
+    )),
+    (Graph.from_edges(4, [(0, 1), (2, 3)]), rsp_pairs_with_constants(0.7, 2.3)),
+    (Graph.path(6), chain_with_constants((0.4, 1.1, 2.9, 0.3, 5.2))),
+]
+
+
+class TestConstantByproducts:
+    @pytest.mark.parametrize("graph, pat", CONSTANT_BYPRODUCT_CASES, ids=["rsp", "rsp_pairs", "chain"])
+    def test_zero_noise_gives_unit_fidelity(self, graph, pat):
+        run = simulate(resource_state(graph), pat)
+        assert len(run.fidelities) == 2**pat.n_measured
+        for fid in run.fidelities.values():
+            assert abs(fid - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("graph, pat", CONSTANT_BYPRODUCT_CASES, ids=["rsp", "rsp_pairs", "chain"])
+    def test_noisy_run_matches_engine(self, graph, pat):
+        rng = np.random.default_rng(graph.n)
+        assert_matches_engine(resource_state(graph), pat, shifted_channels(rng, graph.n), 1e-10)
 
 
 def shifted_channels(rng, n):
