@@ -20,13 +20,15 @@ psi_{s,k} for every prepared record k, and
     F(r) = sum_k W[r,k] sum_j |<A_r| K_j psi_{s(r),k}>|^2 / Z(r),
 
 with W[r,k] = prod_i P(r_i | k_i), K_j the Kraus operators of the answer
-noise, and A_r the normalized noiseless branch psi_{s(r),r}.  Records that
-share a frame share its contraction, and W, a tensor product of 2x2
-matrices, is applied one qubit at a time: a frame costs O(M 2^M), so a
-non-adaptive pattern (one frame) costs that, and an adaptive one that
-times its number of frames.  The answer noise is one real matrix on the
-codes of the records' noiseless projectors.  See Danos, Kashefi and
-Panangaden, "The measurement calculus", arXiv:0704.1263.
+noise, and A_r the normalized noiseless branch psi_{s(r),r}.  What the
+pattern alone fixes runs once per pattern (``MeasurementPattern.plan``).
+Records that share a frame share its contraction, one matmul per measured
+qubit over all frames at once, and W, a tensor product of 2x2 matrices,
+is applied one qubit at a time: a frame costs O(M 2^M), so a non-adaptive
+pattern (one frame) costs that, and an adaptive one that times its number
+of frames.  The answer noise is one real matrix on the codes of the
+records' noiseless projectors, cached per tuple of output channels.  See
+Danos, Kashefi and Panangaden, "The measurement calculus", arXiv:0704.1263.
 
 The brute-force simulator in ``oracle`` is the independent ground truth
 for everything here.
@@ -114,16 +116,16 @@ def _flip_table(pat: MeasurementPattern, measured_channels: Mapping[int, NoiseCh
     return table
 
 
-def _answer_code_map(pat: MeasurementPattern, answer_channels: Mapping[int, object] | None) -> np.ndarray:
+@functools.lru_cache(maxsize=256)
+def _answer_code_map(channels: tuple) -> np.ndarray:
     """The real matrix R with code(sum_j K_j^dagger X K_j) = code(X) @ R for
     Hermitian X on the outputs, K_j the joint Kraus operators of the answer
-    noise.  With S = sum_j K_j (x) K_j^* on one qubit's (row bit, column
-    bit), the row-major vec(sum_j K_j^dagger X K_j) is vec(X) @ conj(S)."""
-    answer_channels = answer_channels or {}
-    k, d = len(pat.outputs), 2 ** len(pat.outputs)
+    noise, from each output's channel (None for none), ascending.  With
+    S = sum_j K_j (x) K_j^* on one qubit's (row bit, column bit), the
+    row-major vec(sum_j K_j^dagger X K_j) is vec(X) @ conj(S)."""
+    k, d = len(channels), 2 ** len(channels)
     joint = np.ones(())
-    for q in pat.outputs:
-        ch = answer_channels.get(q)
+    for ch in channels:
         s = np.eye(4) if ch is None else superoperator(ch).conj()
         joint = np.multiply.outer(joint, s.reshape(2, 2, 2, 2))
     # Axes (row, column, row', column') of each qubit to all rows, columns,
@@ -131,7 +133,7 @@ def _answer_code_map(pat: MeasurementPattern, answer_channels: Mapping[int, obje
     joint = joint.transpose([4 * i + a for a in range(4) for i in range(k)]).reshape(d, d, d * d)
     # vec(X) = (c + c^T) / 2 + i (c - c^T) / 2 for c = code(X), so Re + Im
     # of vec(X) @ J is c @ (Re J + Im J with its row pairs (a, b) swapped).
-    return (joint.real + joint.imag.transpose(1, 0, 2)).reshape(d * d, d * d)
+    return _frozen((joint.real + joint.imag.transpose(1, 0, 2)).reshape(d * d, d * d))
 
 
 def _record_frame_report(
@@ -150,24 +152,26 @@ def _record_frame_report(
     m = pat.n_measured
     frame_of, psi = frame_branches(resource, pat)
     n_frames, _, d = psi.shape
-    # code[f, k] is the code of |psi_fk><psi_fk|.  rho[f, r] = sum_k W[r, k]
-    # code[f, k], with W the product over the measured qubits of
-    # P(read r_i | prepared k_i), is applied one qubit at a time.
+    # code[k, f] is the code of |psi_fk><psi_fk|, records first so that every
+    # matmul carries all frames.  rho[r, f] = sum_k W[r, k] code[k, f], W the
+    # product of P(read r_i | prepared k_i), is applied one qubit at a time.
+    psi = psi.transpose(1, 0, 2)
     outer = psi[..., :, None] * psi[..., None, :].conj()
     code = outer.real + outer.imag
     rho = code
     for pos, (p0, p1) in enumerate(_flip_table(pat, measured_channels)):
         read = np.array([[1.0 - p0, p1], [p0, 1.0 - p1]])
-        rho = read @ rho.reshape(n_frames, 2**pos, 2, -1)
-    own = frame_of * 2**m + np.arange(2**m)  # record r's row among all frames
-    rho = rho.reshape(-1, d * d)[own]
-    ideal = code.reshape(-1, d * d)[own]  # |psi_r><psi_r|, unnormalized
+        rho = read @ rho.reshape(2**pos, 2, -1)
+    own = (np.arange(2**m), frame_of)  # record r's row in its own frame
+    rho = rho.reshape(2**m, n_frames, d * d)[own]
+    ideal = code.reshape(2**m, n_frames, d * d)[own]  # |psi_r><psi_r|, unnormalized
 
     norm2 = ideal[:, :: d + 1].sum(axis=1)
     z_raw = rho[:, :: d + 1].sum(axis=1)
     reachable = (z_raw > _UNREACHABLE) & (norm2 > 1e-20)
     # F(r) = tr(rho_r sum_j K_j^dagger |psi_r><psi_r| K_j) / (|psi_r|^2 Z(r)).
-    overlap = np.einsum("ri,ri->r", ideal @ _answer_code_map(pat, answer_channels), rho)
+    r_map = _answer_code_map(tuple(map((answer_channels or {}).get, pat.outputs)))
+    overlap = np.einsum("ri,ri->r", ideal @ r_map, rho)
     f = np.full(2**m, np.nan)
     np.divide(overlap, norm2 * z_raw, out=f, where=reachable)
 

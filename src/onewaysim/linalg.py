@@ -124,12 +124,6 @@ class DensityMatrix:
         d = 2**n
         return cls(np.eye(d, dtype=complex) / d)
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.entries @ self.entries)))
-
-    def expectation(self, op: np.ndarray) -> float:
-        return float(np.real(np.trace(op @ self.entries)))
-
 
 def tensor(a, b):
     """Kronecker product of two states of the same kind; ``a`` goes on the

@@ -9,18 +9,22 @@ in the basis
 where the adaptation bit s is a boolean function of earlier outcomes.
 The unmeasured qubits carry the answer, up to an outcome-dependent local
 by-product (-1)^{f_sig} X^{f_x} Z^{f_z} per output qubit.
+
+What a pattern alone fixes is compiled once per pattern into its ``plan``,
+shared by every fidelity report and oracle run of that pattern.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .graphstate import GraphState
-from .linalg import PureState, X, Z, kron_all
+from .linalg import PureState, _frozen
 
 _ZERO_BRANCH = 1e-20
 
@@ -132,6 +136,10 @@ class MeasurementPattern:
     byproducts: tuple[ByproductSpec, ...] = ()
 
     def __post_init__(self):
+        # Own tuples, so that no caller's list can change the pattern under its plan.
+        for name in ("measured", "thetas", "alphas", "adapt", "byproducts"):
+            value = tuple(getattr(self, name))
+            object.__setattr__(self, name, tuple(map(float, value)) if name in ("thetas", "alphas") else value)
         m = len(self.measured)
         if len(set(self.measured)) != m:
             raise ValueError("measured qubits must be distinct")
@@ -170,17 +178,15 @@ class MeasurementPattern:
 
     @property
     def outputs(self) -> tuple[int, ...]:
-        m = set(self.measured)
-        return tuple(q for q in range(self.n_qubits) if q not in m)
+        return self.plan.outputs
+
+    @functools.cached_property
+    def plan(self) -> "PatternPlan":
+        """Everything fixed by this pattern alone, built once per instance."""
+        return PatternPlan(self)
 
     def is_nonadaptive(self) -> bool:
         return all(e.is_zero() for e in self.adapt)
-
-    def byproduct_for(self, qubit: int) -> ByproductSpec:
-        for bp in self.byproducts:
-            if bp.qubit == qubit:
-                return bp
-        return ByproductSpec(qubit=qubit)
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "MeasurementPattern":
@@ -224,16 +230,12 @@ class MeasurementPattern:
 
 
 def basis_raw(theta: float, alpha: float, s: int, k: int) -> np.ndarray:
+    """Measurement basis vector |M_k^s(theta, alpha)>."""
     phase = np.exp(-1j * ((-1.0) ** (s & 1)) * theta)
     c, d = math.cos(alpha / 2.0), math.sin(alpha / 2.0)
     if k & 1:
         return np.array([d, -c * phase], dtype=complex)
     return np.array([c, d * phase], dtype=complex)
-
-
-def basis_vector(theta: float, alpha: float, s: int, k: int) -> PureState:
-    """Measurement basis vector |M_k^s(theta, alpha)>."""
-    return PureState(basis_raw(theta, alpha, s, k))
 
 
 def outcome_tuple(index: int, m: int) -> tuple[int, ...]:
@@ -242,11 +244,85 @@ def outcome_tuple(index: int, m: int) -> tuple[int, ...]:
     return tuple((index >> (m - 1 - j)) & 1 for j in range(m))
 
 
-def record_columns(pat: MeasurementPattern, records: np.ndarray) -> dict[int, np.ndarray]:
-    """The outcome bit of each measured qubit over stacked record indices,
-    read as in ``outcome_tuple``."""
-    m = pat.n_measured
-    return {q: ((records >> (m - 1 - pos)) & 1).astype(np.uint8) for pos, q in enumerate(pat.measured)}
+class PatternPlan:
+    """The work fixed by a pattern alone, shared by every call that runs it:
+    each piece is built on first use, so a pattern made for one call pays
+    only for what that call reads, and then kept read-only for the life of
+    the pattern.  Records are indexed as in ``outcome_tuple``."""
+
+    def __init__(self, pat: MeasurementPattern):
+        self._pat = pat
+
+    @functools.cached_property
+    def outputs(self) -> tuple[int, ...]:
+        return tuple(q for q in range(self._pat.n_qubits) if q not in self._pat.measured)
+
+    @functools.cached_property
+    def axes(self) -> tuple[int, ...]:
+        """Measured qubits in temporal order, then the outputs."""
+        return self._pat.measured + self.outputs
+
+    @functools.cached_property
+    def columns(self) -> dict[int, np.ndarray]:
+        """The outcome bit of each measured qubit over all 2^M records."""
+        m = self._pat.n_measured
+        bits = (np.arange(2**m) >> np.arange(m - 1, -1, -1)[:, None]) & 1
+        return dict(zip(self._pat.measured, _frozen(bits.astype(np.uint8))))
+
+    @functools.cached_property
+    def adapt_bits(self) -> np.ndarray:
+        """(2^M, M): the adaptation bit of every position on every record."""
+        bits = np.zeros((2**self._pat.n_measured, self._pat.n_measured), dtype=np.uint8)
+        for pos, e in enumerate(self._pat.adapt):
+            bits[:, pos] = e.evaluate_columns(self.columns)
+        return _frozen(bits)
+
+    @functools.cached_property
+    def frames(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct rows of ``adapt_bits``, and each record's row."""
+        m = self._pat.n_measured
+        if self._pat.is_nonadaptive():
+            frames, frame_of = np.zeros((1, m), dtype=np.uint8), np.zeros(2**m, dtype=np.intp)
+        else:
+            frames, frame_of = np.unique(self.adapt_bits, axis=0, return_inverse=True)
+        return _frozen(frames), _frozen(frame_of.reshape(-1))
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        """(M, 2, 2, 2): [pos, s, k] is |M_k^s> at position pos."""
+        pat = self._pat
+        vecs = [basis_raw(t, a, s, k) for t, a in zip(pat.thetas, pat.alphas) for s in (0, 1) for k in (0, 1)]
+        return _frozen(np.array(vecs, dtype=complex).reshape(-1, 2, 2, 2))
+
+    @functools.cached_property
+    def bras(self) -> tuple[np.ndarray, ...]:
+        """Per position, (frames, 2, 2) with [f, a, k] = <M_k^s|a>, s the
+        frame's adaptation bit: the right factor of one contraction step."""
+        frames = self.frames[0]
+        return tuple(_frozen(b.conj().transpose(0, 2, 1)[frames[:, pos]]) for pos, b in enumerate(self.basis))
+
+    @functools.cached_property
+    def effect_rows(self) -> np.ndarray:
+        """(M, 2, 2, 4): [pos, s, k] is the row <<E| with <<E|rho>> =
+        <M_k^s|rho|M_k^s> on one qubit's (row bit, column bit) pair."""
+        b = self.basis
+        return _frozen((b.conj()[..., :, None] * b[..., None, :]).reshape(b.shape[:-1] + (4,)))
+
+    @functools.cached_property
+    def diagonal(self) -> np.ndarray:
+        """Positions of the diagonal entries of an n-qubit Liouville vector;
+        the first 2^r of them are those of its last r qubits."""
+        n = self._pat.n_qubits
+        return _frozen(3 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1) @ 4 ** np.arange(n))
+
+    @functools.cached_property
+    def byproduct_bits(self) -> np.ndarray:
+        """(outputs, 3, 2^M) booleans: f_sig, f_z and f_x of each output
+        qubit, ascending, on every record."""
+        specs = {bp.qubit: bp for bp in self._pat.byproducts}
+        bps = [specs.get(q, ByproductSpec(q)) for q in self.outputs]
+        terms = [e.evaluate_columns(self.columns) for bp in bps for e in (bp.fsig, bp.fz, bp.fx)]
+        return _frozen(np.array(terms, dtype=bool).reshape(len(bps), 3, 2**self._pat.n_measured))
 
 
 def _resource_vector(resource) -> tuple[np.ndarray, int]:
@@ -265,62 +341,35 @@ def frame_branches(resource, pat: MeasurementPattern) -> tuple[np.ndarray, np.nd
     2^outputs): psi[f, k] is the unnormalized output vector left when the
     measured qubits are projected onto <M_{k_i}^{s_i}| with s the bits of
     frame f.  Record r's own branch is psi[frame_of[r], r].
+
+    The bras form a Kronecker product, applied by the shuffle algorithm
+    (Fernandes, Plateau and Stewart, J. ACM 45, 381 (1998)): each measured
+    qubit is one matmul, batched over the frames, that contracts the
+    leading axis and appends the outcome axis at the end.  The frames, the
+    bras and the axis order come from ``pat.plan``.
     """
     amp, n = _resource_vector(resource)
     if n != pat.n_qubits:
         raise ValueError(f"pattern expects {pat.n_qubits} qubits, state has {n}")
-    m = pat.n_measured
-    if pat.is_nonadaptive():
-        frames, frame_of = np.zeros((1, m), dtype=np.uint8), np.zeros(2**m, dtype=np.intp)
-    else:
-        columns = record_columns(pat, np.arange(2**m))
-        bits = np.stack([e.evaluate_columns(columns) for e in pat.adapt], axis=1)
-        frames, frame_of = np.unique(bits, axis=0, return_inverse=True)
-    # Measured axes first in temporal order, so record bits read MSB-first.
-    t = np.transpose(amp.reshape((2,) * n), list(pat.measured) + list(pat.outputs))
-    t = t.reshape((1,) + t.shape)
-    for pos in range(m):
-        bras = np.conj([[basis_raw(pat.thetas[pos], pat.alphas[pos], s, k) for k in (0, 1)] for s in (0, 1)])
-        b = bras[frames[:, pos]][:, None, :, :, None]  # (frame, 1, k, a, 1)
-        t = t.reshape(t.shape[0], 2**pos, 2, -1)
-        t = b[:, :, :, 0] * t[:, :, None, 0] + b[:, :, :, 1] * t[:, :, None, 1]
-    return frame_of.reshape(-1), t.reshape(len(frames), 2**m, -1)
-
-
-_POW_X = (np.eye(2, dtype=complex), X)
-_POW_Z = (np.eye(2, dtype=complex), Z)
-
-
-def byproduct_unitary(pat: MeasurementPattern, outcome: Sequence[int]) -> np.ndarray:
-    """(-1)^{f_sig} X^{f_x} Z^{f_z} over the output qubits, ascending order."""
-    bits = {q: int(b) & 1 for q, b in zip(pat.measured, outcome)}
-    if len(outcome) != pat.n_measured:
-        raise ValueError("outcome length does not match the measured list")
-    sign = 1.0
-    factors = []
-    for q in pat.outputs:
-        bp = pat.byproduct_for(q)
-        sign *= (-1.0) ** bp.fsig.evaluate(bits)
-        factors.append(_POW_X[bp.fx.evaluate(bits)] @ _POW_Z[bp.fz.evaluate(bits)])
-    if not factors:
-        return np.array([[sign]], dtype=complex)
-    return sign * kron_all(factors)
+    plan = pat.plan
+    frame_of = plan.frames[1]
+    t = np.transpose(amp.reshape((2,) * n), plan.axes).reshape(1, -1)
+    for bras in plan.bras:
+        t = (t.reshape(len(t), 2, -1).transpose(0, 2, 1) @ bras).reshape(len(bras), -1)
+    # The axes now read (outputs, k_1, ..., k_M).
+    return frame_of, t.reshape(len(t), -1, frame_of.size).transpose(0, 2, 1)
 
 
 def apply_byproducts(pat: MeasurementPattern, vec: np.ndarray) -> np.ndarray:
-    """BP(r) vec for every record r, stacked in record order: the rows are
-    ``byproduct_unitary(pat, outcome_tuple(r, M)) @ vec``."""
+    """BP(r) vec for every record r, stacked in record order, with BP(r) =
+    (-1)^{f_sig} X^{f_x} Z^{f_z} over the output qubits, ascending."""
     n_records = 2**pat.n_measured
-    columns = record_columns(pat, np.arange(n_records))
     k = len(pat.outputs)
     out = np.repeat(np.asarray(vec, dtype=complex).reshape((1,) + (2,) * k), n_records, axis=0)
     sign = np.ones(n_records)
-    for axis, q in enumerate(pat.outputs, start=1):
-        bp = pat.byproduct_for(q)
-        sign *= (-1.0) ** bp.fsig.evaluate_columns(columns)
-        view = np.moveaxis(out, axis, 1)  # (record, bit of q, other outputs)
-        fz = bp.fz.evaluate_columns(columns).astype(bool)
+    for axis, (fsig, fz, fx) in enumerate(pat.plan.byproduct_bits, start=1):
+        sign[fsig] *= -1.0
+        view = np.moveaxis(out, axis, 1)  # (record, bit of the output, other outputs)
         view[fz, 1] *= -1.0
-        fx = bp.fx.evaluate_columns(columns).astype(bool)
         view[fx] = view[fx, ::-1]
     return out.reshape(n_records, -1) * sign[:, None]

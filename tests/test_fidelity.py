@@ -1,15 +1,17 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from onewaysim.channels import FixedPoleMap, NoiseChannel, kraus
+from onewaysim.channels import FixedPoleMap, NoiseChannel, kraus, mixing_probabilities
 from onewaysim.fidelity import FidelityReport, _answer_code_map, fidelity_adaptive, fidelity_nonadaptive
 from onewaysim.graphstate import Graph, build_graph_state, resource_state
 from onewaysim.linalg import PureState, kron_all
 from onewaysim.oracle import simulate
-from onewaysim.pattern import BooleanExpr, ByproductSpec, MeasurementPattern, outcome_tuple
+from onewaysim.pattern import BooleanExpr, ByproductSpec, MeasurementPattern, basis_raw, frame_branches, outcome_tuple
 
 from test_pattern import rotation_pattern, rsp_pattern
 
@@ -474,17 +476,10 @@ class TestAnswerNoise:
         fixed_pole = FixedPoleMap(p=0.3, axis=(0.0, 0.6, 0.8), phi=1.1)
         shifted = NoiseChannel(B=0.9, C=0.6, S=0.9, t=0.7)
         chans = [[], [fixed_pole], [random_cp_channel(rng), fixed_pole], [fixed_pole, None, shifted]][n_outputs]
-        pat = MeasurementPattern(
-            n_qubits=n_outputs + 1,
-            measured=(0,),
-            thetas=(0.0,),
-            alphas=(math.pi / 2,),
-            adapt=(BooleanExpr.zero(),),
-        )
-        answer = {q + 1: ch for q, ch in enumerate(chans) if ch is not None}
-        r = _answer_code_map(pat, answer)
+        r = _answer_code_map(tuple(chans))
         d = 2**n_outputs
         assert r.shape == (d * d, d * d) and r.dtype == float
+        assert _answer_code_map(tuple(chans)) is r and not r.flags.writeable
         per_qubit = [kraus(ch) if ch is not None else [np.eye(2)] for ch in chans]
         for _ in range(3):
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -533,3 +528,110 @@ class TestAnswerNoise:
         for key, (z, f) in rep.per_outcome.items():
             assert abs(z - run.branches[key][0]) < 1e-9
             assert abs(f - run.fidelities[key]) < 1e-9
+
+
+def tensordot_branches(amp, pat, s):
+    """All 2^M branches of the frame with adaptation bits ``s``: each
+    measured qubit projected in turn with ``np.tensordot``."""
+    n, m = pat.n_qubits, pat.n_measured
+    t, left = amp.reshape((2,) * n), list(range(n))
+    for pos, q in enumerate(pat.measured):
+        bras = np.conj([basis_raw(pat.thetas[pos], pat.alphas[pos], s[pos], k) for k in (0, 1)])
+        t = np.tensordot(bras, t, axes=([1], [pos + left.index(q)]))  # new outcome axis first
+        left.remove(q)
+    return t.transpose(list(range(m - 1, -1, -1)) + list(range(m, n))).reshape(2**m, -1)
+
+
+class TestFrameBranches:
+    @pytest.mark.parametrize("z_last", [False, True], ids=["xy", "z_last"])
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_matches_one_frame_at_a_time(self, m, z_last):
+        rng = np.random.default_rng(40 + m)
+        pat = chain_pattern(tuple(rng.uniform(0.0, 2 * math.pi, size=m)))
+        if z_last:
+            pat = dataclasses.replace(pat, alphas=pat.alphas[:-1] + (0.0,), adapt=pat.adapt[:-1] + (BooleanExpr(),))
+        resource = random_state(rng, m + 1)
+        frame_of, psi = frame_branches(resource, pat)
+        assert frame_of.shape == (2**m,) and psi.shape == (frame_of.max() + 1, 2**m, 2)
+        reference = {}
+        for r in range(2**m):
+            bits = dict(zip(pat.measured, outcome_tuple(r, m)))
+            s = tuple(e.evaluate(bits) for e in pat.adapt)
+            if s not in reference:
+                reference[s] = tensordot_branches(resource.amplitudes, pat, s)
+            assert np.max(np.abs(psi[frame_of[r]] - reference[s])) < 1e-13
+        assert len(reference) == len(psi)
+
+
+def report_case(name, rng):
+    if name == "chain":
+        pat = chain_pattern(tuple(rng.uniform(0.0, 2 * math.pi, size=6)))
+        return pat, resource_state(Graph.path(7), {0: random_state(rng)})
+    if name == "cnot15":
+        inputs = {0: random_state(rng), 8: random_state(rng)}
+        return cnot15_pattern(), resource_state(Graph.from_edges(15, CNOT15_EDGES), inputs)
+    return rsp_pattern(rng.uniform(0.0, 2 * math.pi)), g2()
+
+
+class TestPlanReports:
+    @pytest.mark.parametrize("name", ["chain", "cnot15", "rsp"])
+    def test_fresh_plan_gives_the_warm_report(self, name):
+        rng = np.random.default_rng(50)
+        pat, resource = report_case(name, rng)
+        chans = {q: random_cp_channel(rng) for q in range(pat.n_qubits)}
+        engine = fidelity_nonadaptive if pat.is_nonadaptive() else fidelity_adaptive
+        args = (resource, {q: chans[q] for q in pat.measured}, {q: chans[q] for q in pat.outputs})
+        engine(pat, *args)  # builds the plan
+        warm = engine(pat, *args)
+        fresh_pat = dataclasses.replace(pat)
+        fresh = engine(fresh_pat, *args)
+        assert fresh_pat.plan is not pat.plan
+        np.testing.assert_array_equal(fresh.z, warm.z)
+        np.testing.assert_array_equal(fresh.f, warm.f)
+        assert fresh.average == warm.average
+
+
+class TestFlipStage:
+    @settings(max_examples=40)
+    @given(
+        m=st.integers(1, 6),
+        z_axis=st.lists(st.booleans(), min_size=6, max_size=6),
+        noise=st.lists(
+            st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 2.0), st.floats(0.6, 0.95), st.floats(0.05, 1.0)),
+            min_size=6,
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_explicit_kron(self, m, z_axis, noise, seed):
+        """Z(r) = sum_k W[r, k] |psi_k|^2 and Z(r) F(r) = sum_k W[r, k]
+        |<A_r|psi_k>|^2, with W the explicit Kronecker product of every
+        measured qubit's read matrix; the fixed-point shift makes the z
+        reads asymmetric (p0 != p1)."""
+        rng = np.random.default_rng(seed)
+        alphas = tuple(0.0 if z else math.pi / 2 for z in z_axis[:m])
+        pat = MeasurementPattern(
+            n_qubits=m + 1,
+            measured=tuple(range(m)),
+            thetas=tuple(rng.uniform(0.0, 2 * math.pi, size=m)),
+            alphas=alphas,
+            adapt=(BooleanExpr(),) * m,
+        )
+        chans = {q: NoiseChannel(B=b, C=b / 2 + c, S=s, t=t) for q, (b, c, s, t) in enumerate(noise[:m])}
+        resource = random_state(rng, m + 1)
+        rep = fidelity_nonadaptive(pat, resource, chans)
+
+        reads = []
+        for pos in range(m):
+            p0, p1 = mixing_probabilities(chans[pos]).flip_probs(alphas[pos])
+            reads.append(np.array([[1.0 - p0, p1], [p0, 1.0 - p1]]))
+        w = kron_all(reads).real
+        bras = kron_all([np.conj([basis_raw(pat.thetas[i], alphas[i], 0, k) for k in (0, 1)]) for i in range(m)])
+        psi = bras @ resource.amplitudes.reshape(2**m, 2)
+        norm2 = np.einsum("ka,ka->k", psi, psi.conj()).real
+        z = w @ norm2
+        overlap = np.abs(psi.conj() @ psi.T) ** 2  # [r, k] = |<psi_r|psi_k>|^2
+        zf = np.einsum("rk,rk->r", w, overlap) / norm2
+        assert np.max(np.abs(rep.z - z)) < 1e-13
+        reached = ~np.isnan(rep.f)
+        assert np.max(np.abs((rep.z * rep.f)[reached] - zf[reached])) < 1e-12

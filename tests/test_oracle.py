@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from onewaysim.channels import NoiseChannel, apply
+from onewaysim.channels import NoiseChannel
 from onewaysim.fidelity import fidelity_adaptive
 from onewaysim.graphstate import Graph, build_graph_state, resource_state
-from onewaysim.linalg import DensityMatrix, PLUS, PureState, kron_all
-from onewaysim.oracle import measure_distribution, simulate
+from onewaysim.linalg import PLUS, PureState, kron_all
+from onewaysim.oracle import simulate
 from onewaysim.pattern import BooleanExpr, ByproductSpec, MeasurementPattern
 
 from test_fidelity import chain_pattern
@@ -32,36 +32,6 @@ def assert_matches_engine(resource, pat, chans, tol):
         assert abs(f - run.fidelities[key]) < tol
     assert set(run.branches) <= set(rep.per_outcome)
     return run
-
-
-class TestMeasureDistribution:
-    def test_z_eigenstate(self):
-        rho = PureState.computational([0]).density()
-        p0, p1, posts = measure_distribution(rho, 0, (PureState([1, 0]), PureState([0, 1])))
-        assert abs(p0 - 1.0) < 1e-12 and p1 < 1e-12
-        assert posts[1] is None
-
-    def test_maximally_mixed_any_basis(self):
-        rng = np.random.default_rng(0)
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        v /= np.linalg.norm(v)
-        w = np.array([-np.conj(v[1]), np.conj(v[0])])
-        p0, p1, _ = measure_distribution(DensityMatrix.maximally_mixed(1), 0, (v, w))
-        assert abs(p0 - 0.5) < 1e-12 and abs(p1 - 0.5) < 1e-12
-
-    def test_dephased_plus_in_x_basis(self):
-        gamma, t = 0.8, 0.9
-        p = 1 - math.exp(-2 * gamma * t)
-        rho = apply(NoiseChannel.phase_flip(gamma, t), PureState(PLUS).density(), 0)
-        plus = PureState([1, 1] / np.sqrt(2))
-        minus = PureState([1, -1] / np.sqrt(2))
-        p0, p1, _ = measure_distribution(rho, 0, (plus, minus))
-        assert abs(p0 - (1 - p / 2)) < 1e-12
-        assert abs(p1 - p / 2) < 1e-12
-
-    def test_rejects_bad_basis(self):
-        with pytest.raises(ValueError, match="orthonormal"):
-            measure_distribution(DensityMatrix.maximally_mixed(1), 0, ([1, 0], [1, 0]))
 
 
 class TestSimulate:
@@ -235,7 +205,7 @@ class TestAgainstEngine:
         run = assert_matches_engine(resource, pat, shifted_channels(rng, n_qubits), 1e-10)
         assert len(run.branches) == 2**m
 
-    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         thetas=st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=5),
         noise=st.lists(

@@ -1,20 +1,39 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from onewaysim.channels import NoiseChannel
+from onewaysim.fidelity import fidelity_adaptive
 from onewaysim.graphstate import Graph, build_graph_state, resource_state
 from onewaysim.linalg import PureState, X, Z, kron_all
 from onewaysim.pattern import (
     BooleanExpr,
     ByproductSpec,
     MeasurementPattern,
+    PatternPlan,
     apply_byproducts,
-    basis_vector,
-    byproduct_unitary,
+    basis_raw,
     frame_branches,
     outcome_tuple,
 )
+
+
+def byproduct_unitary(pat, outcome):
+    """(-1)^{f_sig} X^{f_x} Z^{f_z} over the output qubits, ascending order:
+    the reference for ``apply_byproducts``, one record at a time."""
+    bits = {q: int(b) & 1 for q, b in zip(pat.measured, outcome)}
+    assert len(outcome) == pat.n_measured
+    specs = {bp.qubit: bp for bp in pat.byproducts}
+    sign, factors = 1.0, []
+    for q in pat.outputs:
+        bp = specs.get(q, ByproductSpec(q))
+        sign *= (-1.0) ** bp.fsig.evaluate(bits)
+        x, z = bp.fx.evaluate(bits), bp.fz.evaluate(bits)
+        factors.append(np.linalg.matrix_power(X, x) @ np.linalg.matrix_power(Z, z))
+    return sign * kron_all(factors) if factors else np.array([[sign]], dtype=complex)
 
 
 def rsp_pattern(theta):
@@ -142,24 +161,69 @@ class TestPatternValidation:
         assert again == pat
 
 
+def plan_arrays(value):
+    """Every array in a plan piece: a tuple, a dict or an array."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    items = value.values() if isinstance(value, dict) else value if isinstance(value, tuple) else ()
+    return [a for item in items for a in plan_arrays(item)]
+
+
+class TestPlan:
+    def test_built_once_per_instance(self):
+        pat = rotation_pattern(0.1, 0.2, 0.3)
+        assert pat.plan is pat.plan
+        assert dataclasses.replace(pat).plan is not pat.plan
+
+    @pytest.mark.parametrize("pat", [rotation_pattern(0.1, 0.2, 0.3), rsp_pattern(0.5)], ids=["rotation", "rsp"])
+    def test_every_array_read_only(self, pat):
+        pieces = [name for name, v in vars(PatternPlan).items() if isinstance(v, functools.cached_property)]
+        arrays = [a for name in pieces for a in plan_arrays(getattr(pat.plan, name))]
+        assert len(pieces) >= 10 and len(arrays) >= 8
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+    def test_caller_lists_cannot_change_the_pattern(self):
+        ref = rotation_pattern(0.3, 0.6, 0.9)
+        measured, thetas, alphas = list(ref.measured), [np.float32(x) for x in ref.thetas], list(ref.alphas)
+        adapt, byproducts = list(ref.adapt), list(ref.byproducts)
+        pat = MeasurementPattern(5, measured, thetas, alphas, adapt, byproducts)
+        fields = ("measured", "thetas", "alphas", "adapt", "byproducts")
+        assert all(isinstance(getattr(pat, name), tuple) for name in fields)
+        assert all(type(x) is float for x in pat.thetas + pat.alphas)
+        resource = resource_state(Graph.path(5))
+        chans = {q: NoiseChannel(B=0.4, C=0.5, S=0.8, t=0.3) for q in range(5)}
+        before = fidelity_adaptive(pat, resource, {q: chans[q] for q in range(4)}, {4: chans[4]})
+        thetas[1] += 1.0
+        alphas[3] = 0.0
+        adapt[3] = BooleanExpr.zero()
+        byproducts.clear()
+        after = fidelity_adaptive(dataclasses.replace(pat), resource, {q: chans[q] for q in range(4)}, {4: chans[4]})
+        np.testing.assert_array_equal(after.z, before.z)
+        np.testing.assert_array_equal(after.f, before.f)
+
+
 class TestBasisVector:
     def test_x_eigenvector(self):
-        v = basis_vector(0.0, math.pi / 2, 0, 0)
-        assert np.allclose(v.amplitudes, [1, 1] / np.sqrt(2))
+        v = basis_raw(0.0, math.pi / 2, 0, 0)
+        assert np.allclose(v, [1, 1] / np.sqrt(2))
 
     def test_z_direction(self):
-        v = basis_vector(1.234, 0.0, 0, 0)
-        assert np.allclose(v.amplitudes, [1, 0])
+        v = basis_raw(1.234, 0.0, 0, 0)
+        assert np.allclose(v, [1, 0])
 
     def test_adapted_phase(self):
-        v = basis_vector(math.pi / 2, math.pi / 2, 1, 1)
+        v = basis_raw(math.pi / 2, math.pi / 2, 1, 1)
         expect = np.array([1.0, -np.exp(1j * math.pi / 2)]) / np.sqrt(2)
-        assert np.max(np.abs(v.amplitudes - expect)) < 1e-12
+        assert np.max(np.abs(v - expect)) < 1e-12
 
     def test_orthonormal(self):
-        v0 = basis_vector(0.7, math.pi / 2, 1, 0).amplitudes
-        v1 = basis_vector(0.7, math.pi / 2, 1, 1).amplitudes
+        v0 = basis_raw(0.7, math.pi / 2, 1, 0)
+        v1 = basis_raw(0.7, math.pi / 2, 1, 1)
         assert abs(np.vdot(v0, v1)) < 1e-12
+        assert abs(np.linalg.norm(v0) - 1.0) < 1e-12 and abs(np.linalg.norm(v1) - 1.0) < 1e-12
 
 
 def own_branches(resource, pat):
