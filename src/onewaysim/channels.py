@@ -16,11 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
 
 import numpy as np
 
-from .linalg import ATOL, ID2, PAULIS, DensityMatrix, PureState, _frozen
+from .linalg import ATOL, ID2, PAULIS, DensityMatrix, _frozen
 
 CHOI_ATOL = 1e-9
 
@@ -221,53 +220,9 @@ def apply(ch, rho: DensityMatrix, qubit: int) -> DensityMatrix:
     return DensityMatrix(out.reshape(2**n, 2**n))
 
 
+@lru_cache(maxsize=256)
 def mixing_probabilities(ch: NoiseChannel) -> MixingProbability:
     l0, l1, l2, l3, mu = lambdas(ch)
     p_xy = l1 + l3
     p_z = (2.0 * l1 - 2.0 * mu, 2.0 * l1 + 2.0 * mu)
     return MixingProbability(p_xy=p_xy, p_z=p_z)
-
-
-def protected_basis(m: FixedPoleMap) -> tuple[PureState, PureState]:
-    """The two invariant single-qubit states of a fixed-pole map: the Bloch
-    vectors +axis and -axis.  A rotation angle that is a multiple of 2*pi
-    leaves the whole sphere invariant; the z eigenbasis is returned then."""
-    if abs(math.remainder(m.phi, 2.0 * math.pi)) < 1e-12:
-        return (PureState([1.0, 0.0]), PureState([0.0, 1.0]))
-    nx, ny, nz = m.axis
-    theta = math.acos(max(-1.0, min(1.0, nz)))
-    phi_az = math.atan2(ny, nx)
-    up = np.array(
-        [math.cos(theta / 2.0), np.exp(1j * phi_az) * math.sin(theta / 2.0)], dtype=complex
-    )
-    dn = np.array(
-        [-np.exp(-1j * phi_az) * math.sin(theta / 2.0), math.cos(theta / 2.0)], dtype=complex
-    )
-    return (PureState(up), PureState(dn))
-
-
-def from_json(doc: Mapping) -> NoiseChannel | FixedPoleMap:
-    """Parse {"kind": "general"|"pf"|"white"|"fixed_pole", ...}."""
-    try:
-        kind = doc["kind"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("channel document needs a 'kind' field") from exc
-    try:
-        if kind == "general":
-            return NoiseChannel(B=float(doc["B"]), C=float(doc["C"]), S=float(doc["S"]), t=float(doc["t"]))
-        if kind == "pf":
-            return NoiseChannel.phase_flip(float(doc["gamma"]), float(doc["t"]))
-        if kind == "white":
-            return NoiseChannel.white(float(doc["gamma"]), float(doc["t"]))
-        if kind == "fixed_pole":
-            ax = doc["axis"]
-            return FixedPoleMap(p=float(doc["p"]), axis=(float(ax[0]), float(ax[1]), float(ax[2])), phi=float(doc["phi"]))
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"bad channel document for kind {kind!r}: {exc}") from exc
-    raise ValueError(f"unknown channel kind {kind!r}")
-
-
-def to_json(ch) -> dict:
-    if isinstance(ch, FixedPoleMap):
-        return {"kind": "fixed_pole", "p": ch.p, "axis": list(ch.axis), "phi": ch.phi}
-    return {"kind": "general", "B": ch.B, "C": ch.C, "S": ch.S, "t": ch.t}

@@ -149,6 +149,13 @@ def _record_frame_report(
     antisymmetric one, so nothing is lost, and tr(A B) is the dot product
     of the codes of A and B.
     """
+    for name, chans, kind, allowed in (
+        ("measured_channels", measured_channels, "measured", pat.measured),
+        ("answer_channels", answer_channels, "output", pat.outputs),
+    ):
+        stray = sorted(set(chans or ()) - set(allowed))
+        if stray:
+            raise ValueError(f"{name} names qubits {stray}, which are not {kind} qubits {sorted(allowed)}")
     m = pat.n_measured
     frame_of, psi = frame_branches(resource, pat)
     n_frames, _, d = psi.shape
@@ -190,6 +197,8 @@ def fidelity_adaptive(
 ) -> FidelityReport:
     """Exact per-record fidelity for (possibly) adaptive patterns.
 
+    ``measured_channels`` may name only measured qubits and
+    ``answer_channels`` only outputs; any other key raises ValueError.
     Record probabilities are renormalized; the factor must already be 1 to
     1e-6.  Records below 1e-12 probability are flagged unreachable.
     """
@@ -207,7 +216,8 @@ def fidelity_nonadaptive(
     answer_channels: Mapping[int, object] | None = None,
 ) -> FidelityReport:
     """Fidelity report for non-adaptive patterns: the one-frame case of the
-    same engine, whose cost grows as M 2^M, hence the higher limit."""
+    same engine, whose cost grows as M 2^M, hence the higher limit.  The
+    channel mappings follow the rule of ``fidelity_adaptive``."""
     if not pat.is_nonadaptive():
         raise ValueError("pattern is adaptive; use fidelity_adaptive")
     if pat.n_measured > MAX_NA_MEASURED:

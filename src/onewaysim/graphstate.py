@@ -1,4 +1,4 @@
-"""Graphs, graph states, and local unitaries on state vectors.
+"""Graphs and graph states.
 
 A graph state puts |+> on every vertex and applies CZ along every edge.
 CZ is a diagonal phase update on the amplitude vector, so 15-qubit states
@@ -9,32 +9,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .linalg import ATOL, H, ID2, PLUS, PureState, X, Y, Z, apply_single_qubit_unitary
-
-_GATES = {"I": ID2, "X": X, "Y": Y, "Z": Z, "H": H}
-
-
-def rz(phi: float) -> np.ndarray:
-    """Rotation about the z axis by ``phi``."""
-    return np.array([[np.exp(-0.5j * phi), 0.0], [0.0, np.exp(0.5j * phi)]], dtype=complex)
-
-
-def rx(phi: float) -> np.ndarray:
-    return axis_rotation((1.0, 0.0, 0.0), phi)
-
-
-def axis_rotation(axis: Sequence[float], phi: float) -> np.ndarray:
-    """exp(-i phi (axis . sigma) / 2) for a unit Bloch axis."""
-    ax = np.asarray(axis, dtype=float)
-    norm = float(np.linalg.norm(ax))
-    if abs(norm - 1.0) > ATOL:
-        raise ValueError(f"rotation axis must be a unit vector, |axis| = {norm}")
-    nsigma = ax[0] * X + ax[1] * Y + ax[2] * Z
-    return np.cos(phi / 2.0) * ID2 - 1j * np.sin(phi / 2.0) * nsigma
+from .linalg import ATOL, PLUS, PureState, X, Z, apply_single_qubit_unitary
 
 
 @dataclass(frozen=True)
@@ -64,18 +43,6 @@ class Graph:
     @classmethod
     def path(cls, n: int) -> "Graph":
         return cls.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "Graph":
-        try:
-            n = int(doc["n"])
-            edges = doc["edges"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"graph document needs integer 'n' and 'edges': {exc}") from exc
-        return cls.from_edges(n, edges)
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self.edges]}
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         out = []
@@ -146,36 +113,3 @@ def _stabilizer_defect(gs: GraphState, v: int) -> float:
 
 def build_graph_state(graph: Graph) -> GraphState:
     return GraphState(graph, resource_state(graph))
-
-
-def apply_local(state: PureState, op, qubit: int) -> PureState:
-    """Apply a single-qubit unitary (name in I/X/Y/Z/H, or a 2x2 array) to one
-    qubit."""
-    if not (0 <= qubit < state.n):
-        raise IndexError(f"qubit {qubit} out of range for {state.n} qubits")
-    if isinstance(op, str):
-        try:
-            u = _GATES[op]
-        except KeyError:
-            raise ValueError(f"unknown gate name {op!r}") from None
-    else:
-        u = np.asarray(op, dtype=complex)
-        if u.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 unitary, got shape {u.shape}")
-        if np.max(np.abs(u @ u.conj().T - ID2)) > 1e-9:
-            raise ValueError("operator is not unitary")
-    return PureState(apply_single_qubit_unitary(state.amplitudes, u, qubit, state.n))
-
-
-def neighbor_z_equivalence(gs: GraphState, v: int) -> bool:
-    """Whether X on vertex ``v`` acts on |G> exactly like Z on all its
-    neighbors (true for every graph state; exposed as a checkable identity)."""
-    if not (0 <= v < gs.graph.n):
-        raise IndexError(f"vertex {v} out of range")
-    amp = gs.state.amplitudes
-    n = gs.graph.n
-    lhs = apply_single_qubit_unitary(amp, X, v, n)
-    rhs = amp
-    for j in gs.graph.neighbors(v):
-        rhs = apply_single_qubit_unitary(rhs, Z, j, n)
-    return float(np.max(np.abs(lhs - rhs))) < ATOL

@@ -8,7 +8,7 @@ places ``a`` on the high-order qubits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,8 +27,6 @@ Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 PAULIS = (ID2, X, Y, Z)
 
-KET0 = np.array([1.0, 0.0], dtype=complex)
-KET1 = np.array([0.0, 1.0], dtype=complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 
@@ -119,11 +117,6 @@ class DensityMatrix:
         object.__setattr__(self, "entries", _frozen(mat))
         object.__setattr__(self, "n", n)
 
-    @classmethod
-    def maximally_mixed(cls, n: int) -> "DensityMatrix":
-        d = 2**n
-        return cls(np.eye(d, dtype=complex) / d)
-
 
 def tensor(a, b):
     """Kronecker product of two states of the same kind; ``a`` goes on the
@@ -133,18 +126,6 @@ def tensor(a, b):
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
         return DensityMatrix(np.kron(a.entries, b.entries))
     raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
-
-
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced density matrix over the qubits in ``keep`` (original order)."""
-    keep_sorted = sorted(set(int(q) for q in keep))
-    if not keep_sorted:
-        raise ValueError("keep must name at least one qubit")
-    n = rho.n
-    if keep_sorted[0] < 0 or keep_sorted[-1] >= n:
-        raise ValueError(f"keep {keep_sorted} out of range for {n} qubits")
-    reduced = partial_trace_raw(rho.entries, keep_sorted, n)
-    return DensityMatrix(reduced)
 
 
 def partial_trace_raw(mat: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:

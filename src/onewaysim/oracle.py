@@ -97,10 +97,11 @@ def simulate(resource, pat: MeasurementPattern, channels: Mapping[int, object] |
         a0 = plan.basis[depth, s, 0].conj() @ a0.reshape(2, -1)
     norm2 = float(np.vdot(a0, a0).real)
     a0 = a0 / np.sqrt(norm2) if norm2 > _ZERO_BRANCH else np.zeros_like(a0)
-    # By-products are signed Paulis, so BP(0)^-1 A_0 = +-BP(0) A_0, whose sign
-    # drops out of F: the Z, then X, terms of record 0 on A_0's output axes.
+    # By-products are Paulis X^{f_x} Z^{f_z}, so BP(0)^-1 A_0 = +-BP(0) A_0,
+    # whose sign drops out of F: the Z, then X, terms of record 0 on A_0's
+    # output axes.
     a0 = a0.reshape((2,) * k)
-    for axis, (_, fz, fx) in enumerate(plan.byproduct_bits[:, :, 0]):
+    for axis, (fz, fx) in enumerate(plan.byproduct_bits[:, :, 0]):
         if fz:
             a0 = a0 * np.array([1.0, -1.0]).reshape((2,) + (1,) * (k - 1 - axis))
         if fx:

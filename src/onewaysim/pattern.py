@@ -8,7 +8,8 @@ in the basis
 
 where the adaptation bit s is a boolean function of earlier outcomes.
 The unmeasured qubits carry the answer, up to an outcome-dependent local
-by-product (-1)^{f_sig} X^{f_x} Z^{f_z} per output qubit.
+by-product X^{f_x} Z^{f_z} per output qubit, with f_x and f_z affine in
+the outcomes.  A global sign is left out: no fidelity can see it.
 
 What a pattern alone fixes is compiled once per pattern into its ``plan``,
 shared by every fidelity report and oracle run of that pattern.
@@ -31,15 +32,13 @@ _ZERO_BRANCH = 1e-20
 
 @dataclass(frozen=True)
 class BooleanExpr:
-    """Constant + XOR of outcome bits + XOR of pairwise AND monomials.
+    """Affine: constant plus XOR of outcome bits.
 
-    Degree-two monomials are the largest the by-product bookkeeping ever
-    needs; anything higher is rejected when parsing.
+    A flow gives by-products and adaptation bits of exactly this form.
     """
 
     const: int = 0
     xor: tuple[int, ...] = ()
-    and2: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "const", int(self.const) & 1)
@@ -48,38 +47,26 @@ class BooleanExpr:
         for v in self.xor:
             counts[int(v)] = counts.get(int(v), 0) + 1
         object.__setattr__(self, "xor", tuple(sorted(v for v, c in counts.items() if c % 2)))
-        pairs = []
-        for pair in self.and2:
-            i, j = int(pair[0]), int(pair[1])
-            if i == j:
-                raise ValueError(f"monomial ({i},{j}) is not quadratic; fold it into xor")
-            pairs.append((min(i, j), max(i, j)))
-        object.__setattr__(self, "and2", tuple(sorted(pairs)))
 
     @classmethod
     def zero(cls) -> "BooleanExpr":
         return cls()
 
     @classmethod
-    def of(cls, *vertices: int, const: int = 0, and2=()) -> "BooleanExpr":
-        return cls(const=const, xor=tuple(vertices), and2=tuple(and2))
+    def of(cls, *vertices: int, const: int = 0) -> "BooleanExpr":
+        return cls(const=const, xor=tuple(vertices))
 
     @property
     def support(self) -> frozenset:
-        s = set(self.xor)
-        for i, j in self.and2:
-            s.update((i, j))
-        return frozenset(s)
+        return frozenset(self.xor)
 
     def is_zero(self) -> bool:
-        return self.const == 0 and not self.xor and not self.and2
+        return self.const == 0 and not self.xor
 
     def evaluate(self, bits: Mapping[int, int]) -> int:
         v = self.const
         for q in self.xor:
             v ^= bits[q] & 1
-        for i, j in self.and2:
-            v ^= (bits[i] & bits[j]) & 1
         return v
 
     def evaluate_columns(self, columns: Mapping[int, np.ndarray]) -> np.ndarray:
@@ -89,27 +76,7 @@ class BooleanExpr:
         v = np.full(some.shape, self.const, dtype=np.uint8)
         for q in self.xor:
             v ^= columns[q]
-        for i, j in self.and2:
-            v ^= columns[i] & columns[j]
         return v
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "BooleanExpr":
-        unknown = set(doc) - {"const", "xor", "and2"}
-        if unknown:
-            raise ValueError(f"unknown expression fields {sorted(unknown)}")
-        pairs = doc.get("and2", ())
-        for p in pairs:
-            if len(p) != 2:
-                raise ValueError(f"monomial {p} is not a pair; degree > 2 is unsupported")
-        return cls(
-            const=int(doc.get("const", 0)),
-            xor=tuple(int(v) for v in doc.get("xor", ())),
-            and2=tuple((int(i), int(j)) for i, j in pairs),
-        )
-
-    def to_json(self) -> dict:
-        return {"const": self.const, "xor": list(self.xor), "and2": [list(p) for p in self.and2]}
 
 
 @dataclass(frozen=True)
@@ -117,7 +84,6 @@ class ByproductSpec:
     qubit: int
     fx: BooleanExpr = BooleanExpr()
     fz: BooleanExpr = BooleanExpr()
-    fsig: BooleanExpr = BooleanExpr()
 
 
 @dataclass(frozen=True)
@@ -168,7 +134,7 @@ class MeasurementPattern:
             if bp.qubit in seen:
                 raise ValueError(f"duplicate by-product for qubit {bp.qubit}")
             seen.add(bp.qubit)
-            for expr in (bp.fx, bp.fz, bp.fsig):
+            for expr in (bp.fx, bp.fz):
                 if expr.support - set(self.measured):
                     raise ValueError("by-product references an unmeasured qubit")
 
@@ -187,46 +153,6 @@ class MeasurementPattern:
 
     def is_nonadaptive(self) -> bool:
         return all(e.is_zero() for e in self.adapt)
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "MeasurementPattern":
-        try:
-            measured = tuple(int(q) for q in doc["measured"])
-            angles = doc["angles"]
-            adapt = doc["adapt"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"pattern document needs measured/angles/adapt: {exc}") from exc
-        byp = doc.get("byproducts", [])
-        indices = list(measured) + [int(b["qubit"]) for b in byp]
-        n = int(doc.get("n", max(indices) + 1 if indices else 1))
-        return cls(
-            n_qubits=n,
-            measured=measured,
-            thetas=tuple(float(a["theta"]) for a in angles),
-            alphas=tuple(float(a["alpha"]) for a in angles),
-            adapt=tuple(BooleanExpr.from_json(e) for e in adapt),
-            byproducts=tuple(
-                ByproductSpec(
-                    qubit=int(b["qubit"]),
-                    fx=BooleanExpr.from_json(b.get("fx", {})),
-                    fz=BooleanExpr.from_json(b.get("fz", {})),
-                    fsig=BooleanExpr.from_json(b.get("fsig", {})),
-                )
-                for b in byp
-            ),
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n_qubits,
-            "measured": list(self.measured),
-            "angles": [{"theta": t, "alpha": a} for t, a in zip(self.thetas, self.alphas)],
-            "adapt": [e.to_json() for e in self.adapt],
-            "byproducts": [
-                {"qubit": bp.qubit, "fx": bp.fx.to_json(), "fz": bp.fz.to_json(), "fsig": bp.fsig.to_json()}
-                for bp in self.byproducts
-            ],
-        }
 
 
 def basis_raw(theta: float, alpha: float, s: int, k: int) -> np.ndarray:
@@ -317,12 +243,12 @@ class PatternPlan:
 
     @functools.cached_property
     def byproduct_bits(self) -> np.ndarray:
-        """(outputs, 3, 2^M) booleans: f_sig, f_z and f_x of each output
-        qubit, ascending, on every record."""
+        """(outputs, 2, 2^M) booleans: f_z and f_x of each output qubit,
+        ascending, on every record."""
         specs = {bp.qubit: bp for bp in self._pat.byproducts}
         bps = [specs.get(q, ByproductSpec(q)) for q in self.outputs]
-        terms = [e.evaluate_columns(self.columns) for bp in bps for e in (bp.fsig, bp.fz, bp.fx)]
-        return _frozen(np.array(terms, dtype=bool).reshape(len(bps), 3, 2**self._pat.n_measured))
+        terms = [e.evaluate_columns(self.columns) for bp in bps for e in (bp.fz, bp.fx)]
+        return _frozen(np.array(terms, dtype=bool).reshape(len(bps), 2, 2**self._pat.n_measured))
 
 
 def _resource_vector(resource) -> tuple[np.ndarray, int]:
@@ -362,14 +288,12 @@ def frame_branches(resource, pat: MeasurementPattern) -> tuple[np.ndarray, np.nd
 
 def apply_byproducts(pat: MeasurementPattern, vec: np.ndarray) -> np.ndarray:
     """BP(r) vec for every record r, stacked in record order, with BP(r) =
-    (-1)^{f_sig} X^{f_x} Z^{f_z} over the output qubits, ascending."""
+    X^{f_x} Z^{f_z} on each output qubit, ascending."""
     n_records = 2**pat.n_measured
     k = len(pat.outputs)
     out = np.repeat(np.asarray(vec, dtype=complex).reshape((1,) + (2,) * k), n_records, axis=0)
-    sign = np.ones(n_records)
-    for axis, (fsig, fz, fx) in enumerate(pat.plan.byproduct_bits, start=1):
-        sign[fsig] *= -1.0
+    for axis, (fz, fx) in enumerate(pat.plan.byproduct_bits, start=1):
         view = np.moveaxis(out, axis, 1)  # (record, bit of the output, other outputs)
         view[fz, 1] *= -1.0
         view[fx] = view[fx, ::-1]
-    return out.reshape(n_records, -1) * sign[:, None]
+    return out.reshape(n_records, -1)

@@ -11,12 +11,9 @@ from onewaysim.channels import (
     apply,
     choi_matrix,
     choi_min_eigenvalue,
-    from_json,
     kraus,
     lambdas,
     mixing_probabilities,
-    protected_basis,
-    to_json,
 )
 from onewaysim.linalg import DensityMatrix, PAULIS, PLUS, MINUS, PureState
 from onewaysim.pattern import basis_raw
@@ -240,53 +237,15 @@ class TestChoi:
 
 
 class TestProtectedBasis:
-    def test_z_axis(self):
-        b0, b1 = protected_basis(FixedPoleMap(p=0.2, axis=(0, 0, 1.0), phi=0.7))
-        assert np.allclose(b0.amplitudes, [1, 0])
-        assert np.allclose(np.abs(b1.amplitudes), [0, 1])
-
-    def test_x_axis(self):
-        b0, b1 = protected_basis(FixedPoleMap(p=0.2, axis=(1.0, 0, 0), phi=0.7))
-        assert abs(abs(np.vdot(b0.amplitudes, PLUS)) - 1) < 1e-12
-        assert abs(abs(np.vdot(b1.amplitudes, MINUS)) - 1) < 1e-12
-
     def test_arbitrary_axis_states_are_fixed_points(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             ax = rng.normal(size=3)
             ax /= np.linalg.norm(ax)
             m = FixedPoleMap(p=rng.uniform(), axis=tuple(ax), phi=rng.uniform(0.1, 3.0))
-            for b in protected_basis(m):
-                rho = b.density()
+            # The eigenvectors of n.sigma are the Bloch vectors +n and -n.
+            _, vecs = np.linalg.eigh(sum(a * s for a, s in zip(ax, PAULIS[1:])))
+            for b in vecs.T:
+                rho = PureState(b).density()
                 out = apply(m, rho, 0)
                 assert np.max(np.abs(out.entries - rho.entries)) < 1e-10
-
-    def test_full_turn_returns_z_basis(self):
-        b0, b1 = protected_basis(FixedPoleMap(p=0.5, axis=(1.0, 0, 0), phi=2 * math.pi))
-        assert np.allclose(b0.amplitudes, [1, 0])
-        assert np.allclose(b1.amplitudes, [0, 1])
-
-
-class TestJson:
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            {"kind": "general", "B": 0.5, "C": 1.0, "S": 0.3, "t": 0.2},
-            {"kind": "pf", "gamma": 0.7, "t": 0.1},
-            {"kind": "white", "gamma": 0.7, "t": 0.1},
-            {"kind": "fixed_pole", "p": 0.4, "axis": [0.0, 0.0, 1.0], "phi": 0.3},
-        ],
-    )
-    def test_round_trip_action(self, doc):
-        ch = from_json(doc)
-        again = from_json(to_json(ch))
-        rho = PureState(PLUS).density()
-        assert np.max(np.abs(apply(ch, rho, 0).entries - apply(again, rho, 0).entries)) < 1e-12
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown channel kind"):
-            from_json({"kind": "sparkle"})
-
-    def test_missing_field(self):
-        with pytest.raises(ValueError, match="bad channel document"):
-            from_json({"kind": "pf", "gamma": 0.7})

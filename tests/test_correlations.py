@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from onewaysim.channels import NoiseChannel, apply
+from onewaysim.channels import FixedPoleMap, NoiseChannel, apply
 from onewaysim.correlations import (
     _bloch_decomposition,
     _measured_entropy,
@@ -17,7 +17,7 @@ from onewaysim.correlations import (
     negativity,
     von_neumann_entropy,
 )
-from onewaysim.graphstate import Graph, build_graph_state, axis_rotation
+from onewaysim.graphstate import Graph, build_graph_state
 from onewaysim.linalg import ID2, PAULIS, DensityMatrix, PureState, kron_all, tensor
 
 
@@ -67,7 +67,10 @@ class TestConcurrence:
         rho = noisy_g2("pf", 1.0, 0.4)
         ax = rng.normal(size=3)
         u = kron_all(
-            [axis_rotation(tuple(ax / np.linalg.norm(ax)), 1.3), axis_rotation((0, 1, 0), 0.7)]
+            [
+                FixedPoleMap(1.0, tuple(ax / np.linalg.norm(ax)), 1.3).rotation(),
+                FixedPoleMap(1.0, (0, 1, 0), 0.7).rotation(),
+            ]
         )
         rotated = DensityMatrix(u @ rho.entries @ u.conj().T)
         assert abs(concurrence(rotated) - concurrence(rho)) < 1e-8
@@ -88,7 +91,7 @@ class TestNegativity:
 
     def test_local_unitary_invariance(self):
         rho = noisy_g2("w", 1.0, 0.2)
-        u = kron_all([axis_rotation((0, 0, 1.0), 0.9), axis_rotation((1.0, 0, 0), 2.1)])
+        u = kron_all([FixedPoleMap(1.0, (0, 0, 1.0), 0.9).rotation(), FixedPoleMap(1.0, (1.0, 0, 0), 2.1).rotation()])
         rotated = DensityMatrix(u @ rho.entries @ u.conj().T)
         assert abs(negativity(rotated, {0}) - negativity(rho, {0})) < 1e-8
 
@@ -102,13 +105,13 @@ class TestEntropies:
         assert von_neumann_entropy(bell()) < 1e-12
 
     def test_mixed(self):
-        assert abs(von_neumann_entropy(DensityMatrix.maximally_mixed(2)) - 2.0) < 1e-12
+        assert abs(von_neumann_entropy(DensityMatrix(np.eye(4) / 4)) - 2.0) < 1e-12
 
     def test_linear_entropy_pure(self):
         assert linear_entropy(PureState.plus(1).density()) < 1e-12
 
     def test_linear_entropy_mixed(self):
-        assert abs(linear_entropy(DensityMatrix.maximally_mixed(1)) - 1.0) < 1e-12
+        assert abs(linear_entropy(DensityMatrix(np.eye(2) / 2)) - 1.0) < 1e-12
 
     def test_linear_entropy_bloch_length(self):
         for v in (0.2, 0.5, 0.9):

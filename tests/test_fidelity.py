@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ class TestRecordFrameEngine:
             pat = rotation_pattern(*rng.uniform(0, 2 * np.pi, size=3))
             resource = resource_state(Graph.path(5), {0: random_state(rng)})
             chans = {q: random_cp_channel(rng) for q in range(5)}
-            rep = fidelity_adaptive(pat, resource, chans, {4: chans[4]})
+            rep = fidelity_adaptive(pat, resource, {q: chans[q] for q in pat.measured}, {4: chans[4]})
             zs = np.array([z for z, _ in rep.per_outcome.values()])
             fs = np.array([f for _, f in rep.per_outcome.values()])
             assert abs(zs.sum() - 1.0) < 1e-12
@@ -208,7 +209,7 @@ class TestAdaptiveEngine:
             resource = resource_state(Graph.path(5), {0: random_state(rng)})
             chans = {q: random_cp_channel(rng) for q in range(5)}
             rep = fidelity_adaptive(
-                pat, resource, measured_channels=chans, answer_channels={4: chans[4]}
+                pat, resource, measured_channels={q: chans[q] for q in pat.measured}, answer_channels={4: chans[4]}
             )
             run = simulate(resource, pat, chans)
             for idx in range(16):
@@ -230,7 +231,7 @@ class TestAdaptiveEngine:
                 1: NoiseChannel(B=rng.uniform(0.2, 2.0), C=rng.uniform(1.0, 3.0), S=0.9, t=0.8),
                 2: random_cp_channel(rng),
             }
-            rep = fidelity_adaptive(pat, resource, chans, {2: chans[2]})
+            rep = fidelity_adaptive(pat, resource, {q: chans[q] for q in pat.measured}, {2: chans[2]})
             run = simulate(resource, pat, chans)
             for key, (z, f) in rep.per_outcome.items():
                 assert abs(z - run.branches[key][0]) < 1e-9
@@ -248,11 +249,7 @@ class TestAdaptiveEngine:
 
         perm = {0: 3, 1: 0, 2: 4, 3: 1, 4: 2}  # vertex relabeling
         g_p = Graph.from_edges(5, [(perm[i], perm[j]) for i, j in Graph.path(5).edges])
-        remap = lambda e: BooleanExpr(
-            const=e.const,
-            xor=tuple(perm[v] for v in e.xor),
-            and2=tuple((perm[i], perm[j]) for i, j in e.and2),
-        )
+        remap = lambda e: BooleanExpr(const=e.const, xor=tuple(perm[v] for v in e.xor))
         pat_p = MeasurementPattern(
             n_qubits=5,
             measured=tuple(perm[q] for q in pat.measured),
@@ -260,7 +257,7 @@ class TestAdaptiveEngine:
             alphas=pat.alphas,
             adapt=tuple(remap(e) for e in pat.adapt),
             byproducts=tuple(
-                ByproductSpec(qubit=perm[bp.qubit], fx=remap(bp.fx), fz=remap(bp.fz), fsig=remap(bp.fsig))
+                ByproductSpec(qubit=perm[bp.qubit], fx=remap(bp.fx), fz=remap(bp.fz))
                 for bp in pat.byproducts
             ),
         )
@@ -299,8 +296,9 @@ class TestNonAdaptiveEngine:
         pat = zchain_pattern(1.2)
         resource = resource_state(Graph.path(3))
         chans = {q: random_cp_channel(rng) for q in range(3)}
-        rep_na = fidelity_nonadaptive(pat, resource, chans, {2: chans[2]})
-        rep_ad = fidelity_adaptive(pat, resource, chans, {2: chans[2]})
+        measured = {q: chans[q] for q in pat.measured}
+        rep_na = fidelity_nonadaptive(pat, resource, measured, {2: chans[2]})
+        rep_ad = fidelity_adaptive(pat, resource, measured, {2: chans[2]})
         for key in rep_na.per_outcome:
             z_n, f_n = rep_na.per_outcome[key]
             z_a, f_a = rep_ad.per_outcome[key]
@@ -337,7 +335,7 @@ class TestNonAdaptiveEngine:
         pat = zchain_pattern(0.9)
         resource = resource_state(Graph.path(3))
         chans = {q: random_cp_channel(rng) for q in range(3)}
-        rep = fidelity_nonadaptive(pat, resource, chans, {2: chans[2]})
+        rep = fidelity_nonadaptive(pat, resource, {q: chans[q] for q in pat.measured}, {2: chans[2]})
         run = simulate(resource, pat, chans)
         for key, (z, f) in rep.per_outcome.items():
             assert abs(z - run.branches[key][0]) < 1e-9
@@ -401,6 +399,28 @@ class TestNonAdaptiveEngine:
             fidelity_nonadaptive(pat, PureState.plus(1))
 
 
+class TestChannelKeys:
+    """A channel keyed on a qubit of the wrong kind, or on no qubit of the
+    pattern, raises instead of being dropped.  On RSP the output's noise
+    given as a measured channel used to leave F = 1."""
+
+    @pytest.mark.parametrize("engine", [fidelity_adaptive, fidelity_nonadaptive])
+    @pytest.mark.parametrize(
+        "measured, answer, message",
+        [
+            ((1,), (), "measured_channels names qubits [1]"),
+            ((0, 7), (), "measured_channels names qubits [7]"),
+            ((), (0,), "answer_channels names qubits [0]"),
+            ((0,), (1, 7), "answer_channels names qubits [7]"),
+        ],
+        ids=["output-as-measured", "stray-measured", "measured-as-answer", "stray-answer"],
+    )
+    def test_misplaced_key_raises(self, engine, measured, answer, message):
+        ch = NoiseChannel.white(1.0, 0.3)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            engine(rsp_pattern(0.7), g2(), dict.fromkeys(measured, ch), dict.fromkeys(answer, ch))
+
+
 class TestReport:
     def test_validation_rejects_bad_sum(self):
         with pytest.raises(ValueError, match="sum"):
@@ -453,7 +473,7 @@ class TestReport:
         pat = rotation_pattern(0.4, 1.2, 2.2)
         resource = resource_state(Graph.path(5), {0: random_state(rng)})
         chans = {q: random_cp_channel(rng) for q in range(5)}
-        rep = fidelity_adaptive(pat, resource, chans, {4: chans[4]})
+        rep = fidelity_adaptive(pat, resource, {q: chans[q] for q in pat.measured}, {4: chans[4]})
         assert list(rep.per_outcome) == [outcome_tuple(r, 4) for r in range(16)]
         for r, (z, f) in enumerate(rep.per_outcome.values()):
             assert (z, f) == (rep.z[r], rep.f[r])

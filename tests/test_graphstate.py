@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from onewaysim.graphstate import (
-    Graph,
-    GraphState,
-    apply_local,
-    build_graph_state,
-    neighbor_z_equivalence,
-    resource_state,
-    rz,
-)
-from onewaysim.linalg import PureState, X, apply_single_qubit_unitary
+from onewaysim.graphstate import Graph, GraphState, _stabilizer_defect, build_graph_state, resource_state
+from onewaysim.linalg import ATOL, H, PureState, X, Z, apply_single_qubit_unitary
 
 
 def cnot15_graph():
@@ -34,10 +26,6 @@ class TestGraph:
         g = Graph.from_edges(3, [(2, 1), (1, 0), (1, 2)])
         assert g.edges == ((0, 1), (1, 2))
         assert g.neighbors(1) == (0, 2)
-
-    def test_json_round_trip(self):
-        g = Graph.path(4)
-        assert Graph.from_json(g.to_json()) == g
 
 
 class TestBuildGraphState:
@@ -74,47 +62,36 @@ class TestBuildGraphState:
 
 class TestApplyLocal:
     def test_x_on_first(self):
-        s = apply_local(PureState.computational([0, 0]), "X", 0)
-        assert np.allclose(s.amplitudes, [0, 0, 1, 0])
+        out = apply_single_qubit_unitary(PureState.computational([0, 0]).amplitudes, X, 0, 2)
+        assert np.allclose(out, [0, 0, 1, 0])
 
     def test_h_squares_to_identity(self):
         rng = np.random.default_rng(7)
         v = rng.normal(size=8) + 1j * rng.normal(size=8)
-        s = PureState(v / np.linalg.norm(v))
-        out = apply_local(apply_local(s, "H", 1), "H", 1)
-        assert np.max(np.abs(out.amplitudes - s.amplitudes)) < 1e-12
+        v /= np.linalg.norm(v)
+        out = apply_single_qubit_unitary(apply_single_qubit_unitary(v, H, 1, 3), H, 1, 3)
+        assert np.max(np.abs(out - v)) < 1e-12
 
     def test_z_on_g2(self):
         gs = build_graph_state(Graph.from_edges(2, [(0, 1)]))
-        out = apply_local(gs.state, "Z", 1)
-        assert np.allclose(out.amplitudes, np.array([1, -1, 1, 1]) / 2.0)
-
-    def test_rz_matrix(self):
-        out = apply_local(PureState.plus(1), rz(np.pi), 0)
-        expect = np.array([np.exp(-0.5j * np.pi), np.exp(0.5j * np.pi)]) / np.sqrt(2)
-        assert np.max(np.abs(out.amplitudes - expect)) < 1e-12
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            apply_local(PureState.plus(1), "X", 1)
-
-    def test_non_unitary_rejected(self):
-        with pytest.raises(ValueError):
-            apply_local(PureState.plus(1), np.array([[1.0, 0.0], [0.0, 0.0]]), 0)
+        out = apply_single_qubit_unitary(gs.state.amplitudes, Z, 1, 2)
+        assert np.allclose(out, np.array([1, -1, 1, 1]) / 2.0)
 
 
 class TestNeighborZ:
+    """X on a vertex acts on |G> exactly like Z on all its neighbors."""
+
     def test_g2(self):
         gs = build_graph_state(Graph.from_edges(2, [(0, 1)]))
-        assert neighbor_z_equivalence(gs, 0)
+        assert _stabilizer_defect(gs, 0) < ATOL
 
     def test_isolated_vertex(self):
         gs = build_graph_state(Graph(1, ()))
-        assert neighbor_z_equivalence(gs, 0)
+        assert _stabilizer_defect(gs, 0) < ATOL
 
     def test_cnot15_cluster_all_vertices(self):
         gs = build_graph_state(cnot15_graph())
-        assert all(neighbor_z_equivalence(gs, v) for v in range(15))
+        assert all(_stabilizer_defect(gs, v) < ATOL for v in range(15))
 
 
 def test_resource_state_embeds_inputs():

@@ -8,7 +8,7 @@ from onewaysim.linalg import (
     Y,
     Z,
     check_density_matrices,
-    partial_trace,
+    partial_trace_raw,
     tensor,
 )
 
@@ -96,12 +96,13 @@ class TestTensor:
         assert np.allclose(s.amplitudes, [0.5, 0.5, 0.5, 0.5])
 
     def test_mixed_identity(self):
-        r = tensor(DensityMatrix.maximally_mixed(1), DensityMatrix.maximally_mixed(1))
+        mixed = DensityMatrix(np.eye(2) / 2)
+        r = tensor(mixed, mixed)
         assert np.allclose(r.entries, np.eye(4) / 4.0)
 
     def test_mixed_kinds_rejected(self):
         with pytest.raises(TypeError):
-            tensor(PureState.plus(1), DensityMatrix.maximally_mixed(1))
+            tensor(PureState.plus(1), DensityMatrix(np.eye(2) / 2))
 
     def test_associative(self):
         rng = np.random.default_rng(5)
@@ -117,14 +118,14 @@ class TestTensor:
 
 class TestPartialTrace:
     def test_bell_keep_first(self):
-        r = partial_trace(bell_state().density(), {0})
-        assert np.allclose(r.entries, np.eye(2) / 2.0, atol=1e-12)
+        r = partial_trace_raw(bell_state().density().entries, [0], 2)
+        assert np.allclose(r, np.eye(2) / 2.0, atol=1e-12)
 
     def test_product_keep_second(self):
         plus = PureState.plus(1)
         rho = tensor(PureState.computational([0]).density(), plus.density())
-        r = partial_trace(rho, {1})
-        assert np.allclose(r.entries, plus.density().entries, atol=1e-12)
+        r = partial_trace_raw(rho.entries, [1], 2)
+        assert np.allclose(r, plus.density().entries, atol=1e-12)
 
     def test_g2_keep_second_is_mixed(self):
         # Independent oracle: brute-force sum over the traced qubit's basis.
@@ -136,29 +137,25 @@ class TestPartialTrace:
             proj = np.kron(bra, np.eye(2))
             reduced += proj @ rho @ proj.T
         assert np.allclose(reduced, np.eye(2) / 2.0, atol=1e-12)
-        r = partial_trace(g2_state().density(), {1})
-        assert np.allclose(r.entries, reduced, atol=1e-10)
-
-    def test_empty_keep_rejected(self):
-        with pytest.raises(ValueError):
-            partial_trace(bell_state().density(), set())
+        r = partial_trace_raw(g2_state().density().entries, [1], 2)
+        assert np.allclose(r, reduced, atol=1e-10)
 
     def test_inverse_of_tensor(self):
         rng = np.random.default_rng(11)
         a = _random_density(rng, 1)
         b = _random_density(rng, 2)
         joint = tensor(a, b)
-        back = partial_trace(joint, {0})
-        assert np.max(np.abs(back.entries - a.entries)) < 1e-10
-        back_b = partial_trace(joint, {1, 2})
-        assert np.max(np.abs(back_b.entries - b.entries)) < 1e-10
+        back = partial_trace_raw(joint.entries, [0], 3)
+        assert np.max(np.abs(back - a.entries)) < 1e-10
+        back_b = partial_trace_raw(joint.entries, [1, 2], 3)
+        assert np.max(np.abs(back_b - b.entries)) < 1e-10
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(12)
         rho = _random_density(rng, 3)
-        for keep in ({0}, {1, 2}, {0, 2}):
-            r = partial_trace(rho, keep)
-            assert abs(np.trace(r.entries) - 1.0) < 1e-10
+        for keep in ([0], [1, 2], [0, 2]):
+            r = partial_trace_raw(rho.entries, keep, 3)
+            assert abs(np.trace(r) - 1.0) < 1e-10
 
 
 def _random_density(rng, n):

@@ -139,7 +139,7 @@ def chain_with_constants(thetas):
         pat,
         adapt=tuple(BooleanExpr(1, e.xor) for e in pat.adapt),
         byproducts=(
-            ByproductSpec(bp.qubit, fx=BooleanExpr(1, bp.fx.xor), fz=BooleanExpr(1, bp.fz.xor), fsig=BooleanExpr(1)),
+            ByproductSpec(bp.qubit, fx=BooleanExpr(1, bp.fx.xor), fz=BooleanExpr(1, bp.fz.xor)),
         ),
     )
 
