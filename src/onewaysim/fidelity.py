@@ -22,13 +22,16 @@ psi_{s,k} for every prepared record k, and
 with W[r,k] = prod_i P(r_i | k_i), K_j the Kraus operators of the answer
 noise, and A_r the normalized noiseless branch psi_{s(r),r}.  What the
 pattern alone fixes runs once per pattern (``MeasurementPattern.plan``).
-Records that share a frame share its contraction, one matmul per measured
-qubit over all frames at once, and W, a tensor product of 2x2 matrices,
-is applied one qubit at a time: a frame costs O(M 2^M), so a non-adaptive
-pattern (one frame) costs that, and an adaptive one that times its number
-of frames.  The answer noise is one real matrix on the codes of the
-records' noiseless projectors, cached per tuple of output channels.  See
-Danos, Kashefi and Panangaden, "The measurement calculus", arXiv:0704.1263.
+Both W and the bras of a frame are tensor products of 2x2 matrices, and
+both are applied in blocks of b <= ``pattern.BLOCK`` measured positions,
+each block's factors joined into one 2^b x 2^b matrix and applied as one
+matmul over all frames at once.  A frame then costs O(2^B M 2^n / B) for
+the branches and O(2^B M 2^M d^2 / B) for W, B = ``pattern.BLOCK``, in
+ceil(M/B) steps, so a non-adaptive pattern (one frame) costs that, and an
+adaptive one that times its number of frames.  The answer noise is one
+real matrix on the codes of the records' noiseless projectors, cached per
+tuple of output channels.  See Danos, Kashefi and Panangaden, "The
+measurement calculus", arXiv:0704.1263.
 
 The brute-force simulator in ``oracle`` is the independent ground truth
 for everything here.
@@ -44,11 +47,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channels import FixedPoleMap, NoiseChannel, mixing_probabilities, superoperator
-from .linalg import _frozen
+from .linalg import MAX_PURE_QUBITS, _frozen, kron_all
 from .pattern import MeasurementPattern, frame_branches
 
 MAX_ADAPTIVE_MEASURED = 10
-MAX_NA_MEASURED = 20
+# A resource holds at most MAX_PURE_QUBITS qubits, so no pattern measures more.
+MAX_NA_MEASURED = MAX_PURE_QUBITS
 _UNREACHABLE = 1e-12
 
 
@@ -156,30 +160,45 @@ def _record_frame_report(
         stray = sorted(set(chans or ()) - set(allowed))
         if stray:
             raise ValueError(f"{name} names qubits {stray}, which are not {kind} qubits {sorted(allowed)}")
-    m = pat.n_measured
     frame_of, psi = frame_branches(resource, pat)
-    n_frames, _, d = psi.shape
-    # code[k, f] is the code of |psi_fk><psi_fk|, records first so that every
-    # matmul carries all frames.  rho[r, f] = sum_k W[r, k] code[k, f], W the
-    # product of P(read r_i | prepared k_i), is applied one qubit at a time.
-    psi = psi.transpose(1, 0, 2)
-    outer = psi[..., :, None] * psi[..., None, :].conj()
-    code = outer.real + outer.imag
+    n_frames, n_records, d = psi.shape
+    # Records last, so that every loop below runs over them.
+    psi = psi.transpose(0, 2, 1)
+    # One workspace holds code[f, :, k], the code of |psi_fk><psi_fk|, and two
+    # halves that the flip blocks alternate between: a report allocates one
+    # large array, not one per block, since fresh large arrays cost page
+    # faults.  Viewed as complex, the halves first hold |psi_fk><psi_fk|.
+    rows = n_frames * d * d
+    work = np.empty((3, rows, n_records))
+    code = work[0]
+    outer = work[1:].reshape(-1).view(complex).reshape(n_frames, d, d, n_records)
+    np.multiply(psi[:, :, None], psi[:, None].conj(), out=outer)
+    np.add(outer.real, outer.imag, out=code.reshape(outer.shape))
+    # rho[f, :, r] = sum_k W[r, k] code[f, :, k], W the product of P(read r_i |
+    # prepared k_i), by the shuffle of ``frame_branches``: each block of
+    # measured positions joins its read matrices into one factor and is one
+    # matmul that contracts the leading record bits and appends them last.
+    reads = [np.array([[1.0 - p0, p1], [p0, 1.0 - p1]]) for p0, p1 in _flip_table(pat, measured_channels)]
     rho = code
-    for pos, (p0, p1) in enumerate(_flip_table(pat, measured_channels)):
-        read = np.array([[1.0 - p0, p1], [p0, 1.0 - p1]])
-        rho = read @ rho.reshape(2**pos, 2, -1)
-    own = (np.arange(2**m), frame_of)  # record r's row in its own frame
-    rho = rho.reshape(2**m, n_frames, d * d)[own]
-    ideal = code.reshape(2**m, n_frames, d * d)[own]  # |psi_r><psi_r|, unnormalized
+    for i, block in enumerate(pat.plan.blocks):
+        read = kron_all([reads[pos] for pos in block])
+        out = work[1 + i % 2]
+        np.matmul(rho.reshape(rows, len(read), -1).transpose(0, 2, 1), read.T, out=out.reshape(rows, -1, len(read)))
+        rho = out
+    shape = (n_frames, d * d, n_records)
+    code, rho, spare = code.reshape(shape), rho.reshape(shape), work[1 + len(pat.plan.blocks) % 2].reshape(shape)
 
-    norm2 = ideal[:, :: d + 1].sum(axis=1)
-    z_raw = rho[:, :: d + 1].sum(axis=1)
+    # Every sum runs over all (frame, record) pairs; record r then takes the
+    # flat entry ``own[r]`` of its own frame, where ``code`` holds
+    # |psi_r><psi_r| unnormalized.
+    own = frame_of * n_records + np.arange(n_records)
+    norm2 = code[:, :: d + 1].sum(axis=1).take(own)
+    z_raw = rho[:, :: d + 1].sum(axis=1).take(own)
     reachable = (z_raw > _UNREACHABLE) & (norm2 > 1e-20)
     # F(r) = tr(rho_r sum_j K_j^dagger |psi_r><psi_r| K_j) / (|psi_r|^2 Z(r)).
     r_map = _answer_code_map(tuple(map((answer_channels or {}).get, pat.outputs)))
-    overlap = np.einsum("ri,ri->r", ideal @ r_map, rho)
-    f = np.full(2**m, np.nan)
+    overlap = np.einsum("fir,fir->fr", code, np.matmul(r_map, rho, out=spare)).take(own)
+    f = np.full(n_records, np.nan)
     np.divide(overlap, norm2 * z_raw, out=f, where=reachable)
 
     total = float(z_raw.sum())
@@ -216,8 +235,10 @@ def fidelity_nonadaptive(
     answer_channels: Mapping[int, object] | None = None,
 ) -> FidelityReport:
     """Fidelity report for non-adaptive patterns: the one-frame case of the
-    same engine, whose cost grows as M 2^M, hence the higher limit.  The
-    channel mappings follow the rule of ``fidelity_adaptive``."""
+    same engine.  One frame is cheap enough that only the resource limits
+    it: no pattern on a ``PureState`` measures more than
+    ``linalg.MAX_PURE_QUBITS`` qubits.  The channel mappings follow the
+    rule of ``fidelity_adaptive``."""
     if not pat.is_nonadaptive():
         raise ValueError("pattern is adaptive; use fidelity_adaptive")
     if pat.n_measured > MAX_NA_MEASURED:

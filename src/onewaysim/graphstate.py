@@ -1,8 +1,10 @@
 """Graphs and graph states.
 
 A graph state puts |+> on every vertex and applies CZ along every edge.
-CZ is a diagonal phase update on the amplitude vector, so 15-qubit states
-build in milliseconds.
+The CZs are diagonal and commute, so together they negate exactly the
+amplitudes whose index has an odd number of edges with both bits set.
+Each ``Graph`` caches those signs, read-only, and a resource build is the
+product state, grown left to right one vertex at a time, times the signs.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import ATOL, PLUS, PureState, X, Z, apply_single_qubit_unitary
+from .linalg import ATOL, PLUS, PureState, X, Z, _frozen, apply_single_qubit_unitary
 
 
 @dataclass(frozen=True)
@@ -53,35 +55,42 @@ class Graph:
                 out.append(i)
         return tuple(sorted(out))
 
-
-def _cz_phases(amp: np.ndarray, n: int, edges) -> np.ndarray:
-    """Multiply amp by (-1)^(sum over edges ij of x_i x_j): the edge terms
-    are XORed into one parity bit per amplitude, then the signs flip once."""
-    # bit[v] broadcasts vertex v's bit of the amplitude index over (2,) * n.
-    bit = [np.arange(2, dtype=np.uint8).reshape((2,) + (1,) * (n - 1 - v)) for v in range(n)]
-    parity = np.zeros((2,) * n, dtype=np.uint8)
-    for i, j in edges:
-        parity ^= bit[i] & bit[j]
-    np.negative(amp, out=amp, where=parity.reshape(-1).view(bool))
-    return amp
+    @functools.cached_property
+    def cz_signs(self) -> np.ndarray:
+        """The signs that the CZs of all edges put on the amplitude vector
+        viewed as 2^(n+1) floats, real and imaginary part of each amplitude
+        in turn: -1.0 where an odd number of edges have both of their bits
+        set in the amplitude's index, +1.0 elsewhere.  Read-only."""
+        # bit[v] broadcasts vertex v's bit of the amplitude index over (2,) * n.
+        bit = [np.arange(2, dtype=np.uint8).reshape((2,) + (1,) * (self.n - 1 - v)) for v in range(self.n)]
+        parity = np.zeros((2,) * self.n, dtype=np.uint8)
+        for i, j in self.edges:
+            parity ^= bit[i] & bit[j]
+        return _frozen(np.repeat(1.0 - 2.0 * parity.reshape(-1), 2))
 
 
 def resource_state(graph: Graph, inputs: Mapping[int, PureState] | None = None) -> PureState:
     """CZ-entangled product state: |+> everywhere except the single-qubit
     ``inputs`` embedded on their vertices."""
     inputs = inputs or {}
-    factors = []
+    stray = sorted(set(inputs) - set(range(graph.n)))
+    if stray:
+        raise ValueError(f"inputs name vertices {stray}, which are not in 0..{graph.n - 1}")
+    amp = np.ones(1, dtype=complex)
     for v in range(graph.n):
-        if v in inputs:
-            s = inputs[v]
-            if s.n != 1:
-                raise ValueError(f"input on vertex {v} must be a single qubit")
-            factors.append(s.amplitudes)
-        else:
-            factors.append(PLUS)
-    # The 0-d start makes a fresh writable array even for one vertex.
-    amp = functools.reduce(np.multiply.outer, factors, np.ones((), dtype=complex)).reshape(-1)
-    return PureState(_cz_phases(amp, graph.n, graph.edges))
+        s = inputs.get(v)
+        if s is not None and s.n != 1:
+            raise ValueError(f"input on vertex {v} must be a single qubit")
+        factor = PLUS if s is None else s.amplitudes
+        # Vertex v becomes the new low-order bit; each half is one long loop.
+        grown = np.empty((amp.size, 2), dtype=complex)
+        for bit in (0, 1):
+            np.multiply(amp, factor[bit], out=grown[:, bit])
+        amp = grown.reshape(-1)
+    # Multiplying by -1.0 flips the sign bit, exactly as negation does.
+    floats = amp.view(float)
+    np.multiply(floats, graph.cz_signs, out=floats)
+    return PureState(amp)
 
 
 @dataclass(frozen=True)

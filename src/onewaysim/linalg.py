@@ -143,9 +143,14 @@ def partial_trace_raw(mat: np.ndarray, keep: Sequence[int], n: int) -> np.ndarra
 
 
 def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.asarray(factors[0], dtype=complex)
+    """Kronecker product of matrices over their last two axes, broadcast
+    over any leading ones: factors (..., a_i, b_i) give (..., prod a_i,
+    prod b_i), the first factor on the high-order bits."""
+    out = np.asarray(factors[0])
     for f in factors[1:]:
-        out = np.kron(out, f)
+        f = np.asarray(f)
+        out = out[..., :, None, :, None] * f[..., None, :, None, :]
+        out = out.reshape(out.shape[:-4] + (out.shape[-4] * out.shape[-3], out.shape[-2] * out.shape[-1]))
     return out
 
 

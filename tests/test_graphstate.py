@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -101,22 +103,50 @@ def test_resource_state_embeds_inputs():
     assert np.allclose(psi.amplitudes, [0, 0, 1 / np.sqrt(2), -1 / np.sqrt(2)])
 
 
+def per_edge_build(n, edges, inputs):
+    """The product state by np.kron, then one CZ at a time, each a sign
+    flip where both of its bits are set."""
+    amp = np.ones(1, dtype=complex)
+    for v in range(n):
+        amp = np.kron(amp, inputs[v].amplitudes if v in inputs else np.ones(2) / np.sqrt(2))
+    idx = np.arange(2**n)
+    for i, j in edges:
+        amp = np.where((idx >> (n - 1 - i)) & (idx >> (n - 1 - j)) & 1, -amp, amp)
+    return amp
+
+
+def random_inputs(rng, n):
+    inputs = {}
+    for v in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False):
+        w = rng.normal(size=2) + 1j * rng.normal(size=2)
+        inputs[int(v)] = PureState(w / np.linalg.norm(w))
+    return inputs
+
+
 def test_resource_state_matches_per_edge_build():
-    # One CZ at a time, each a sign flip where both of its bits are set.
     rng = np.random.default_rng(17)
     for _ in range(20):
         n = int(rng.integers(1, 9))
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         edges = [p for p in pairs if rng.uniform() < 0.5]
-        inputs = {}
-        for v in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False):
-            w = rng.normal(size=2) + 1j * rng.normal(size=2)
-            inputs[int(v)] = PureState(w / np.linalg.norm(w))
-        amp = np.ones(1, dtype=complex)
-        for v in range(n):
-            amp = np.kron(amp, inputs[v].amplitudes if v in inputs else np.ones(2) / np.sqrt(2))
-        idx = np.arange(2**n)
-        for i, j in edges:
-            amp = np.where((idx >> (n - 1 - i)) & (idx >> (n - 1 - j)) & 1, -amp, amp)
+        inputs = random_inputs(rng, n)
         built = resource_state(Graph.from_edges(n, edges), inputs).amplitudes
-        assert np.array_equal(built, amp)
+        assert built.tobytes() == per_edge_build(n, edges, inputs).tobytes()
+    # Fifteen vertices: the CNOT graph and a denser one with other edges.
+    # The second build of each graph reads its cached sign mask.
+    dense = [(i, j) for i in range(15) for j in range(i + 1, 15) if (3 * i + j) % 4 == 0]
+    for graph in (cnot15_graph(), Graph.from_edges(15, dense)):
+        for _ in range(2):
+            inputs = random_inputs(rng, 15)
+            built = resource_state(graph, inputs).amplitudes
+            assert built.tobytes() == per_edge_build(15, graph.edges, inputs).tobytes()
+        assert not graph.cz_signs.flags.writeable
+        with pytest.raises(ValueError):
+            graph.cz_signs[0] = 1.0
+
+
+@pytest.mark.parametrize("stray", [{7: PureState([0, 1])}, {-1: PureState([0, 1])}, {0: PureState([1, 0]), 3: PureState([0, 1])}])
+def test_resource_state_rejects_inputs_off_the_graph(stray):
+    bad = sorted(set(stray) - {0, 1, 2})
+    with pytest.raises(ValueError, match=re.escape(f"inputs name vertices {bad}")):
+        resource_state(Graph.path(3), stray)

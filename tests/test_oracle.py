@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from onewaysim.channels import NoiseChannel
 from onewaysim.fidelity import fidelity_adaptive
 from onewaysim.graphstate import Graph, build_graph_state, resource_state
-from onewaysim.linalg import PLUS, PureState, kron_all
+from onewaysim.linalg import PLUS, PureState
 from onewaysim.oracle import simulate
 from onewaysim.pattern import BooleanExpr, ByproductSpec, MeasurementPattern
 
@@ -95,7 +96,7 @@ class TestSimulate:
             adapt=(BooleanExpr.zero(),) * 4,
             byproducts=(ByproductSpec(qubit=4, fz=BooleanExpr.of(1)),),
         )
-        resource = PureState(kron_all([tilted(0.0), PLUS, tilted(1e-10), tilted(1e-16), PLUS]))
+        resource = PureState(functools.reduce(np.kron, [tilted(0.0), PLUS, tilted(1e-10), tilted(1e-16), PLUS]))
         run = simulate(resource, pat, {4: NoiseChannel.white(0.5, 0.3)})
         keys = [(0, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 1, 0)]
         assert list(run.branches) == list(run.fidelities) == keys
