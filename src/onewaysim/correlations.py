@@ -1,10 +1,9 @@
 """Correlation measures of the (noisy) resource state.
 
 Entanglement monotones (two-qubit concurrence, bipartite negativity),
-quantum discord with its projective-measurement optimization, normalized
-linear entropy, and the minimum entanglement potential of the activation
-protocol (adversarial local unitaries followed by per-qubit CNOTs onto
-fresh ancillas).
+quantum discord with its projective-measurement search, normalized linear
+entropy, and the minimum entanglement potential (MEP) of the activation
+protocol.
 
 Two-qubit discord works on the Pauli tensor M_ij = tr(rho sigma_i x sigma_j),
 i, j in 0..3, which one product of a constant (4, 4, 16) array with vec(rho)
@@ -14,6 +13,22 @@ gives outcome probabilities p+- = (1 +- b.n)/2 and leaves A with Bloch
 vector (a +- T n)/(2 p+-), so the conditional entropy of the discord search
 is sum+- p+- h(|a +- T n|/(2 p+-)) with h the entropy of a qubit of that
 Bloch length; measuring A swaps a and b and transposes T.
+
+The activation protocol applies a local unitary U and then one CNOT from
+each system qubit onto a fresh |0> ancilla, which takes rho' = U rho U^dagger
+to sum_ij rho'_ij |i i><j j|.  Transposing the ancillas maps |i i><j j| to
+|i j><j i|, so the result splits into the entries rho'_ii on |i i> and, for
+each pair i < j, the 2x2 block [[0, rho'_ij], [rho'_ji, 0]] on
+{|i j>, |j i>}, whose eigenvalues are +-|rho'_ij|.  The doubled negativity
+across system:ancillas is therefore the l1-coherence sum_{i != j} |rho'_ij|
+(Streltsov et al., PRL 115, 020403 (2015), arXiv:1502.05876), and MEP is its
+minimum over U.  A diagonal phase after U changes no |rho'_ij|, so each
+qubit's unitary is Ry(b) Rz(c): two angles per qubit.
+
+Both searches, over the two Bloch angles of the discord measurement and
+over MEP's 2n angles, run one optimizer: restarted Nelder-Mead from several
+starts in lockstep.  A search along one angle at a time is not enough for
+MEP, whose minimum usually sits on a kink where some rho'_ij vanish.
 """
 
 from __future__ import annotations
@@ -23,27 +38,36 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import xlogy
 
-from .linalg import DensityMatrix, PAULIS, Y, kron_all, partial_trace_raw
+from .linalg import DensityMatrix, PAULIS, Y, partial_trace_raw
 
 _LOG2 = math.log(2.0)
 # tr(rho P) = vec(rho) . vec(P^T) for row-major vec, so this stack of the
 # vec(sigma_i x sigma_j)^T turns vec(rho) into the Pauli tensor M_ij.
 _PAULI_TENSOR = np.array([[np.kron(p, q).T.reshape(16) for q in PAULIS] for p in PAULIS])
 _YY = np.kron(Y, Y)
-# Coordinate-descent probes along one Bloch angle, in units of the span.
-_PROBES = np.array([-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0])
+# Nelder-Mead moves the worst vertex to centroid + t (centroid - worst), t in
+# _MOVES: reflection, expansion, outside and inside contraction.  A simplex
+# spans _STEP per angle, restarts once its vertices and values lie within
+# _TOL, and stops once a restart gains less than _TOL or at _ITERATIONS.
+_MOVES = np.array([1.0, 2.0, 0.5, -0.5])
+_STEP = 0.25
+_TOL = 1e-8
+_ITERATIONS = 3000
+
+
+def _entropy(p, axis=-1):
+    """Base-2 Shannon entropy of the probabilities along ``axis``; entries at
+    or below zero contribute nothing (0 log 0 = 0)."""
+    p = np.asarray(p, dtype=float)
+    logs = np.log(p, out=np.zeros_like(p), where=p > 0.0)
+    return -(p * logs).sum(axis=axis) / _LOG2
 
 
 def von_neumann_entropy(rho) -> float:
-    """Base-2 entropy; zero eigenvalues contribute nothing."""
+    """Base-2 entropy of the spectrum."""
     mat = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    w = np.linalg.eigvalsh(mat)
-    w = np.clip(w.real, 0.0, None)
-    nz = w[w > 1e-15]
-    return float(-(nz * np.log2(nz)).sum())
+    return float(_entropy(np.linalg.eigvalsh(mat)))
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -101,12 +125,6 @@ def _bloch_decomposition(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return m[1:, 0], m[0, 1:], m[1:, 1:]
 
 
-def _bloch_entropy(r):
-    """Base-2 entropy of qubit states with Bloch lengths r."""
-    lam = np.clip(np.stack(((1.0 + r) / 2.0, (1.0 - r) / 2.0)), 0.0, 1.0)
-    return -xlogy(lam, lam).sum(axis=0) / _LOG2
-
-
 def _measured_entropy(a, b, t, n):
     """sum_+- p+- S(A | +-) after measuring B along the unit vectors n
     (shape (..., 3)), from A's and B's Bloch vectors a, b and the
@@ -117,28 +135,69 @@ def _measured_entropy(a, b, t, n):
     for sign in (1.0, -1.0):
         p = (1.0 + sign * bn) / 2.0
         r = np.linalg.norm(a + sign * tn, axis=-1) / np.maximum(2.0 * p, 1e-14)
-        total = total + np.where(p > 1e-14, p * _bloch_entropy(r), 0.0)
+        h = _entropy(np.stack(((1.0 + r) / 2.0, (1.0 - r) / 2.0)), axis=0)
+        total = total + np.where(p > 1e-14, p * h, 0.0)
     return total
 
 
-def _fibonacci_sphere(count: int) -> list[tuple[float, float]]:
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    pts = []
-    for i in range(count):
-        z = 1.0 - 2.0 * (i + 0.5) / count
-        pts.append((math.acos(z), (golden * i) % (2 * math.pi)))
-    return pts
+def _nelder_mead(objective, k: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Restarted Nelder-Mead on ``objective`` over k angles from ``count``
+    starts in lockstep: all angles zero, and angles drawn with a fixed seed.
+    ``objective`` maps angles of shape (k, ...) to values of shape (...).
+    Returns each start's least value and whether it stopped in time.
 
-
-def classical_correlation(
-    rho: DensityMatrix, measured_side: str = "B", starts: int = 16, tol: float = 1e-8
-) -> float:
-    """max over projective measurements of S(other) - S(other | outcome).
-
-    Multi-start coordinate descent over the Bloch angles of the measured
-    projector pair; each probe costs the closed-form conditional entropy of
-    the Pauli tensor.
+    One call per iteration evaluates the four moves of every worst vertex.
+    A collapsed simplex restarts around its best vertex, because simplices
+    collapse onto the kinks of a nonsmooth objective short of its minimum.
     """
+    rows = np.arange(count)[:, None]
+    first = np.vstack((np.zeros(k), _STEP * np.eye(k)))
+    starts = np.random.default_rng(0).uniform(0.0, 2 * math.pi, size=(count, k))
+    starts[0] = 0.0
+    # simplex[s, v] is vertex v of start s, values[s, v] its value.
+    simplex = starts[:, None] + first
+    values = objective(simplex.transpose(2, 0, 1))
+    restarted_at = np.full(count, np.inf)
+    active = np.ones(count, dtype=bool)
+    for _ in range(_ITERATIONS):
+        order = values.argsort(axis=1)
+        simplex, values = simplex[rows, order], values[rows, order]
+        best, second, worst = values[:, 0], values[:, -2], values[:, -1]
+        spread = np.abs(simplex[:, 1:] - simplex[:, :1]).max(axis=(1, 2))
+        collapsed = active & (spread <= _TOL) & (worst - best <= _TOL)
+        restart = collapsed & (best < restarted_at - _TOL)
+        active &= restart | ~collapsed
+        if not active.any():
+            break
+        if restart.any():
+            restarted_at[restart] = best[restart]
+            simplex[restart] = simplex[restart, :1] + first
+            values[restart] = objective(simplex[restart].transpose(2, 0, 1))
+            continue
+        centroid = simplex[:, :-1].mean(axis=1)
+        moves = centroid[:, None] + (centroid - simplex[:, -1])[:, None] * _MOVES[:, None]
+        tried = objective(moves.transpose(2, 0, 1))
+        reflect, expand, outside, inside = tried.T
+        # Expand (1) past a reflection (0) that beats the best vertex, reflect
+        # if that beats the second worst, else contract (2, 3) or shrink (-1).
+        pick = np.where(
+            reflect < second,
+            (reflect < best) & (expand < reflect),
+            np.where(reflect < worst, np.where(outside <= reflect, 2, -1), np.where(inside < worst, 3, -1)),
+        )
+        move = active & (pick >= 0)
+        simplex[move, -1], values[move, -1] = moves[move, pick[move]], tried[move, pick[move]]
+        shrink = active & (pick < 0)
+        if shrink.any():
+            simplex[shrink] = (simplex[shrink, :1] + simplex[shrink]) / 2
+            values[shrink] = objective(simplex[shrink].transpose(2, 0, 1))
+    return values.min(axis=1), ~active
+
+
+def classical_correlation(rho: DensityMatrix, measured_side: str = "B", starts: int = 16) -> float:
+    """max over projective measurements of S(other) - S(other | outcome),
+    by minimizing the closed-form conditional entropy over the Bloch angles
+    of the measured projector pair from ``starts`` starts."""
     if rho.n != 2:
         raise ValueError("classical correlation here is two-qubit only")
     if starts < 1:
@@ -148,42 +207,17 @@ def classical_correlation(
     a, b, t = _bloch_decomposition(rho.entries)
     if measured_side == "A":
         a, b, t = b, a, t.T
-    s_other = float(_bloch_entropy(np.linalg.norm(a)))
+    r = np.linalg.norm(a)
+    s_other = float(_entropy([(1.0 + r) / 2.0, (1.0 - r) / 2.0]))
 
-    def objective(theta, phi):
+    def objective(angles):
+        theta, phi = angles
         st = np.sin(theta)
         n = np.stack((st * np.cos(phi), st * np.sin(phi), np.cos(theta)), axis=-1)
-        return s_other - _measured_entropy(a, b, t, n)
+        return _measured_entropy(a, b, t, n)
 
-    # Every start runs the same coordinate descent, all of them in lockstep:
-    # a start whose span has shrunk below tol keeps its best value.
-    theta, phi = np.array(_fibonacci_sphere(starts)).T
-    best = objective(theta, phi)
-    span = np.full(starts, math.pi / 4)
-    active = np.ones(starts, dtype=bool)
-    rows = np.arange(starts)
-    for _ in range(120):
-        improved = best
-        for grid in range(2):
-            # Four probes along theta (grid 0) or phi (grid 1); the first
-            # strict improvement wins ties, as in a sequential scan.
-            step = span[:, None] * _PROBES
-            cand_t = theta[:, None] + step * (grid == 0)
-            cand_p = phi[:, None] + step * (grid == 1)
-            v = objective(cand_t, cand_p)
-            i = v.argmax(axis=1)
-            up = active & (v[rows, i] > improved)
-            improved = np.where(up, v[rows, i], improved)
-            theta = np.where(up, cand_t[rows, i], theta)
-            phi = np.where(up, cand_p[rows, i], phi)
-        stalled = improved - best < tol
-        span = np.where(stalled, span / 2, span)
-        done = stalled & (span < tol)
-        best = np.where(done, best, improved)
-        active &= ~done
-        if not active.any():
-            break
-    return float(best.max())
+    least, _ = _nelder_mead(objective, 2, starts)
+    return s_other - float(least.min())
 
 
 def bell_diagonal_correlations(c: Sequence[float]) -> tuple[float, float, float]:
@@ -200,21 +234,15 @@ def bell_diagonal_correlations(c: Sequence[float]) -> tuple[float, float, float]
     )
     if np.any(lam < -1e-12):
         raise ValueError(f"coefficients {c} do not give a state")
-    nz = lam[lam > 1e-15]
-    s_ab = float(-(nz * np.log2(nz)).sum())
-    info = 2.0 - s_ab
+    info = 2.0 - float(_entropy(lam))
     cmax = max(abs(c1), abs(c2), abs(c3))
-    cc = 0.0
-    for sign in (1.0, -1.0):
-        x = (1.0 + sign * cmax) / 2.0
-        if x > 1e-15:
-            cc += x * math.log2(2.0 * x)
+    # Measuring along the strongest correlation leaves outcomes that agree
+    # with probability (1 + cmax) / 2.
+    cc = 1.0 - float(_entropy([(1.0 + cmax) / 2.0, (1.0 - cmax) / 2.0]))
     return info, cc, info - cc
 
 
-def discord(
-    rho: DensityMatrix, measured_side: str = "B", method: str = "auto", starts: int = 16
-) -> float:
+def discord(rho: DensityMatrix, measured_side: str = "B", method: str = "auto") -> float:
     """Quantum discord: mutual information minus classical correlation.
 
     ``method='auto'`` uses the Bell-diagonal closed form whenever both local
@@ -234,7 +262,7 @@ def discord(
             det_sign = 1.0 if np.linalg.det(t) >= 0.0 else -1.0
             return bell_diagonal_correlations((sv[0], sv[1], det_sign * sv[2]))[2]
     info = mutual_information(rho)
-    return info - classical_correlation(rho, measured_side, starts=starts)
+    return info - classical_correlation(rho, measured_side)
 
 
 def linear_entropy(rho: DensityMatrix) -> float:
@@ -244,40 +272,23 @@ def linear_entropy(rho: DensityMatrix) -> float:
     return float(2.0 * (1.0 - np.real(np.trace(rho.entries @ rho.entries))))
 
 
-def _activation_negativity(rho: np.ndarray, n: int, angles: np.ndarray) -> float:
-    """Entanglement (doubled negativity) across system:ancillas after local
-    unitaries and per-qubit CNOT copies onto |0> ancillas."""
-    us = []
-    for q in range(n):
-        a, b, c = angles[3 * q : 3 * q + 3]
-        rz1 = np.diag([np.exp(-0.5j * a), np.exp(0.5j * a)])
-        ry = np.array(
-            [[math.cos(b / 2), -math.sin(b / 2)], [math.sin(b / 2), math.cos(b / 2)]],
-            dtype=complex,
-        )
-        rz2 = np.diag([np.exp(-0.5j * c), np.exp(0.5j * c)])
-        us.append(rz1 @ ry @ rz2)
-    u = kron_all(us)
-    rotated = u @ rho @ u.conj().T
-    d = 2**n
-    anc = np.zeros((d, d))
-    anc[0, 0] = 1.0
-    full = np.kron(rotated, anc)
-    # One CNOT per system qubit: control q, target ancilla n + q.  CNOTs on
-    # computational states are an involutive index permutation.
-    total = 2 * n
-    vec_dim = 2**total
-    perm = np.arange(vec_dim)
-    for q in range(n):
-        ctrl = (perm >> (total - 1 - q)) & 1
-        flip = ctrl << (total - 1 - (n + q))
-        perm = perm ^ flip
-    p = np.zeros((vec_dim, vec_dim))
-    p[np.arange(vec_dim), perm] = 1.0
-    full = p.T @ full @ p
-    pt = partial_transpose(full, list(range(n, total)), total)
-    w = np.linalg.eigvalsh(pt)
-    return float(-2.0 * w[w < 0.0].sum())
+def _l1_coherence(rho: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """sum_{i != j} |rho'_ij| of rho' = U rho U^dagger, U the product over
+    qubits q of Ry(angles[q]) Rz(angles[n + q]); ``angles`` has shape
+    (2n, ...) and the result the shape of its trailing axes."""
+    n = len(angles) // 2
+    cos, sin, phase = np.cos(angles[:n] / 2), np.sin(angles[:n] / 2), np.exp(0.5j * angles[n:])
+    # Ry(b) Rz(c) = [[cos e^{-ic/2}, -sin e^{ic/2}], [sin e^{-ic/2}, cos e^{ic/2}]]
+    entries = np.stack((cos * phase.conj(), -sin * phase, sin * phase.conj(), cos * phase), axis=-1)
+    u = entries.reshape(entries.shape[:-1] + (2, 2))
+    full = u[0]
+    for factor in u[1:]:
+        d = 2 * full.shape[-1]
+        full = (full[..., :, None, :, None] * factor[..., None, :, None, :]).reshape(full.shape[:-2] + (d, d))
+    left = (full.reshape(-1, len(rho)) @ rho).reshape(full.shape)
+    rotated = left @ full.conj().swapaxes(-1, -2)
+    # The diagonal of rho' is nonnegative and sums to tr rho.
+    return np.abs(rotated).sum(axis=(-2, -1)) - np.trace(rho).real
 
 
 @dataclass(frozen=True)
@@ -287,42 +298,24 @@ class MepResult:
     n_starts: int
 
 
-def mep(rho: DensityMatrix, starts: int = 32, tol: float = 1e-6, seed: int = 0, full: bool = False):
+def mep(rho: DensityMatrix, starts: int = 32, full: bool = False):
     """Minimum entanglement potential of the activation protocol.
 
-    Minimizes the system:ancilla entanglement (on the doubled-negativity
-    scale, so a Bell pair activates to 1) over one local unitary per qubit
-    via multi-start simplex descent.  The identity is always one of the
-    starts, so classical states score zero.
+    The minimum over U = prod_q Ry(b_q) Rz(c_q) of the l1-coherence of
+    U rho U^dagger, which equals the doubled negativity of the activated
+    state (module docstring; Streltsov et al., PRL 115, 020403 (2015)), so
+    a Bell pair activates to 1.  The identity is one start, so classical
+    states score zero.  With ``full``, returns a ``MepResult`` whose
+    ``converged`` says whether the best start stopped within the cap.
     """
     n = rho.n
     if n > 3:
         raise ValueError("activation protocol capped at 3 system qubits")
     if starts < 1:
         raise ValueError(f"starts={starts}: at least one start is needed")
-    rng = np.random.default_rng(seed)
-    mat = rho.entries
-
-    def objective(angles):
-        return _activation_negativity(mat, n, np.asarray(angles))
-
-    best = math.inf
-    converged = False
-    for trial in range(starts):
-        if trial == 0:
-            x0 = np.zeros(3 * n)
-        else:
-            x0 = rng.uniform(0.0, 2 * math.pi, size=3 * n)
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": tol, "fatol": tol, "maxiter": 400 * n},
-        )
-        if res.fun < best:
-            best = float(res.fun)
-            converged = bool(res.success)
-    best = max(0.0, best)
+    least, converged = _nelder_mead(lambda angles: _l1_coherence(rho.entries, angles), 2 * n, starts)
+    i = int(least.argmin())
+    value = max(0.0, float(least[i]))
     if full:
-        return MepResult(value=best, converged=converged, n_starts=starts)
-    return best
+        return MepResult(value=value, converged=bool(converged[i]), n_starts=starts)
+    return value

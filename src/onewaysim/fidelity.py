@@ -167,12 +167,16 @@ def _record_frame_report(
     # One workspace holds code[f, :, k], the code of |psi_fk><psi_fk|, and two
     # halves that the flip blocks alternate between: a report allocates one
     # large array, not one per block, since fresh large arrays cost page
-    # faults.  Viewed as complex, the halves first hold |psi_fk><psi_fk|.
+    # faults.  Viewed as complex, the halves first hold |psi_fk><psi_fk|, one
+    # product per entry: a broadcast product over a short record axis frees
+    # numpy's iterator buffers, after which each report faults pages in again.
     rows = n_frames * d * d
     work = np.empty((3, rows, n_records))
     code = work[0]
     outer = work[1:].reshape(-1).view(complex).reshape(n_frames, d, d, n_records)
-    np.multiply(psi[:, :, None], psi[:, None].conj(), out=outer)
+    conj = psi.conj()
+    for i, j in itertools.product(range(d), repeat=2):
+        np.multiply(psi[:, i], conj[:, j], out=outer[:, i, j])
     np.add(outer.real, outer.imag, out=code.reshape(outer.shape))
     # rho[f, :, r] = sum_k W[r, k] code[f, :, k], W the product of P(read r_i |
     # prepared k_i), by the shuffle of ``frame_branches``: each block of

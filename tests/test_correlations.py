@@ -6,6 +6,7 @@ import pytest
 from onewaysim.channels import FixedPoleMap, NoiseChannel, apply
 from onewaysim.correlations import (
     _bloch_decomposition,
+    _l1_coherence,
     _measured_entropy,
     bell_diagonal_correlations,
     classical_correlation,
@@ -243,7 +244,43 @@ class TestBellDiagonalClosedForm:
         assert q >= 0
 
 
+def rz(a):
+    return np.diag([np.exp(-0.5j * a), np.exp(0.5j * a)])
+
+
+def ry(b):
+    return np.array([[math.cos(b / 2), -math.sin(b / 2)], [math.sin(b / 2), math.cos(b / 2)]])
+
+
+def random_local_unitary(rng, n):
+    return kron_all([np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0] for _ in range(n)])
+
+
+def activated_doubled_negativity(rotated):
+    """-2 times the negative eigenvalues of sum_ij rho'_ij |i i><j j| with
+    the ancillas (second factor) transposed."""
+    d = len(rotated)
+    full = np.zeros((d * d, d * d), dtype=complex)
+    diag = np.arange(d) * (d + 1)
+    full[np.ix_(diag, diag)] = rotated
+    pt = full.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
+    w = np.linalg.eigvalsh(pt)
+    return -2.0 * w[w < 0.0].sum()
+
+
 class TestMep:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_l1_coherence_is_activated_negativity(self, n):
+        # The reference also applies an outer Rz per qubit, which must not
+        # change the result.
+        rng = np.random.default_rng(10 + n)
+        for _ in range(4):
+            rho = random_density(rng, n).entries
+            a, b, c = rng.uniform(0.0, 2 * math.pi, size=(3, n))
+            u = kron_all([rz(a[q]) @ ry(b[q]) @ rz(c[q]) for q in range(n)])
+            expect = activated_doubled_negativity(u @ rho @ u.conj().T)
+            assert abs(_l1_coherence(rho, np.concatenate((b, c))) - expect) < 1e-12
+
     def test_classical_state_zero(self):
         rho = DensityMatrix(np.diag([0.2, 0.3, 0.1, 0.4]).astype(complex))
         assert mep(rho, starts=8) < 1e-6
@@ -265,9 +302,24 @@ class TestMep:
         val = mep(noisy_g2("w", gamma, t), starts=32)
         assert abs(val - (1 - p)) < 1e-4
 
+    @pytest.mark.parametrize("kind, rate", [("pf", 2.0), ("w", 4.0)])
+    def test_three_qubit_g2_with_idle_qubit(self, kind, rate):
+        # A |0> qubit beside the noisy pair adds no coherence to activate.
+        gamma, t = 1.0, 0.3
+        rho = tensor(noisy_g2(kind, gamma, t), PureState.computational([0]).density())
+        assert abs(mep(rho) - math.exp(-rate * gamma * t)) < 1e-4
+
+    def test_three_qubit_local_unitary_invariance(self):
+        rng = np.random.default_rng(12)
+        rho = random_density(rng, 3)
+        u = random_local_unitary(rng, 3)
+        rotated = DensityMatrix(u @ rho.entries @ u.conj().T)
+        assert abs(mep(rotated) - mep(rho)) < 1e-4
+
     def test_full_result(self):
         res = mep(bell(), starts=8, full=True)
         assert res.n_starts == 8
+        assert res.converged
         assert 0.0 <= res.value <= 1.0 + 1e-9
 
     def test_rejects_no_starts(self):

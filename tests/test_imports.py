@@ -1,6 +1,12 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, the
+package metadata names exactly the third-party packages it imports, and
+importing it loads no scipy."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,3 +31,27 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_dependencies_name_the_imported_packages():
+    """``pyproject.toml`` lists exactly the third-party packages that the
+    package imports."""
+    tomllib = pytest.importorskip("tomllib")
+    meta = tomllib.loads((PACKAGE.parent.parent / "pyproject.toml").read_text())
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in meta["project"]["dependencies"]}
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert declared == imported - set(sys.stdlib_module_names)
+
+
+def test_no_module_loads_scipy():
+    modules = [f"onewaysim.{path.stem}" for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
+    code = f"import sys; import {', '.join(modules)}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
