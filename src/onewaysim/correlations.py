@@ -146,7 +146,9 @@ def _nelder_mead(objective, k: int, count: int) -> tuple[np.ndarray, np.ndarray]
     ``objective`` maps angles of shape (k, ...) to values of shape (...).
     Returns each start's least value and whether it stopped in time.
 
-    One call per iteration evaluates the four moves of every worst vertex.
+    One call per iteration evaluates the four moves of the worst vertex of
+    every start still running; the shrink and restart calls, too, evaluate
+    only the starts that take them.
     A collapsed simplex restarts around its best vertex, because simplices
     collapse onto the kinks of a nonsmooth objective short of its minimum.
     """
@@ -174,8 +176,11 @@ def _nelder_mead(objective, k: int, count: int) -> tuple[np.ndarray, np.ndarray]
             simplex[restart] = simplex[restart, :1] + first
             values[restart] = objective(simplex[restart].transpose(2, 0, 1))
             continue
-        centroid = simplex[:, :-1].mean(axis=1)
-        moves = centroid[:, None] + (centroid - simplex[:, -1])[:, None] * _MOVES[:, None]
+        # Stopped starts keep their simplex, so only the live ones move.
+        live = np.flatnonzero(active)
+        best, second, worst = best[live], second[live], worst[live]
+        centroid = simplex[live, :-1].mean(axis=1)
+        moves = centroid[:, None] + (centroid - simplex[live, -1])[:, None] * _MOVES[:, None]
         tried = objective(moves.transpose(2, 0, 1))
         reflect, expand, outside, inside = tried.T
         # Expand (1) past a reflection (0) that beats the best vertex, reflect
@@ -185,10 +190,10 @@ def _nelder_mead(objective, k: int, count: int) -> tuple[np.ndarray, np.ndarray]
             (reflect < best) & (expand < reflect),
             np.where(reflect < worst, np.where(outside <= reflect, 2, -1), np.where(inside < worst, 3, -1)),
         )
-        move = active & (pick >= 0)
-        simplex[move, -1], values[move, -1] = moves[move, pick[move]], tried[move, pick[move]]
-        shrink = active & (pick < 0)
-        if shrink.any():
+        move = pick >= 0
+        simplex[live[move], -1], values[live[move], -1] = moves[move, pick[move]], tried[move, pick[move]]
+        shrink = live[~move]
+        if shrink.size:
             simplex[shrink] = (simplex[shrink, :1] + simplex[shrink]) / 2
             values[shrink] = objective(simplex[shrink].transpose(2, 0, 1))
     return values.min(axis=1), ~active

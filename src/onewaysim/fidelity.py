@@ -33,6 +33,15 @@ real matrix on the codes of the records' noiseless projectors, cached per
 tuple of output channels.  See Danos, Kashefi and Panangaden, "The
 measurement calculus", arXiv:0704.1263.
 
+A sweep over the exposure time t changes only the noise, so a report has
+two halves.  The resource half (the branches, the codes of their
+projectors |psi_{s,k}><psi_{s,k}| and their norms) stays on the pattern's
+plan, in the workspace of the report, keyed by the identity of the
+resource's read-only amplitude array; the plan holds that array only
+weakly.  A later report on the same array runs only the noise half: the
+flip stage, the answer map and the sums.  A report on another resource
+recomputes the resource half into the same workspace.
+
 The brute-force simulator in ``oracle`` is the independent ground truth
 for everything here.
 """
@@ -41,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -48,7 +58,7 @@ import numpy as np
 
 from .channels import FixedPoleMap, NoiseChannel, mixing_probabilities, superoperator
 from .linalg import MAX_PURE_QUBITS, _frozen, kron_all
-from .pattern import MeasurementPattern, frame_branches
+from .pattern import MeasurementPattern, _resource_vector, frame_branches
 
 MAX_ADAPTIVE_MEASURED = 10
 # A resource holds at most MAX_PURE_QUBITS qubits, so no pattern measures more.
@@ -140,6 +150,56 @@ def _answer_code_map(channels: tuple) -> np.ndarray:
     return _frozen((joint.real + joint.imag.transpose(1, 0, 2)).reshape(d * d, d * d))
 
 
+def _workspace(shape: tuple[int, ...]) -> np.ndarray:
+    """A plan's report workspace, allocated once for the life of the plan.
+
+    A block of the same size is allocated and freed first.  Freeing a large
+    block raises glibc's dynamic mmap and trim thresholds above its size, as
+    every report did when each report freed its own workspace; without that,
+    the branch temporaries of a report come from fresh pages, or from a heap
+    trimmed between reports, and fault the pages in again each time (57 to
+    340 minor faults per operation of a CNOT15 sweep in a fresh process,
+    against none).  Other allocators pay one extra allocation per plan.
+    """
+    np.empty(shape)
+    return np.empty(shape)
+
+
+def _frame_codes(pat: MeasurementPattern, resource, memo: tuple | None) -> tuple:
+    """The resource half of a report: (a weak reference to the resource's
+    amplitude array, the report's workspace, norm2, own).  Slab 0 of the
+    (3, frames d^2, 2^M) workspace holds code[f, :, k], the code of
+    |psi_fk><psi_fk|, norm2[r] = |psi_r|^2 for record r's own branch, and
+    ``own[r]`` is the flat (frame, record) entry of that branch.  ``memo``,
+    the plan's last result, is returned as it is when it was made from the
+    same array, and otherwise lends its workspace.
+
+    A report allocates one large array, not one per stage, since fresh large
+    arrays cost page faults; for the same reason a miss overwrites the
+    memo's workspace rather than freeing it.
+    """
+    amp, _ = _resource_vector(resource)
+    if memo is not None and memo[0]() is amp:
+        return memo
+    frame_of, psi = frame_branches(resource, pat)
+    n_frames, n_records, d = psi.shape
+    # Records last, so that every loop below runs over them.
+    psi = psi.transpose(0, 2, 1)
+    work = _workspace((3, n_frames * d * d, n_records)) if memo is None else memo[1]
+    code = work[0].reshape(n_frames, d * d, n_records)
+    # Viewed as complex, the two other slabs first hold |psi_fk><psi_fk|, one
+    # product per entry: a broadcast product over a short record axis frees
+    # numpy's iterator buffers, after which each report faults pages in again.
+    outer = work[1:].reshape(-1).view(complex).reshape(n_frames, d, d, n_records)
+    conj = psi.conj()
+    for i, j in itertools.product(range(d), repeat=2):
+        np.multiply(psi[:, i], conj[:, j], out=outer[:, i, j])
+    np.add(outer.real, outer.imag, out=code.reshape(outer.shape))
+    own = frame_of * n_records + np.arange(n_records)
+    norm2 = code[:, :: d + 1].sum(axis=1).take(own)
+    return weakref.ref(amp), work, norm2, own
+
+
 def _record_frame_report(
     pat: MeasurementPattern,
     resource,
@@ -160,48 +220,38 @@ def _record_frame_report(
         stray = sorted(set(chans or ()) - set(allowed))
         if stray:
             raise ValueError(f"{name} names qubits {stray}, which are not {kind} qubits {sorted(allowed)}")
-    frame_of, psi = frame_branches(resource, pat)
-    n_frames, n_records, d = psi.shape
-    # Records last, so that every loop below runs over them.
-    psi = psi.transpose(0, 2, 1)
-    # One workspace holds code[f, :, k], the code of |psi_fk><psi_fk|, and two
-    # halves that the flip blocks alternate between: a report allocates one
-    # large array, not one per block, since fresh large arrays cost page
-    # faults.  Viewed as complex, the halves first hold |psi_fk><psi_fk|, one
-    # product per entry: a broadcast product over a short record axis frees
-    # numpy's iterator buffers, after which each report faults pages in again.
-    rows = n_frames * d * d
-    work = np.empty((3, rows, n_records))
-    code = work[0]
-    outer = work[1:].reshape(-1).view(complex).reshape(n_frames, d, d, n_records)
-    conj = psi.conj()
-    for i, j in itertools.product(range(d), repeat=2):
-        np.multiply(psi[:, i], conj[:, j], out=outer[:, i, j])
-    np.add(outer.real, outer.imag, out=code.reshape(outer.shape))
+    reads = [np.array([[1.0 - p0, p1], [p0, 1.0 - p1]]) for p0, p1 in _flip_table(pat, measured_channels)]
+    r_map = _answer_code_map(tuple(map((answer_channels or {}).get, pat.outputs)))
+    # The memo leaves the plan until the workspace is read for the last time
+    # (a dict pop is atomic), so two threads that share the pattern never
+    # share a workspace; a report that raises before then drops it.
+    plan = pat.plan
+    memo = _frame_codes(pat, resource, plan._memo.pop("codes", None))
+    _, work, norm2, own = memo
+    rows, n_records = work.shape[1:]
+    d = 2 ** len(pat.outputs)
     # rho[f, :, r] = sum_k W[r, k] code[f, :, k], W the product of P(read r_i |
     # prepared k_i), by the shuffle of ``frame_branches``: each block of
     # measured positions joins its read matrices into one factor and is one
     # matmul that contracts the leading record bits and appends them last.
-    reads = [np.array([[1.0 - p0, p1], [p0, 1.0 - p1]]) for p0, p1 in _flip_table(pat, measured_channels)]
-    rho = code
-    for i, block in enumerate(pat.plan.blocks):
+    # The blocks alternate between slabs 1 and 2 and leave slab 0 as it is.
+    rho = work[0]
+    for i, block in enumerate(plan.blocks):
         read = kron_all([reads[pos] for pos in block])
         out = work[1 + i % 2]
         np.matmul(rho.reshape(rows, len(read), -1).transpose(0, 2, 1), read.T, out=out.reshape(rows, -1, len(read)))
         rho = out
-    shape = (n_frames, d * d, n_records)
-    code, rho, spare = code.reshape(shape), rho.reshape(shape), work[1 + len(pat.plan.blocks) % 2].reshape(shape)
+    shape = (-1, d * d, n_records)
+    code, rho, spare = work[0].reshape(shape), rho.reshape(shape), work[1 + len(plan.blocks) % 2].reshape(shape)
 
     # Every sum runs over all (frame, record) pairs; record r then takes the
     # flat entry ``own[r]`` of its own frame, where ``code`` holds
     # |psi_r><psi_r| unnormalized.
-    own = frame_of * n_records + np.arange(n_records)
-    norm2 = code[:, :: d + 1].sum(axis=1).take(own)
     z_raw = rho[:, :: d + 1].sum(axis=1).take(own)
-    reachable = (z_raw > _UNREACHABLE) & (norm2 > 1e-20)
     # F(r) = tr(rho_r sum_j K_j^dagger |psi_r><psi_r| K_j) / (|psi_r|^2 Z(r)).
-    r_map = _answer_code_map(tuple(map((answer_channels or {}).get, pat.outputs)))
     overlap = np.einsum("fir,fir->fr", code, np.matmul(r_map, rho, out=spare)).take(own)
+    plan._memo["codes"] = memo
+    reachable = (z_raw > _UNREACHABLE) & (norm2 > 1e-20)
     f = np.full(n_records, np.nan)
     np.divide(overlap, norm2 * z_raw, out=f, where=reachable)
 

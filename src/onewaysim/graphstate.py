@@ -83,14 +83,14 @@ def resource_state(graph: Graph, inputs: Mapping[int, PureState] | None = None) 
             raise ValueError(f"input on vertex {v} must be a single qubit")
         factor = PLUS if s is None else s.amplitudes
         # Vertex v becomes the new low-order bit; each half is one long loop.
-        grown = np.empty((amp.size, 2), dtype=complex)
+        grown = np.empty(2 * amp.size, dtype=complex)
         for bit in (0, 1):
-            np.multiply(amp, factor[bit], out=grown[:, bit])
-        amp = grown.reshape(-1)
+            np.multiply(amp, factor[bit], out=grown[bit::2])
+        amp = grown
     # Multiplying by -1.0 flips the sign bit, exactly as negation does.
     floats = amp.view(float)
     np.multiply(floats, graph.cz_signs, out=floats)
-    return PureState(amp)
+    return PureState._adopt(amp)
 
 
 @dataclass(frozen=True)

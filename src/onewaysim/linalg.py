@@ -53,7 +53,19 @@ class PureState:
     n: int = field(init=False)
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
+        # A copy, so that no caller can write to a state's amplitudes: the
+        # fidelity engine keys its reuse on their identity.
+        self._own(np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy())
+
+    @classmethod
+    def _adopt(cls, amp: np.ndarray) -> "PureState":
+        """The state of ``amp``, a fresh complex vector that no one else
+        holds, checked and frozen in place rather than copied."""
+        state = cls.__new__(cls)
+        state._own(amp)
+        return state
+
+    def _own(self, amp: np.ndarray) -> None:
         n = _n_qubits(amp.size, "state vector", MAX_PURE_QUBITS)
         norm = float(np.linalg.norm(amp))
         if abs(norm - 1.0) > ATOL:

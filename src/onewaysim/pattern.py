@@ -177,10 +177,17 @@ class PatternPlan:
     """The work fixed by a pattern alone, shared by every call that runs it:
     each piece is built on first use, so a pattern made for one call pays
     only for what that call reads, and then kept read-only for the life of
-    the pattern.  Records are indexed as in ``outcome_tuple``."""
+    the pattern.  Records are indexed as in ``outcome_tuple``.
+
+    One piece is mutable: ``_memo`` keeps the resource half of the last
+    fidelity report (``fidelity._frame_codes``), keyed by the identity of
+    the resource's read-only amplitude array.  It holds that array only
+    through a weak reference, so the plan never keeps a resource alive, and
+    a report takes it off the plan while it runs."""
 
     def __init__(self, pat: MeasurementPattern):
         self._pat = pat
+        self._memo: dict[str, tuple] = {}
 
     @functools.cached_property
     def outputs(self) -> tuple[int, ...]:

@@ -1,12 +1,22 @@
 import dataclasses
 import functools
+import gc
 import itertools
 import math
 import re
+import threading
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+try:
+    from resource import RUSAGE_SELF, getrusage
+except ImportError:  # not on every platform
+    getrusage = None
+
+from onewaysim import fidelity
 
 from onewaysim.channels import FixedPoleMap, NoiseChannel, kraus, mixing_probabilities
 from onewaysim.fidelity import FidelityReport, _answer_code_map, fidelity_adaptive, fidelity_nonadaptive
@@ -596,22 +606,135 @@ def report_case(name, rng):
     return rsp_pattern(rng.uniform(0.0, 2 * math.pi)), g2()
 
 
+def report(pat, resource, chans):
+    engine = fidelity_nonadaptive if pat.is_nonadaptive() else fidelity_adaptive
+    return engine(pat, resource, {q: chans[q] for q in pat.measured}, {q: chans[q] for q in pat.outputs})
+
+
+def assert_same_bytes(a, b):
+    assert a.z.tobytes() == b.z.tobytes()
+    assert a.f.tobytes() == b.f.tobytes()
+    assert a.average == b.average
+
+
+def no_branches(*_):
+    raise AssertionError("a report on a memoized resource contracted its branches")
+
+
 class TestPlanReports:
+    """What a pattern alone fixes is built once on its plan, and the resource
+    half of a report stays there, keyed by the identity of the resource's
+    amplitude array."""
+
     @pytest.mark.parametrize("name", ["chain", "cnot15", "rsp"])
-    def test_fresh_plan_gives_the_warm_report(self, name):
+    def test_fresh_plan_gives_the_warm_report(self, name, monkeypatch):
+        # The warm report, at other noise, reuses the branches of the first.
         rng = np.random.default_rng(50)
         pat, resource = report_case(name, rng)
-        chans = {q: random_cp_channel(rng) for q in range(pat.n_qubits)}
-        engine = fidelity_nonadaptive if pat.is_nonadaptive() else fidelity_adaptive
-        args = (resource, {q: chans[q] for q in pat.measured}, {q: chans[q] for q in pat.outputs})
-        engine(pat, *args)  # builds the plan
-        warm = engine(pat, *args)
+        first, second = ({q: random_cp_channel(rng) for q in range(pat.n_qubits)} for _ in range(2))
+        report(pat, resource, first)  # builds the plan
+        with monkeypatch.context() as m:
+            m.setattr(fidelity, "frame_branches", no_branches)
+            warm = report(pat, resource, second)
         fresh_pat = dataclasses.replace(pat)
-        fresh = engine(fresh_pat, *args)
+        fresh = report(fresh_pat, resource, second)
         assert fresh_pat.plan is not pat.plan
-        np.testing.assert_array_equal(fresh.z, warm.z)
-        np.testing.assert_array_equal(fresh.f, warm.f)
-        assert fresh.average == warm.average
+        assert_same_bytes(fresh, warm)
+
+    def test_alternating_resources_keep_their_own_reports(self):
+        rng = np.random.default_rng(52)
+        pat, one = report_case("chain", rng)
+        _, other = report_case("chain", rng)
+        chans = {q: random_cp_channel(rng) for q in range(pat.n_qubits)}
+        expected = {id(r): report(dataclasses.replace(pat), r, chans) for r in (one, other)}
+        report(pat, one, chans)
+        work = pat.plan._memo["codes"][1]
+        for r in (other, one, other, other, one):
+            assert_same_bytes(report(pat, r, chans), expected[id(r)])
+            assert pat.plan._memo["codes"][1] is work  # a miss overwrites the workspace it holds
+
+    def test_plan_does_not_pin_the_resource(self):
+        rng = np.random.default_rng(53)
+        pat, resource = report_case("cnot15", rng)
+        chans = {q: random_cp_channel(rng) for q in range(pat.n_qubits)}
+        report(pat, resource, chans)
+        gone = weakref.ref(resource.amplitudes)
+        del resource
+        gc.collect()
+        assert gone() is None
+        _, fresh_resource = report_case("cnot15", rng)
+        assert_same_bytes(report(pat, fresh_resource, chans), report(dataclasses.replace(pat), fresh_resource, chans))
+
+    def test_threads_sharing_a_pattern(self):
+        # CNOT15 reports are long enough, and spend enough time in numpy
+        # without the GIL, that a workspace shared by both threads would show.
+        rng = np.random.default_rng(54)
+        pat, one = report_case("cnot15", rng)
+        _, other = report_case("cnot15", rng)
+        sweep = [{q: random_cp_channel(rng) for q in range(pat.n_qubits)} for _ in range(3)]
+        resources = (one, other)
+        expected = [[report(dataclasses.replace(pat), r, c) for c in sweep] for r in resources]
+        start = threading.Barrier(2)
+        results: dict[int, list] = {}
+
+        def run(first):
+            start.wait()
+            out = []
+            for i in range(12):
+                which = (first + i) % 2
+                out.append((which, i % 3, report(pat, resources[which], sweep[i % 3])))
+            results[first] = out
+
+        threads = [threading.Thread(target=run, args=(first,)) for first in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert sorted(results) == [0, 1]
+        for out in results.values():
+            for which, point, rep in out:
+                assert_same_bytes(rep, expected[which][point])
+
+    def test_graph_state_and_its_pure_state(self, monkeypatch):
+        rng = np.random.default_rng(55)
+        pat, _ = report_case("chain", rng)
+        graph = Graph.path(pat.n_qubits)
+        gs = build_graph_state(graph)
+        chans = {q: random_cp_channel(rng) for q in range(pat.n_qubits)}
+        expected = report(dataclasses.replace(pat), gs.state, chans)
+        assert_same_bytes(report(pat, gs, chans), expected)
+        with monkeypatch.context() as m:
+            m.setattr(fidelity, "frame_branches", no_branches)
+            assert_same_bytes(report(pat, gs.state, chans), expected)
+            assert_same_bytes(report(pat, gs, chans), expected)
+
+
+@pytest.mark.skipif(getrusage is None, reason="the resource module is missing")
+def test_warm_reports_fault_in_no_pages():
+    """Warm reports of a t sweep, on a fresh CNOT15 resource each time or on
+    one chain resource throughout, reuse the plan's workspace and heap
+    memory, so they fault in no fresh pages; the regressions seen read
+    1,000 or more minor faults per report."""
+    rng = np.random.default_rng(56)
+    cnot, graph = cnot15_pattern(), Graph.from_edges(15, CNOT15_EDGES)
+    chain, chain_resource = report_case("chain", rng)
+    times = np.linspace(0.05, 0.6, 20)
+
+    def cnot_report(t):
+        inputs = {0: random_state(rng), 8: random_state(rng)}
+        report(cnot, resource_state(graph, inputs), {q: NoiseChannel.white(0.25, t) for q in range(15)})
+
+    def chain_report(t):
+        report(chain, chain_resource, {q: NoiseChannel(B=0.8, C=0.9, S=0.7, t=t) for q in range(chain.n_qubits)})
+
+    for one in (cnot_report, chain_report):
+        for t in times[:3]:
+            one(t)
+        before = getrusage(RUSAGE_SELF).ru_minflt
+        for t in times:
+            one(t)
+        per_report = (getrusage(RUSAGE_SELF).ru_minflt - before) / len(times)
+        assert per_report < 50, f"{one.__name__}: {per_report} minor faults per report"
 
 
 class TestFlipStage:
