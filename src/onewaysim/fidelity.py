@@ -17,10 +17,10 @@ Projecting the resource onto the frame's bases gives a branch vector
 psi_{s,k} for every prepared record k, and
 
     Z(r) = sum_k W[r,k] |psi_{s(r),k}|^2,
-    F(r) = sum_k W[r,k] sum_j |<A_r| K_j psi_{s(r),k}>|^2 / Z(r),
+    F(r) = sum_k W[r,k] <A_r| N(|psi_{s(r),k}><psi_{s(r),k}|) |A_r> / Z(r),
 
-with W[r,k] = prod_i P(r_i | k_i), K_j the Kraus operators of the answer
-noise, and A_r the normalized noiseless branch psi_{s(r),r}.  What the
+with W[r,k] = prod_i P(r_i | k_i), N the answer noise on the outputs, and
+A_r the normalized noiseless branch psi_{s(r),r}.  What the
 pattern alone fixes runs once per pattern (``MeasurementPattern.plan``).
 Both W and the bras of a frame are tensor products of 2x2 matrices, and
 both are applied in blocks of b <= ``pattern.BLOCK`` measured positions,
@@ -29,8 +29,9 @@ matmul over all frames at once.  A frame then costs O(2^B M 2^n / B) for
 the branches and O(2^B M 2^M d^2 / B) for W, B = ``pattern.BLOCK``, in
 ceil(M/B) steps, so a non-adaptive pattern (one frame) costs that, and an
 adaptive one that times its number of frames.  The answer noise is one
-real matrix on the codes of the records' noiseless projectors, cached per
-tuple of output channels.  See Danos, Kashefi and Panangaden, "The
+real matrix on the codes of the records' noiseless projectors, the
+Kronecker product of the outputs' superoperators, cached per tuple of
+output channels.  See Danos, Kashefi and Panangaden, "The
 measurement calculus", arXiv:0704.1263.
 
 A sweep over the exposure time t changes only the noise, so a report has
@@ -56,11 +57,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channels import FixedPoleMap, NoiseChannel, mixing_probabilities, superoperator
+from .channels import NoiseChannel, mixing_probabilities, superoperator
 from .linalg import MAX_PURE_QUBITS, _frozen, kron_all
 from .pattern import MeasurementPattern, _resource_vector, frame_branches
 
-MAX_ADAPTIVE_MEASURED = 10
+# A report's (3, frames d^2, 2^M) workspace stays on the pattern's plan for
+# the life of the pattern; a report that needs more is refused.
+MAX_WORKSPACE_BYTES = 64 * 2**20
 # A resource holds at most MAX_PURE_QUBITS qubits, so no pattern measures more.
 MAX_NA_MEASURED = MAX_PURE_QUBITS
 _UNREACHABLE = 1e-12
@@ -115,39 +118,23 @@ class FidelityReport:
 # -- the record-frame engine ----------------------------------------------------
 
 
-def _flip_table(pat: MeasurementPattern, measured_channels: Mapping[int, NoiseChannel] | None) -> np.ndarray:
-    """(M, 2) swap probabilities indexed by (position, prepared bit)."""
-    measured_channels = measured_channels or {}
-    table = np.zeros((pat.n_measured, 2))
-    for pos, q in enumerate(pat.measured):
-        ch = measured_channels.get(q)
-        if isinstance(ch, FixedPoleMap):
-            raise TypeError(
-                f"channel on measured qubit {q} must be a NoiseChannel; fixed-pole maps have no diagonal mixing rule"
-            )
-        if ch is not None:
-            table[pos] = mixing_probabilities(ch).flip_probs(pat.alphas[pos])
-    return table
-
-
 @functools.lru_cache(maxsize=256)
 def _answer_code_map(channels: tuple) -> np.ndarray:
-    """The real matrix R with code(sum_j K_j^dagger X K_j) = code(X) @ R for
-    Hermitian X on the outputs, K_j the joint Kraus operators of the answer
-    noise, from each output's channel (None for none), ascending.  With
-    S = sum_j K_j (x) K_j^* on one qubit's (row bit, column bit), the
-    row-major vec(sum_j K_j^dagger X K_j) is vec(X) @ conj(S)."""
+    """The real matrix R with code(N^dagger(X)) = code(X) @ R for Hermitian
+    X on the outputs, N^dagger the adjoint of the answer noise, from each
+    output's channel (None for none), ascending.  With S the superoperator
+    of one qubit's channel on its (row bit, column bit), the row-major
+    vec(N^dagger(X)) is vec(X) @ S over the joint S of all outputs.  S is
+    real, so it maps the real and the imaginary part of vec(X) each on its
+    own, and their sum code(X) as it is: R is the joint S."""
     k, d = len(channels), 2 ** len(channels)
     joint = np.ones(())
     for ch in channels:
-        s = np.eye(4) if ch is None else superoperator(ch).conj()
+        s = np.eye(4) if ch is None else superoperator(ch)
         joint = np.multiply.outer(joint, s.reshape(2, 2, 2, 2))
     # Axes (row, column, row', column') of each qubit to all rows, columns,
     # rows' and columns'.
-    joint = joint.transpose([4 * i + a for a in range(4) for i in range(k)]).reshape(d, d, d * d)
-    # vec(X) = (c + c^T) / 2 + i (c - c^T) / 2 for c = code(X), so Re + Im
-    # of vec(X) @ J is c @ (Re J + Im J with its row pairs (a, b) swapped).
-    return _frozen((joint.real + joint.imag.transpose(1, 0, 2)).reshape(d * d, d * d))
+    return _frozen(joint.transpose([4 * i + a for a in range(4) for i in range(k)]).reshape(d * d, d * d))
 
 
 def _workspace(shape: tuple[int, ...]) -> np.ndarray:
@@ -220,12 +207,26 @@ def _record_frame_report(
         stray = sorted(set(chans or ()) - set(allowed))
         if stray:
             raise ValueError(f"{name} names qubits {stray}, which are not {kind} qubits {sorted(allowed)}")
-    reads = [np.array([[1.0 - p0, p1], [p0, 1.0 - p1]]) for p0, p1 in _flip_table(pat, measured_channels)]
+    plan, k, m = pat.plan, len(pat.outputs), pat.n_measured
+    # Bytes of one frame's workspace; the frames, read off the adaptation
+    # bits of all 2^M records, are counted only when one frame fits.
+    size = 3 * 8 * 4**k * 2**m
+    size *= len(plan.frames[0]) if size <= MAX_WORKSPACE_BYTES else 1
+    if size > MAX_WORKSPACE_BYTES:
+        raise ValueError(
+            f"a report on {m} measured qubits and {k} outputs needs at least {size / 2**20:.1f} MiB "
+            f"of workspace; the limit is {MAX_WORKSPACE_BYTES >> 20} MiB"
+        )
+    # P(read r_i | prepared k_i) at each measured position, as [r_i, k_i].
+    measured_channels = measured_channels or {}
+    reads = []
+    for q, alpha in zip(pat.measured, pat.alphas):
+        p0, p1 = mixing_probabilities(measured_channels[q], alpha) if q in measured_channels else (0.0, 0.0)
+        reads.append(np.array([[1.0 - p0, p1], [p0, 1.0 - p1]]))
     r_map = _answer_code_map(tuple(map((answer_channels or {}).get, pat.outputs)))
     # The memo leaves the plan until the workspace is read for the last time
     # (a dict pop is atomic), so two threads that share the pattern never
     # share a workspace; a report that raises before then drops it.
-    plan = pat.plan
     memo = _frame_codes(pat, resource, plan._memo.pop("codes", None))
     _, work, norm2, own = memo
     rows, n_records = work.shape[1:]
@@ -274,11 +275,11 @@ def fidelity_adaptive(
     ``answer_channels`` only outputs; any other key raises ValueError.
     Record probabilities are renormalized; the factor must already be 1 to
     1e-6.  Records below 1e-12 probability are flagged unreachable.
+
+    A report's workspace of 3 frames d^2 2^M floats, d = 2^outputs, stays
+    on the pattern's plan; one over ``MAX_WORKSPACE_BYTES`` (64 MiB) raises
+    ValueError with its size.  A 10-step chain needs 48 MiB, 11 steps 192.
     """
-    if pat.n_measured > MAX_ADAPTIVE_MEASURED:
-        raise ValueError(
-            f"adaptive engine refuses {pat.n_measured} measured qubits; the limit is {MAX_ADAPTIVE_MEASURED}"
-        )
     return _record_frame_report(pat, resource, measured_channels, answer_channels)
 
 

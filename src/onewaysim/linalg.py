@@ -45,9 +45,9 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized state vector over ``n`` qubits."""
+    """Normalized state vector over ``n`` qubits, equal only to itself."""
 
     amplitudes: np.ndarray
     n: int = field(init=False)
@@ -113,9 +113,10 @@ def check_density_matrices(mats: np.ndarray) -> None:
         raise ValueError(f"density matrix has negative eigenvalue {lowest!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix over ``n`` qubits."""
+    """Hermitian, unit-trace, positive-semidefinite matrix over ``n`` qubits,
+    equal only to itself."""
 
     entries: np.ndarray
     n: int = field(init=False)

@@ -5,18 +5,63 @@ import numpy as np
 import pytest
 
 from onewaysim.channels import (
-    FixedPoleMap,
     InvalidMapError,
     NoiseChannel,
     apply,
-    choi_matrix,
     choi_min_eigenvalue,
-    kraus,
     lambdas,
     mixing_probabilities,
+    superoperator,
 )
+from onewaysim.fidelity import _answer_code_map
 from onewaysim.linalg import DensityMatrix, PAULIS, PLUS, MINUS, PureState
 from onewaysim.pattern import basis_raw
+
+
+# -- the independent reference: the map as Pauli sandwiches from ``lambdas``,
+# its Choi matrix and Kraus operators from that matrix's eigenvectors.
+
+
+def pauli_sandwich(ch, mat):
+    """The map on any 2x2 matrix: sum_i l_i s_i mat s_i plus the shift
+    mu (s_3 mat + mat s_3 - i s_1 mat s_2 + i s_2 mat s_1)."""
+    l0, l1, l2, l3, mu = lambdas(ch)
+    s0, s1, s2, s3 = PAULIS
+    out = l0 * mat + l1 * (s1 @ mat @ s1) + l2 * (s2 @ mat @ s2) + l3 * (s3 @ mat @ s3)
+    return out + mu * (s3 @ mat + mat @ s3 - 1j * (s1 @ mat @ s2) + 1j * (s2 @ mat @ s1))
+
+
+def matrix_unit(i, j):
+    e = np.zeros((2, 2), dtype=complex)
+    e[i, j] = 1.0
+    return e
+
+
+def choi_matrix(ch):
+    """Unnormalized Choi matrix sum_{ij} |i><j| (x) Lambda(|i><j|)."""
+    c = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            c[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = pauli_sandwich(ch, matrix_unit(i, j))
+    return c
+
+
+def kraus(ch):
+    """Operator-sum form from the Choi matrix; eigenvalues at or below 0
+    are dropped as numerical noise of a CP map."""
+    w, v = np.linalg.eigh(choi_matrix(ch))
+    return [np.sqrt(wk) * vk.reshape(2, 2).T for wk, vk in zip(w, v.T) if wk > 0.0]
+
+
+def boundary_draws(count=2000):
+    """Parameters on both sides of the CP boundary C = B/2, with t = 0 and
+    t = inf among them."""
+    rng = np.random.default_rng(8)
+    for i in range(count):
+        b = rng.uniform(0.0, 3.0)
+        yield SimpleNamespace(
+            B=b, C=rng.uniform(0.0, 3.0), S=rng.uniform(), t=(0.0, math.inf, rng.uniform(0.0, 3.0))[i % 3]
+        )
 
 
 def random_cp_channel(rng):
@@ -116,22 +161,22 @@ class TestApply:
 class TestMixingProbabilities:
     def test_phase_flip(self):
         gamma, t = 0.9, 0.4
-        mp = mixing_probabilities(NoiseChannel.phase_flip(gamma, t))
+        ch = NoiseChannel.phase_flip(gamma, t)
         p_pf = 1 - math.exp(-2 * gamma * t)
-        assert abs(mp.p_xy - p_pf / 2) < 1e-15
-        assert mp.p_z == (0.0, 0.0)
+        assert np.max(np.abs(np.subtract(mixing_probabilities(ch, math.pi / 2), p_pf / 2))) < 1e-15
+        assert mixing_probabilities(ch, 0.0) == (0.0, 0.0)
 
     def test_white(self):
         gamma, t = 0.9, 0.4
-        mp = mixing_probabilities(NoiseChannel.white(gamma, t))
+        ch = NoiseChannel.white(gamma, t)
         p_w = 1 - math.exp(-4 * gamma * t)
-        assert abs(mp.p_xy - p_w / 2) < 1e-15
-        assert abs(mp.p_z[0] - p_w / 2) < 1e-15
-        assert abs(mp.p_z[1] - p_w / 2) < 1e-15
+        for alpha in (math.pi / 2, 0.0):
+            assert np.max(np.abs(np.subtract(mixing_probabilities(ch, alpha), p_w / 2))) < 1e-15
 
     def test_t0_all_zero(self):
-        mp = mixing_probabilities(NoiseChannel.identity())
-        assert mp.p_xy == 0.0 and mp.p_z == (0.0, 0.0)
+        ch = NoiseChannel.identity()
+        assert mixing_probabilities(ch, math.pi / 2) == (0.0, 0.0)
+        assert mixing_probabilities(ch, 0.0) == (0.0, 0.0)
 
     def test_diagonal_weights_match_direct_evolution(self):
         # The (1-p, p) weights must reproduce the evolved projector's
@@ -139,9 +184,9 @@ class TestMixingProbabilities:
         rng = np.random.default_rng(4)
         for _ in range(20):
             ch = random_cp_channel(rng)
-            mp = mixing_probabilities(ch)
             theta = rng.uniform(0, 2 * np.pi)
-            for alpha, probs in ((np.pi / 2, (mp.p_xy, mp.p_xy)), (0.0, mp.p_z)):
+            for alpha in (np.pi / 2, 0.0):
+                probs = mixing_probabilities(ch, alpha)
                 for k in (0, 1):
                     vec = basis_raw(theta, alpha, 0, k)
                     evolved = apply(ch, PureState(vec).density(), 0).entries
@@ -177,14 +222,6 @@ class TestKraus:
             direct = (1 - p / 2) * sigma + (p / 2) * (PAULIS[3] @ sigma @ PAULIS[3])
             assert np.max(np.abs(via_kraus - direct)) < 1e-10
 
-    def test_fixed_pole_action_on_paulis(self):
-        m = FixedPoleMap(p=0.3, axis=(0.0, 0.0, 1.0), phi=1.1)
-        r = m.rotation()
-        for sigma in PAULIS:
-            via_kraus = sum(k @ sigma @ k.conj().T for k in kraus(m))
-            direct = 0.7 * sigma + 0.3 * (r @ sigma @ r.conj().T)
-            assert np.max(np.abs(via_kraus - direct)) < 1e-10
-
     def test_kraus_reproduces_apply(self):
         rng = np.random.default_rng(6)
         ch = random_cp_channel(rng)
@@ -194,7 +231,7 @@ class TestKraus:
         assert np.max(np.abs(via - apply(ch, rho, 0).entries)) < 1e-10
 
     def test_apply_on_each_qubit_of_three(self):
-        # The superoperator path against the Kraus sum on the full space.
+        # The closed-form superoperator against the Kraus sum on the full space.
         rng = np.random.default_rng(9)
         ch = random_cp_channel(rng)
         rho = random_density(rng, 3)
@@ -216,17 +253,10 @@ class TestChoi:
             w = np.linalg.eigvalsh(choi_matrix(random_cp_channel(rng)))
             assert w[0] > -1e-9
 
-
     def test_closed_form_min_eigenvalue(self):
-        # Draws on both sides of the CP boundary C = B/2, with t = 0 and
-        # t = inf among them; the channel is rejected exactly when the Choi
-        # matrix has an eigenvalue below -CHOI_ATOL.
-        rng = np.random.default_rng(8)
-        for i in range(2000):
-            b = rng.uniform(0.0, 3.0)
-            params = SimpleNamespace(
-                B=b, C=rng.uniform(0.0, 3.0), S=rng.uniform(), t=(0.0, math.inf, rng.uniform(0.0, 3.0))[i % 3]
-            )
+        # The channel is rejected exactly when the Choi matrix has an
+        # eigenvalue below -CHOI_ATOL.
+        for params in boundary_draws():
             w = np.linalg.eigvalsh(choi_matrix(params))
             assert abs(choi_min_eigenvalue(params) - w[0]) < 1e-14
             if w[0] < -1e-9:
@@ -236,16 +266,30 @@ class TestChoi:
                 NoiseChannel(params.B, params.C, params.S, params.t)
 
 
-class TestProtectedBasis:
-    def test_arbitrary_axis_states_are_fixed_points(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            ax = rng.normal(size=3)
-            ax /= np.linalg.norm(ax)
-            m = FixedPoleMap(p=rng.uniform(), axis=tuple(ax), phi=rng.uniform(0.1, 3.0))
-            # The eigenvectors of n.sigma are the Bloch vectors +n and -n.
-            _, vecs = np.linalg.eigh(sum(a * s for a, s in zip(ax, PAULIS[1:])))
-            for b in vecs.T:
-                rho = PureState(b).density()
-                out = apply(m, rho, 0)
-                assert np.max(np.abs(out.entries - rho.entries)) < 1e-10
+class TestSuperoperator:
+    def test_matches_pauli_sandwich_on_matrix_units(self):
+        # The closed form needs no CP map, so the draws past the boundary
+        # go through the uncached function.
+        for params in boundary_draws():
+            sup = superoperator.__wrapped__(params)
+            assert sup.dtype == float and not sup.flags.writeable
+            for i in range(2):
+                for j in range(2):
+                    direct = pauli_sandwich(params, matrix_unit(i, j))
+                    assert np.max(np.abs(sup[:, 2 * i + j].reshape(2, 2) - direct)) < 1e-15
+
+    def test_fresh_channels_call_no_linalg(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg called")
+
+        for name in np.linalg.__all__:
+            if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, refuse)
+        with pytest.raises(AssertionError, match="np.linalg called"):
+            np.linalg.eigh(np.eye(2))
+        # Parameters no other test uses, so that both caches miss.
+        chans = (NoiseChannel(B=0.4142, C=0.8731, S=0.6271, t=0.3317), None, NoiseChannel.white(0.6173, 0.2719))
+        misses = superoperator.cache_info().misses, _answer_code_map.cache_info().misses
+        _answer_code_map(chans)
+        assert superoperator.cache_info().misses == misses[0] + 2
+        assert _answer_code_map.cache_info().misses == misses[1] + 1

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from onewaysim.channels import FixedPoleMap, NoiseChannel, apply
+from onewaysim.channels import NoiseChannel, apply
 from onewaysim.correlations import (
     _bloch_decomposition,
     _l1_coherence,
@@ -20,6 +20,12 @@ from onewaysim.correlations import (
 )
 from onewaysim.graphstate import Graph, build_graph_state
 from onewaysim.linalg import ID2, PAULIS, DensityMatrix, PureState, kron_all, tensor
+
+
+def rotation(axis, phi):
+    """exp(-i phi n.sigma / 2) about the unit vector n along ``axis``."""
+    n = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    return math.cos(phi / 2) * ID2 - 1j * math.sin(phi / 2) * sum(a * s for a, s in zip(n, PAULIS[1:]))
 
 
 def bell():
@@ -67,12 +73,7 @@ class TestConcurrence:
         rng = np.random.default_rng(1)
         rho = noisy_g2("pf", 1.0, 0.4)
         ax = rng.normal(size=3)
-        u = kron_all(
-            [
-                FixedPoleMap(1.0, tuple(ax / np.linalg.norm(ax)), 1.3).rotation(),
-                FixedPoleMap(1.0, (0, 1, 0), 0.7).rotation(),
-            ]
-        )
+        u = kron_all([rotation(ax, 1.3), rotation((0, 1, 0), 0.7)])
         rotated = DensityMatrix(u @ rho.entries @ u.conj().T)
         assert abs(concurrence(rotated) - concurrence(rho)) < 1e-8
 
@@ -92,7 +93,7 @@ class TestNegativity:
 
     def test_local_unitary_invariance(self):
         rho = noisy_g2("w", 1.0, 0.2)
-        u = kron_all([FixedPoleMap(1.0, (0, 0, 1.0), 0.9).rotation(), FixedPoleMap(1.0, (1.0, 0, 0), 2.1).rotation()])
+        u = kron_all([rotation((0, 0, 1), 0.9), rotation((1, 0, 0), 2.1)])
         rotated = DensityMatrix(u @ rho.entries @ u.conj().T)
         assert abs(negativity(rotated, {0}) - negativity(rho, {0})) < 1e-8
 

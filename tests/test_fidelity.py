@@ -18,13 +18,14 @@ except ImportError:  # not on every platform
 
 from onewaysim import fidelity
 
-from onewaysim.channels import FixedPoleMap, NoiseChannel, kraus, mixing_probabilities
+from onewaysim.channels import NoiseChannel, mixing_probabilities
 from onewaysim.fidelity import FidelityReport, _answer_code_map, fidelity_adaptive, fidelity_nonadaptive
 from onewaysim.graphstate import Graph, build_graph_state, resource_state
 from onewaysim.linalg import PureState, kron_all
 from onewaysim.oracle import simulate
 from onewaysim.pattern import BooleanExpr, ByproductSpec, MeasurementPattern, basis_raw, frame_branches, outcome_tuple
 
+from test_channels import kraus
 from test_pattern import rotation_pattern, rsp_pattern
 
 
@@ -282,8 +283,22 @@ class TestAdaptiveEngine:
 
     def test_guard(self):
         # Ten measured qubits run (test_ten_qubit_chain_phase_flip); eleven do not.
-        with pytest.raises(ValueError, match="refuses 11 measured qubits; the limit is 10"):
+        with pytest.raises(ValueError, match="needs at least 192.0 MiB of workspace; the limit is 64 MiB"):
             fidelity_adaptive(chain_pattern((0.0,) * 11), PureState.plus(12))
+
+    def test_guard_counts_outputs(self):
+        # Ten measured qubits, as in the chain that runs, but 4 outputs: the
+        # 512 frames would need a (3, 512 * 256, 1024) workspace.
+        pat = MeasurementPattern(
+            n_qubits=14,
+            measured=tuple(range(10)),
+            thetas=(0.0,) * 10,
+            alphas=(math.pi / 2,) * 10,
+            adapt=(BooleanExpr.zero(),) + tuple(BooleanExpr.of(j - 1) for j in range(1, 10)),
+        )
+        assert len(pat.plan.frames[0]) == 512
+        with pytest.raises(ValueError, match="10 measured qubits and 4 outputs needs at least 3072.0 MiB"):
+            fidelity_adaptive(pat, PureState.plus(14))
 
 
 class TestNonAdaptiveEngine:
@@ -506,9 +521,9 @@ class TestAnswerNoise:
     @pytest.mark.parametrize("n_outputs", [0, 1, 2, 3])
     def test_code_map_is_the_adjoint_channel(self, n_outputs):
         rng = np.random.default_rng(20 + n_outputs)
-        fixed_pole = FixedPoleMap(p=0.3, axis=(0.0, 0.6, 0.8), phi=1.1)
+        toward_one = NoiseChannel(B=0.5, C=1.1, S=0.15, t=0.9)
         shifted = NoiseChannel(B=0.9, C=0.6, S=0.9, t=0.7)
-        chans = [[], [fixed_pole], [random_cp_channel(rng), fixed_pole], [fixed_pole, None, shifted]][n_outputs]
+        chans = [[], [toward_one], [random_cp_channel(rng), toward_one], [toward_one, None, shifted]][n_outputs]
         r = _answer_code_map(tuple(chans))
         d = 2**n_outputs
         assert r.shape == (d * d, d * d) and r.dtype == float
@@ -521,13 +536,14 @@ class TestAnswerNoise:
             code_x = (x.real + x.imag).reshape(-1)
             assert np.max(np.abs(code_x @ r - (y.real + y.imag).reshape(-1))) < 1e-12
 
-    def test_fixed_pole_answer_channel_matches_oracle(self):
+    def test_shifted_answer_channel_matches_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(3):
             pat = rotation_pattern(*rng.uniform(0, 2 * np.pi, size=3))
             resource = resource_state(Graph.path(5), {0: random_state(rng)})
             chans = {q: NoiseChannel(B=0.4, C=0.5, S=0.8, t=rng.uniform(0.1, 0.4)) for q in range(4)}
-            chans[4] = FixedPoleMap(p=rng.uniform(0.3, 0.7), axis=(0.48, 0.6, 0.64), phi=rng.uniform(1.0, 5.0))
+            b = rng.uniform(0.6, 1.2)
+            chans[4] = NoiseChannel(B=b, C=b / 2 + rng.uniform(0.5, 1.5), S=rng.uniform(0.8, 0.95), t=rng.uniform(0.3, 0.7))
             rep = fidelity_adaptive(pat, resource, {q: chans[q] for q in range(4)}, {4: chans[4]})
             run = simulate(resource, pat, chans)
             noiseless_answer = fidelity_adaptive(pat, resource, {q: chans[q] for q in range(4)})
@@ -539,7 +555,7 @@ class TestAnswerNoise:
 
     def test_two_outputs_different_channels_match_oracle(self):
         # Two remote state preparations side by side: outputs 1 and 3 carry
-        # a fixed-pole map and a shifted general channel.
+        # two shifted general channels, one toward |1> and one toward |0>.
         rng = np.random.default_rng(22)
         pat = MeasurementPattern(
             n_qubits=4,
@@ -552,7 +568,7 @@ class TestAnswerNoise:
         resource = resource_state(Graph.from_edges(4, [(0, 1), (2, 3)]), {0: random_state(rng), 2: random_state(rng)})
         chans = {
             0: random_cp_channel(rng),
-            1: FixedPoleMap(p=0.4, axis=(1.0, 0.0, 0.0), phi=0.9),
+            1: NoiseChannel(B=0.3, C=1.4, S=0.1, t=0.8),
             2: random_cp_channel(rng),
             3: NoiseChannel(B=0.8, C=0.7, S=0.9, t=0.6),
         }
@@ -769,7 +785,7 @@ class TestFlipStage:
 
         reads = []
         for pos in range(m):
-            p0, p1 = mixing_probabilities(chans[pos]).flip_probs(alphas[pos])
+            p0, p1 = mixing_probabilities(chans[pos], alphas[pos])
             reads.append(np.array([[1.0 - p0, p1], [p0, 1.0 - p1]]))
         # Built with np.kron, apart from the engine's own Kronecker product.
         w = functools.reduce(np.kron, reads)

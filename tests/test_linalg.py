@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from onewaysim.graphstate import Graph, GraphState, build_graph_state
 from onewaysim.linalg import (
     DensityMatrix,
     PureState,
@@ -49,6 +50,23 @@ class TestDensityMatrix:
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(2))
+
+
+class TestIdentity:
+    """States hold arrays, so they compare and hash by identity, and a
+    ``GraphState`` by its graph and its state object."""
+
+    def test_equality_and_hash(self):
+        gs = build_graph_state(Graph.path(2))
+        for a, copy in (
+            (g2_state(), lambda s: PureState(s.amplitudes)),
+            (bell_state().density(), lambda s: DensityMatrix(s.entries)),
+            (gs, lambda s: build_graph_state(s.graph)),
+        ):
+            b = copy(a)
+            assert a == a and a != b and hash(a) == hash(a)
+            assert a in {a} and b not in {a} and len({a, a, b}) == 2
+        assert GraphState(gs.graph, gs.state) == gs and hash(GraphState(gs.graph, gs.state)) == hash(gs)
 
 
 class TestCheckDensityMatrices:
