@@ -178,13 +178,26 @@ def _frame_codes(pat: MeasurementPattern, resource, memo: tuple | None) -> tuple
     # product per entry: a broadcast product over a short record axis frees
     # numpy's iterator buffers, after which each report faults pages in again.
     outer = work[1:].reshape(-1).view(complex).reshape(n_frames, d, d, n_records)
-    conj = psi.conj()
+    # Slab 0 holds the conjugate branches, where they fit (d > 1), until the codes overwrite them.
+    slab = work[0].reshape(-1)[: 2 * psi.size].view(complex).reshape(psi.shape) if d > 1 else None
+    conj = np.conjugate(psi, out=slab)
     for i, j in itertools.product(range(d), repeat=2):
         np.multiply(psi[:, i], conj[:, j], out=outer[:, i, j])
     np.add(outer.real, outer.imag, out=code.reshape(outer.shape))
     own = frame_of * n_records + np.arange(n_records)
     norm2 = code[:, :: d + 1].sum(axis=1).take(own)
     return weakref.ref(amp), work, norm2, own
+
+
+def _report_bytes(pat: MeasurementPattern, noisy_answers: bool) -> int:
+    """A report's peak bytes: its workspace, its (frames, 2^k, 2^M) complex
+    branches for k outputs and, with answer noise, the build of the answer
+    map, 16^k floats twice.  The frames, read off the adaptation bits of
+    all 2^M records, are counted only when one frame fits."""
+    k, m = len(pat.outputs), pat.n_measured
+    size = (3 * 8 * 4**k + 16 * 2**k) * 2**m
+    size *= len(pat.plan.frames[0]) if size <= MAX_WORKSPACE_BYTES else 1
+    return size + (2 * 8 * 16**k if noisy_answers else 0)
 
 
 def _record_frame_report(
@@ -208,10 +221,9 @@ def _record_frame_report(
         if stray:
             raise ValueError(f"{name} names qubits {stray}, which are not {kind} qubits {sorted(allowed)}")
     plan, k, m = pat.plan, len(pat.outputs), pat.n_measured
-    # Bytes of one frame's workspace; the frames, read off the adaptation
-    # bits of all 2^M records, are counted only when one frame fits.
-    size = 3 * 8 * 4**k * 2**m
-    size *= len(plan.frames[0]) if size <= MAX_WORKSPACE_BYTES else 1
+    answer_noise = tuple(map((answer_channels or {}).get, pat.outputs))
+    noisy_answers = any(answer_noise)
+    size = _report_bytes(pat, noisy_answers)
     if size > MAX_WORKSPACE_BYTES:
         raise ValueError(
             f"a report on {m} measured qubits and {k} outputs needs at least {size / 2**20:.1f} MiB "
@@ -223,7 +235,6 @@ def _record_frame_report(
     for q, alpha in zip(pat.measured, pat.alphas):
         p0, p1 = mixing_probabilities(measured_channels[q], alpha) if q in measured_channels else (0.0, 0.0)
         reads.append(np.array([[1.0 - p0, p1], [p0, 1.0 - p1]]))
-    r_map = _answer_code_map(tuple(map((answer_channels or {}).get, pat.outputs)))
     # The memo leaves the plan until the workspace is read for the last time
     # (a dict pop is atomic), so two threads that share the pattern never
     # share a workspace; a report that raises before then drops it.
@@ -250,7 +261,9 @@ def _record_frame_report(
     # |psi_r><psi_r| unnormalized.
     z_raw = rho[:, :: d + 1].sum(axis=1).take(own)
     # F(r) = tr(rho_r sum_j K_j^dagger |psi_r><psi_r| K_j) / (|psi_r|^2 Z(r)).
-    overlap = np.einsum("fir,fir->fr", code, np.matmul(r_map, rho, out=spare)).take(own)
+    if noisy_answers:  # else the map is the identity
+        rho = np.matmul(_answer_code_map(answer_noise), rho, out=spare)
+    overlap = np.einsum("fir,fir->fr", code, rho).take(own)
     plan._memo["codes"] = memo
     reachable = (z_raw > _UNREACHABLE) & (norm2 > 1e-20)
     f = np.full(n_records, np.nan)
@@ -277,8 +290,9 @@ def fidelity_adaptive(
     1e-6.  Records below 1e-12 probability are flagged unreachable.
 
     A report's workspace of 3 frames d^2 2^M floats, d = 2^outputs, stays
-    on the pattern's plan; one over ``MAX_WORKSPACE_BYTES`` (64 MiB) raises
-    ValueError with its size.  A 10-step chain needs 48 MiB, 11 steps 192.
+    on the pattern's plan; one that needs over ``MAX_WORKSPACE_BYTES`` (64
+    MiB) with its branches and answer map raises ValueError with its size.
+    A 10-step chain without answer noise needs 64 MiB, 11 steps 256.
     """
     return _record_frame_report(pat, resource, measured_channels, answer_channels)
 

@@ -7,21 +7,25 @@ at each depth every surviving record prefix is projected at once onto the
 effect |M_k^s><M_k^s| of its own adaptation bit s.  Noise acts on the
 state, never on the effects, so the oracle stays independent of the
 outcome-flip reduction that ``fidelity`` rests on.  Fidelities are taken
-against the by-product-corrected canonical answer BP(r) BP(0)^-1 A_0.
-The axis order, the effects, the adaptation bits and the by-product masks
-come from the pattern's plan, built once per pattern.
+against BP(r) BP(r0)^-1 A_r0, A_r0 the noiseless answer of the first
+reachable record r0 (record 0 can be unreachable).  What the pattern alone
+fixes comes from its plan, and what the resource adds (the state's
+Liouville tensor and the reference answers, 4^n 16 bytes: 16 MiB at ten
+qubits) stays read-only there for the life of the pattern, keyed by the
+resource's amplitude array, so a sweep over t pays only for the noise.
 Dimension-guarded to ten qubits (4^10 entries).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .channels import superoperator
-from .linalg import check_density_matrices
+from .linalg import _frozen, check_density_matrices
 from .pattern import MeasurementPattern, _ZERO_BRANCH, _resource_vector, apply_byproducts
 
 MAX_ORACLE_QUBITS = 10
@@ -31,7 +35,8 @@ _PRUNE = 1e-14
 @dataclass(frozen=True)
 class OracleRun:
     """Per-outcome probabilities, post-measurement answers, and fidelities
-    against BP(r) BP(0)^-1 A_0, with A_0 the noiseless answer of record 0.
+    against BP(r) BP(r0)^-1 A_r0, with A_r0 the noiseless answer of the
+    first reachable record r0.
 
     ``branches`` maps each unpruned record to (probability, read-only
     density matrix of its answer); pruned records are absent everywhere.
@@ -40,6 +45,30 @@ class OracleRun:
     branches: dict[tuple[int, ...], tuple[float, np.ndarray]]
     fidelities: dict[tuple[int, ...], float]
     average: float
+
+
+def _resource_half(pat: MeasurementPattern, amp: np.ndarray) -> tuple:
+    """What a run takes from the pattern and the resource alone: (a weak
+    reference to ``amp``, the read-only (1, 4^n) Liouville tensor of the
+    state in ``plan.axes`` order, the read-only reference answers
+    BP(r) BP(r0)^-1 A_r0 of all 2^M records)."""
+    n, m, plan = pat.n_qubits, pat.n_measured, pat.plan
+    psi = np.transpose(amp.reshape((2,) * n), plan.axes).reshape(-1)
+    rho = np.multiply.outer(psi, psi.conj()).reshape((2,) * (2 * n))
+    rho = rho.transpose([a for q in range(n) for a in (q, n + q)]).reshape(1, -1)
+    # The first reachable record r0 and its noiseless branch: at each depth
+    # outcome 0 unless its branch vanishes, under the adaptation bit that
+    # the outcomes kept so far give.
+    a0, r0 = psi, 0
+    for depth in range(m):
+        s = plan.adapt_bits[r0 << (m - depth), depth]
+        branches = plan.basis[depth, s].conj() @ a0.reshape(2, -1)
+        bit = int(np.vdot(branches[0], branches[0]).real <= _ZERO_BRANCH)
+        a0, r0 = branches[bit], r0 << 1 | bit
+    # By-products are Paulis X^{f_x} Z^{f_z}, so BP(r0)^-1 A_r0 = +-BP(r0) A_r0,
+    # whose sign drops out of F.
+    a0 = apply_byproducts(pat, a0 / np.sqrt(np.vdot(a0, a0).real))[r0]
+    return weakref.ref(amp), _frozen(rho), _frozen(apply_byproducts(pat, a0))
 
 
 def simulate(resource, pat: MeasurementPattern, channels: Mapping[int, object] | None = None) -> OracleRun:
@@ -54,14 +83,16 @@ def simulate(resource, pat: MeasurementPattern, channels: Mapping[int, object] |
     stray = sorted(set(channels) - set(range(n)))
     if stray:
         raise ValueError(f"channels on qubits {stray} outside the {n}-qubit resource")
-    m = pat.n_measured
-    plan = pat.plan
-    psi = np.transpose(amp.reshape((2,) * n), plan.axes).reshape(-1)
+    m, plan = pat.n_measured, pat.plan
+    # Entries are never written once built: two calls that both miss build
+    # their own, and the last one stored stays.
+    memo = plan._memo.get("oracle")
+    if memo is None or memo[0]() is not amp:
+        memo = plan._memo["oracle"] = _resource_half(pat, amp)
+    _, rho, refs = memo
 
     # Row b of ``rho`` is the normalized state left on the unmeasured qubits
     # by the record prefix ``prefix[b]``, reached with probability prob[b].
-    rho = np.multiply.outer(psi, psi.conj()).reshape((2,) * (2 * n))
-    rho = rho.transpose([a for q in range(n) for a in (q, n + q)]).reshape(1, -1)
     prefix = np.zeros(1, dtype=np.int64)
     prob = np.ones(1)
     for depth, q in enumerate(pat.measured):
@@ -73,7 +104,7 @@ def simulate(resource, pat: MeasurementPattern, channels: Mapping[int, object] |
             t = superoperator(channels[q]) @ t
         adapt = plan.adapt_bits[prefix << (m - depth), depth]
         block = plan.effect_rows[depth, adapt] @ t
-        pk = block[:, :, plan.diagonal[: 2 ** (n - 1 - depth)]].sum(axis=2).real
+        pk = (block @ plan.trace[: block.shape[2]]).real
         keep = pk > _PRUNE
         rho = block[keep] / pk[keep][:, None]
         prefix = ((prefix[:, None] << 1) | (0, 1))[keep]
@@ -90,28 +121,11 @@ def simulate(resource, pat: MeasurementPattern, channels: Mapping[int, object] |
     check_density_matrices(mats)
     mats.setflags(write=False)
 
-    # Reference answers BP(r) BP(0)^-1 A_0, with A_0 the normalized noiseless
-    # branch of record 0, whose adaptation bits are the constant terms.
-    a0 = psi
-    for depth, s in enumerate(plan.adapt_bits[0]):
-        a0 = plan.basis[depth, s, 0].conj() @ a0.reshape(2, -1)
-    norm2 = float(np.vdot(a0, a0).real)
-    a0 = a0 / np.sqrt(norm2) if norm2 > _ZERO_BRANCH else np.zeros_like(a0)
-    # By-products are Paulis X^{f_x} Z^{f_z}, so BP(0)^-1 A_0 = +-BP(0) A_0,
-    # whose sign drops out of F: the Z, then X, terms of record 0 on A_0's
-    # output axes.
-    a0 = a0.reshape((2,) * k)
-    for axis, (fz, fx) in enumerate(plan.byproduct_bits[:, :, 0]):
-        if fz:
-            a0 = a0 * np.array([1.0, -1.0]).reshape((2,) + (1,) * (k - 1 - axis))
-        if fx:
-            a0 = np.flip(a0, axis)
-    refs = apply_byproducts(pat, a0.reshape(-1))[prefix]
-    fids = np.einsum("ra,rab,rb->r", refs.conj(), mats, refs).real
+    ref = refs[prefix]
+    fids = np.einsum("ra,rab,rb->r", ref.conj(), mats, ref).real
     keys = list(map(tuple, ((prefix[:, None] >> np.arange(m - 1, -1, -1)) & 1).tolist()))
     return OracleRun(
         branches=dict(zip(keys, zip(prob.tolist(), mats))),
         fidelities=dict(zip(keys, fids.tolist())),
         average=float(prob @ fids),
     )
-

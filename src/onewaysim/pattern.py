@@ -180,10 +180,11 @@ class PatternPlan:
     the pattern.  Records are indexed as in ``outcome_tuple``.
 
     One piece is mutable: ``_memo`` keeps the resource half of the last
-    fidelity report (``fidelity._frame_codes``), keyed by the identity of
-    the resource's read-only amplitude array.  It holds that array only
-    through a weak reference, so the plan never keeps a resource alive, and
-    a report takes it off the plan while it runs."""
+    fidelity report ("codes", ``fidelity._frame_codes``, taken off the plan
+    while a report runs) and of the last oracle run ("oracle",
+    ``oracle._resource_half``), each keyed by the identity of the resource's
+    read-only amplitude array, held weakly so the plan never keeps a
+    resource alive."""
 
     def __init__(self, pat: MeasurementPattern):
         self._pat = pat
@@ -254,11 +255,12 @@ class PatternPlan:
         return _frozen((b.conj()[..., :, None] * b[..., None, :]).reshape(b.shape[:-1] + (4,)))
 
     @functools.cached_property
-    def diagonal(self) -> np.ndarray:
-        """Positions of the diagonal entries of an n-qubit Liouville vector;
-        the first 2^r of them are those of its last r qubits."""
-        n = self._pat.n_qubits
-        return _frozen(3 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1) @ 4 ** np.arange(n))
+    def trace(self) -> np.ndarray:
+        """The complex row (1, 0, 0, 1)^{(x)(n-1)}: tr(rho) = trace @ rho for
+        the Liouville vector rho of the n - 1 qubits left by a measurement.
+        Its first 4^r entries are the row of the last r qubits."""
+        one = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
+        return _frozen(functools.reduce(np.kron, [one] * (self._pat.n_qubits - 1), np.ones(1, dtype=complex)))
 
     @functools.cached_property
     def byproduct_bits(self) -> np.ndarray:

@@ -5,6 +5,7 @@ import itertools
 import math
 import re
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -283,12 +284,13 @@ class TestAdaptiveEngine:
 
     def test_guard(self):
         # Ten measured qubits run (test_ten_qubit_chain_phase_flip); eleven do not.
-        with pytest.raises(ValueError, match="needs at least 192.0 MiB of workspace; the limit is 64 MiB"):
+        with pytest.raises(ValueError, match="needs at least 256.0 MiB of workspace; the limit is 64 MiB"):
             fidelity_adaptive(chain_pattern((0.0,) * 11), PureState.plus(12))
 
     def test_guard_counts_outputs(self):
         # Ten measured qubits, as in the chain that runs, but 4 outputs: the
-        # 512 frames would need a (3, 512 * 256, 1024) workspace.
+        # 512 frames would need a (3, 512 * 256, 1024) workspace and
+        # (512, 16, 1024) complex branches.
         pat = MeasurementPattern(
             n_qubits=14,
             measured=tuple(range(10)),
@@ -297,8 +299,73 @@ class TestAdaptiveEngine:
             adapt=(BooleanExpr.zero(),) + tuple(BooleanExpr.of(j - 1) for j in range(1, 10)),
         )
         assert len(pat.plan.frames[0]) == 512
-        with pytest.raises(ValueError, match="10 measured qubits and 4 outputs needs at least 3072.0 MiB"):
+        with pytest.raises(ValueError, match="10 measured qubits and 4 outputs needs at least 3200.0 MiB"):
             fidelity_adaptive(pat, PureState.plus(14))
+
+
+def outputs_pattern(k, m, adaptive):
+    """m measured qubits, then k outputs; when adaptive, each adaptation bit
+    after the first is the previous outcome, so there are 2^(m-1) frames."""
+    return MeasurementPattern(
+        n_qubits=k + m,
+        measured=tuple(range(m)),
+        thetas=(0.3,) * m,
+        alphas=(math.pi / 2,) * m,
+        adapt=(BooleanExpr(),) + tuple(BooleanExpr.of(j - 1) if adaptive else BooleanExpr() for j in range(1, m)),
+    )
+
+
+def traced_peak(call):
+    """The bytes that ``call()`` allocates at its peak, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestGuardBytes:
+    """The size guard counts what a cold report allocates: a new
+    allocation that it does not count shows here."""
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["one_frame", "adaptive"])
+    @pytest.mark.parametrize("k", range(6))
+    def test_cold_report_peak_within_guard(self, k, adaptive):
+        try:
+            for m, noisy in itertools.product(range(1, 7), {False, k > 0}):
+                pat = outputs_pattern(k, m, adaptive)
+                resource = PureState.plus(k + m)
+                answers = {q: NoiseChannel.white(0.3, 0.2) for q in pat.outputs} if noisy else None
+                size = fidelity._report_bytes(pat, noisy)
+                _answer_code_map.cache_clear()
+
+                def cold_report():
+                    if size <= fidelity.MAX_WORKSPACE_BYTES:
+                        fidelity_adaptive(pat, resource, None, answers)
+                    else:
+                        with pytest.raises(ValueError, match="needs at least"):
+                            fidelity_adaptive(pat, resource, None, answers)
+
+                peak = traced_peak(cold_report)
+                assert peak <= size + 2**20, f"m = {m}, answer noise {noisy}: peak {peak} bytes, guard {size}"
+        finally:
+            _answer_code_map.cache_clear()
+
+    def test_seven_outputs(self):
+        # A dense answer map of 7 outputs would take 2 GiB; without answer
+        # noise none is built, and with it the report is refused first.
+        pat = outputs_pattern(7, 1, False)
+        resource = PureState.plus(8)
+        assert traced_peak(lambda: fidelity_adaptive(pat, resource)) < 2**20
+        answers = {q: NoiseChannel.white(0.3, 0.2) for q in pat.outputs}
+
+        def refused():
+            with pytest.raises(ValueError, match="1 measured qubits and 7 outputs needs at least 4096.8 MiB"):
+                fidelity_adaptive(pat, resource, None, answers)
+
+        assert traced_peak(refused) < 2**20
 
 
 class TestNonAdaptiveEngine:

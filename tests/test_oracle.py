@@ -1,19 +1,24 @@
 import dataclasses
 import functools
+import gc
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from onewaysim import oracle
 from onewaysim.channels import NoiseChannel
-from onewaysim.fidelity import fidelity_adaptive
+from onewaysim.fidelity import fidelity_adaptive, fidelity_nonadaptive
 from onewaysim.graphstate import Graph, build_graph_state, resource_state
 from onewaysim.linalg import PLUS, PureState
 from onewaysim.oracle import simulate
 from onewaysim.pattern import BooleanExpr, ByproductSpec, MeasurementPattern
 
-from test_fidelity import chain_pattern
+from test_fidelity import assert_same_bytes, chain_pattern, random_cp_channel, random_state, report
 from test_pattern import rotation_pattern, rsp_pattern
 
 
@@ -186,6 +191,37 @@ class TestConstantByproducts:
         assert_matches_engine(resource_state(graph), pat, shifted_channels(rng, graph.n), 1e-10)
 
 
+def unreachable_record_zero():
+    """A 3-qubit path with input |1> on vertex 0, whose z measurement never
+    reads 0: record 0 is unreachable, and every record is scored against
+    the answer of the first reachable record, (1, 0)."""
+    pat = MeasurementPattern(
+        n_qubits=3,
+        measured=(0, 1),
+        thetas=(0.0, 0.4),
+        alphas=(0.0, math.pi / 2),
+        adapt=(BooleanExpr.zero(),) * 2,
+        byproducts=(ByproductSpec(qubit=2, fx=BooleanExpr.of(1), fz=BooleanExpr.of(0)),),
+    )
+    return pat, resource_state(Graph.path(3), {0: PureState(np.array([0.0, 1.0]))})
+
+
+class TestFirstReachableRecord:
+    @pytest.mark.parametrize("gamma", [0.0, 0.3], ids=["noiseless", "white"])
+    def test_matches_engine(self, gamma):
+        # Scored against the zeroed answer of record 0, every record read
+        # F = 0; the engine gives 1.0 without noise and 0.809 under it.
+        pat, resource = unreachable_record_zero()
+        chans = {q: NoiseChannel.white(gamma, 0.2) for q in range(3)}
+        run = simulate(resource, pat, chans)
+        rep = fidelity_nonadaptive(pat, resource, {q: chans[q] for q in pat.measured}, {2: chans[2]})
+        scored = [key for key, (_, f) in rep.per_outcome.items() if f is not None]
+        assert scored == [(1, 0), (1, 1)]
+        for key in scored:
+            assert abs(run.fidelities[key] - rep.fidelity(key)) < 1e-12
+        assert rep.fidelity((1, 0)) > (0.999 if gamma == 0.0 else 0.8)
+
+
 def shifted_channels(rng, n):
     """Random CP channels (C >= B/2) with a shifted fixed point (S != 1/2)."""
     out = {}
@@ -227,3 +263,123 @@ class TestAgainstEngine:
         assert abs(sum(p for p, _ in run.branches.values()) - 1.0) < 1e-10
         for f in run.fidelities.values():
             assert -1e-12 <= f <= 1.0 + 1e-12
+
+
+def assert_same_run(a, b):
+    assert list(a.branches) == list(b.branches) and a.fidelities == b.fidelities and a.average == b.average
+    for (p, rho), (q, sigma) in zip(a.branches.values(), b.branches.values()):
+        assert p == q and rho.tobytes() == sigma.tobytes()
+
+
+def run_case(name, rng):
+    if name == "chain":
+        pat = chain_pattern(tuple(rng.uniform(0.0, 2 * math.pi, size=5)))
+        return pat, resource_state(Graph.path(6), {0: random_state(rng)})
+    if name == "rotation":
+        pat = rotation_pattern(*rng.uniform(0.0, 2 * math.pi, size=3))
+        return pat, resource_state(Graph.path(5), {0: random_state(rng)})
+    return rsp_pattern(rng.uniform(0.0, 2 * math.pi)), build_graph_state(Graph.path(2))
+
+
+def noisy(rng, n):
+    return {q: random_cp_channel(rng) for q in range(n)}
+
+
+def no_half(*_):
+    raise AssertionError("a run on a memoized resource rebuilt its noise-independent half")
+
+
+class TestPlanRuns:
+    """The noise-independent half of a run stays read-only on the pattern's
+    plan, keyed by the identity of the resource's amplitude array."""
+
+    @pytest.mark.parametrize("name", ["chain", "rotation", "rsp"])
+    def test_fresh_plan_gives_the_warm_run(self, name, monkeypatch):
+        rng = np.random.default_rng(60)
+        pat, resource = run_case(name, rng)
+        first, second = noisy(rng, pat.n_qubits), noisy(rng, pat.n_qubits)
+        simulate(resource, pat, first)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_resource_half", no_half)
+            warm = simulate(resource, pat, second)
+        fresh_pat = dataclasses.replace(pat)
+        fresh = simulate(resource, fresh_pat, second)
+        assert fresh_pat.plan is not pat.plan
+        assert_same_run(fresh, warm)
+
+    def test_alternating_resources_keep_their_own_answers(self):
+        rng = np.random.default_rng(61)
+        pat, one = run_case("chain", rng)
+        _, other = run_case("chain", rng)
+        chans = noisy(rng, pat.n_qubits)
+        expected = {id(r): simulate(r, dataclasses.replace(pat), chans) for r in (one, other)}
+        for r in (one, other, one, other, other, one):
+            assert_same_run(simulate(r, pat, chans), expected[id(r)])
+            assert pat.plan._memo["oracle"][0]() is r.amplitudes
+
+    def test_plan_does_not_pin_the_resource(self):
+        rng = np.random.default_rng(62)
+        pat, resource = run_case("chain", rng)
+        chans = noisy(rng, pat.n_qubits)
+        simulate(resource, pat, chans)
+        gone = weakref.ref(resource.amplitudes)
+        del resource
+        gc.collect()
+        assert gone() is None
+        _, fresh_resource = run_case("chain", rng)
+        assert_same_run(simulate(fresh_resource, pat, chans), simulate(fresh_resource, dataclasses.replace(pat), chans))
+
+    def test_graph_state_and_its_pure_state(self, monkeypatch):
+        rng = np.random.default_rng(63)
+        pat = chain_pattern(tuple(rng.uniform(0.0, 2 * math.pi, size=5)))
+        gs = build_graph_state(Graph.path(6))
+        chans = noisy(rng, 6)
+        expected = simulate(gs.state, dataclasses.replace(pat), chans)
+        assert_same_run(simulate(gs, pat, chans), expected)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_resource_half", no_half)
+            assert_same_run(simulate(gs.state, pat, chans), expected)
+            assert_same_run(simulate(gs, pat, chans), expected)
+
+    def test_threads_sharing_a_pattern(self):
+        # More threads than cores, switching often, on 8-qubit chains; every
+        # run must match its single-threaded result.
+        rng = np.random.default_rng(64)
+        pat = chain_pattern(tuple(rng.uniform(0.0, 2 * math.pi, size=7)))
+        resources = [resource_state(Graph.path(8), {0: random_state(rng)}) for _ in range(2)]
+        sweep = [noisy(rng, 8) for _ in range(3)]
+        expected = [[simulate(r, dataclasses.replace(pat), c) for c in sweep] for r in resources]
+        start = threading.Barrier(3)
+        results: dict[int, list] = {}
+
+        def run(first):
+            start.wait()
+            results[first] = [
+                ((first + i) % 2, i % 3, simulate(resources[(first + i) % 2], pat, sweep[i % 3])) for i in range(8)
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(first,)) for first in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and sorted(results) == [0, 1, 2]
+        for out in results.values():
+            for which, point, run_ in out:
+                assert_same_run(run_, expected[which][point])
+
+    def test_engine_and_oracle_on_one_plan(self):
+        rng = np.random.default_rng(65)
+        pat, resource = run_case("chain", rng)
+        chans = noisy(rng, pat.n_qubits)
+        cold_report = report(dataclasses.replace(pat), resource, chans)
+        cold_run = simulate(resource, dataclasses.replace(pat), chans)
+        assert_same_bytes(report(pat, resource, chans), cold_report)
+        assert_same_run(simulate(resource, pat, chans), cold_run)
+        assert_same_bytes(report(pat, resource, chans), cold_report)
+        assert set(pat.plan._memo) == {"codes", "oracle"}

@@ -150,7 +150,7 @@ class TestPlan:
     def test_every_array_read_only(self, pat):
         pieces = [name for name, v in vars(PatternPlan).items() if isinstance(v, functools.cached_property)]
         arrays = [a for name in pieces for a in plan_arrays(getattr(pat.plan, name))]
-        assert len(pieces) >= 10 and len(arrays) >= 8
+        assert len(pieces) >= 10 and len(arrays) >= 8 and "trace" in pieces
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
