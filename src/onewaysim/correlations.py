@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import DensityMatrix, PAULIS, Y, partial_trace_raw
+from .linalg import DensityMatrix, PAULIS, Y, kron_all, partial_trace_raw
 
 _LOG2 = math.log(2.0)
 # tr(rho P) = vec(rho) . vec(P^T) for row-major vec, so this stack of the
@@ -285,11 +285,7 @@ def _l1_coherence(rho: np.ndarray, angles: np.ndarray) -> np.ndarray:
     cos, sin, phase = np.cos(angles[:n] / 2), np.sin(angles[:n] / 2), np.exp(0.5j * angles[n:])
     # Ry(b) Rz(c) = [[cos e^{-ic/2}, -sin e^{ic/2}], [sin e^{-ic/2}, cos e^{ic/2}]]
     entries = np.stack((cos * phase.conj(), -sin * phase, sin * phase.conj(), cos * phase), axis=-1)
-    u = entries.reshape(entries.shape[:-1] + (2, 2))
-    full = u[0]
-    for factor in u[1:]:
-        d = 2 * full.shape[-1]
-        full = (full[..., :, None, :, None] * factor[..., None, :, None, :]).reshape(full.shape[:-2] + (d, d))
+    full = kron_all(entries.reshape(entries.shape[:-1] + (2, 2)))
     left = (full.reshape(-1, len(rho)) @ rho).reshape(full.shape)
     rotated = left @ full.conj().swapaxes(-1, -2)
     # The diagonal of rho' is nonnegative and sums to tr rho.

@@ -28,11 +28,12 @@ each block's factors joined into one 2^b x 2^b matrix and applied as one
 matmul over all frames at once.  A frame then costs O(2^B M 2^n / B) for
 the branches and O(2^B M 2^M d^2 / B) for W, B = ``pattern.BLOCK``, in
 ceil(M/B) steps, so a non-adaptive pattern (one frame) costs that, and an
-adaptive one that times its number of frames.  The answer noise is one
-real matrix on the codes of the records' noiseless projectors, the
-Kronecker product of the outputs' superoperators, cached per tuple of
-output channels.  See Danos, Kashefi and Panangaden, "The
-measurement calculus", arXiv:0704.1263.
+adaptive one that times its number of frames.  The codes of the branch
+projectors are stored in the oracle's Liouville order, each output's (row
+bit, column bit) pair on one axis of 4, so the answer noise runs as in the
+oracle: each noisy output's 4x4 superoperator in one batched product on
+its axis, O(frames d^2 2^M) per noisy output.  See Danos, Kashefi and
+Panangaden, "The measurement calculus", arXiv:0704.1263.
 
 A sweep over the exposure time t changes only the noise, so a report has
 two halves.  The resource half (the branches, the codes of their
@@ -40,7 +41,7 @@ projectors |psi_{s,k}><psi_{s,k}| and their norms) stays on the pattern's
 plan, in the workspace of the report, keyed by the identity of the
 resource's read-only amplitude array; the plan holds that array only
 weakly.  A later report on the same array runs only the noise half: the
-flip stage, the answer map and the sums.  A report on another resource
+flip stage, the answer noise and the sums.  A report on another resource
 recomputes the resource half into the same workspace.
 
 The brute-force simulator in ``oracle`` is the independent ground truth
@@ -58,14 +59,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channels import NoiseChannel, mixing_probabilities, superoperator
-from .linalg import MAX_PURE_QUBITS, _frozen, kron_all
+from .linalg import _frozen, kron_all
 from .pattern import MeasurementPattern, _resource_vector, frame_branches
 
 # A report's (3, frames d^2, 2^M) workspace stays on the pattern's plan for
 # the life of the pattern; a report that needs more is refused.
 MAX_WORKSPACE_BYTES = 64 * 2**20
-# A resource holds at most MAX_PURE_QUBITS qubits, so no pattern measures more.
-MAX_NA_MEASURED = MAX_PURE_QUBITS
 _UNREACHABLE = 1e-12
 
 
@@ -76,10 +75,12 @@ class FidelityReport:
 
     ``z`` and ``f`` are read-only arrays over the 2^M records; record r has
     the bits of r, first-measured qubit most significant (as in
-    ``pattern.outcome_tuple``).  ``f`` is NaN on records flagged unreachable
-    (Z below 1e-12 before renormalization), and ``average`` sums Z F over
-    the rest.  ``per_outcome``, built on first access, maps each outcome
-    tuple to (Z, F), F None where unreachable.
+    ``pattern.outcome_tuple``).  ``f`` is NaN on records flagged
+    unreachable, and ``average`` sums Z F over the rest.  A record is
+    unreachable when Z is below 1e-12 before renormalization, or when its
+    noiseless branch, its answer, has |psi_r|^2 <= 1e-20, even if noise
+    makes it likely.  ``per_outcome``, built on first access, maps each
+    outcome tuple to (Z, F), F None where unreachable.
     """
 
     z: np.ndarray
@@ -118,25 +119,6 @@ class FidelityReport:
 # -- the record-frame engine ----------------------------------------------------
 
 
-@functools.lru_cache(maxsize=256)
-def _answer_code_map(channels: tuple) -> np.ndarray:
-    """The real matrix R with code(N^dagger(X)) = code(X) @ R for Hermitian
-    X on the outputs, N^dagger the adjoint of the answer noise, from each
-    output's channel (None for none), ascending.  With S the superoperator
-    of one qubit's channel on its (row bit, column bit), the row-major
-    vec(N^dagger(X)) is vec(X) @ S over the joint S of all outputs.  S is
-    real, so it maps the real and the imaginary part of vec(X) each on its
-    own, and their sum code(X) as it is: R is the joint S."""
-    k, d = len(channels), 2 ** len(channels)
-    joint = np.ones(())
-    for ch in channels:
-        s = np.eye(4) if ch is None else superoperator(ch)
-        joint = np.multiply.outer(joint, s.reshape(2, 2, 2, 2))
-    # Axes (row, column, row', column') of each qubit to all rows, columns,
-    # rows' and columns'.
-    return _frozen(joint.transpose([4 * i + a for a in range(4) for i in range(k)]).reshape(d * d, d * d))
-
-
 def _workspace(shape: tuple[int, ...]) -> np.ndarray:
     """A plan's report workspace, allocated once for the life of the plan.
 
@@ -152,14 +134,22 @@ def _workspace(shape: tuple[int, ...]) -> np.ndarray:
     return np.empty(shape)
 
 
+def _traces(codes: np.ndarray, k: int) -> np.ndarray:
+    """tr X of every code in a (..., records) array of Liouville codes: the
+    entries whose every (row bit, column bit) axis reads 00 or 11, 0 or 3."""
+    diag = codes.reshape((-1,) + (4,) * k + codes.shape[-1:])[(slice(None),) + (slice(None, None, 3),) * k]
+    return diag.sum(axis=tuple(range(1, k + 1)))
+
+
 def _frame_codes(pat: MeasurementPattern, resource, memo: tuple | None) -> tuple:
     """The resource half of a report: (a weak reference to the resource's
     amplitude array, the report's workspace, norm2, own).  Slab 0 of the
     (3, frames d^2, 2^M) workspace holds code[f, :, k], the code of
-    |psi_fk><psi_fk|, norm2[r] = |psi_r|^2 for record r's own branch, and
-    ``own[r]`` is the flat (frame, record) entry of that branch.  ``memo``,
-    the plan's last result, is returned as it is when it was made from the
-    same array, and otherwise lends its workspace.
+    |psi_fk><psi_fk| in the oracle's Liouville order (each output's row bit
+    and column bit adjacent, outputs ascending), norm2[r] = |psi_r|^2 for
+    record r's own branch, and ``own[r]`` is the flat (frame, record) entry
+    of that branch.  ``memo``, the plan's last result, is returned as it is
+    when it was made from the same array, and otherwise lends its workspace.
 
     A report allocates one large array, not one per stage, since fresh large
     arrays cost page faults; for the same reason a miss overwrites the
@@ -173,7 +163,6 @@ def _frame_codes(pat: MeasurementPattern, resource, memo: tuple | None) -> tuple
     # Records last, so that every loop below runs over them.
     psi = psi.transpose(0, 2, 1)
     work = _workspace((3, n_frames * d * d, n_records)) if memo is None else memo[1]
-    code = work[0].reshape(n_frames, d * d, n_records)
     # Viewed as complex, the two other slabs first hold |psi_fk><psi_fk|, one
     # product per entry: a broadcast product over a short record axis frees
     # numpy's iterator buffers, after which each report faults pages in again.
@@ -183,21 +172,23 @@ def _frame_codes(pat: MeasurementPattern, resource, memo: tuple | None) -> tuple
     conj = np.conjugate(psi, out=slab)
     for i, j in itertools.product(range(d), repeat=2):
         np.multiply(psi[:, i], conj[:, j], out=outer[:, i, j])
-    np.add(outer.real, outer.imag, out=code.reshape(outer.shape))
+    # Written through the view of the codes that reads all row bits, then all column bits.
+    k = len(pat.outputs)
+    bits = (n_frames,) + (2,) * (2 * k) + (n_records,)
+    liouville = work[0].reshape(bits).transpose([0, *range(1, 2 * k, 2), *range(2, 2 * k + 1, 2), 2 * k + 1])
+    np.add(outer.real.reshape(bits), outer.imag.reshape(bits), out=liouville)
     own = frame_of * n_records + np.arange(n_records)
-    norm2 = code[:, :: d + 1].sum(axis=1).take(own)
+    norm2 = _traces(work[0], k).take(own)
     return weakref.ref(amp), work, norm2, own
 
 
-def _report_bytes(pat: MeasurementPattern, noisy_answers: bool) -> int:
-    """A report's peak bytes: its workspace, its (frames, 2^k, 2^M) complex
-    branches for k outputs and, with answer noise, the build of the answer
-    map, 16^k floats twice.  The frames, read off the adaptation bits of
-    all 2^M records, are counted only when one frame fits."""
+def _report_bytes(pat: MeasurementPattern) -> int:
+    """A report's peak bytes: its workspace and its (frames, 2^k, 2^M)
+    complex branches for k outputs.  The frames, read off the adaptation
+    bits of all 2^M records, are counted only when one frame fits."""
     k, m = len(pat.outputs), pat.n_measured
     size = (3 * 8 * 4**k + 16 * 2**k) * 2**m
-    size *= len(pat.plan.frames[0]) if size <= MAX_WORKSPACE_BYTES else 1
-    return size + (2 * 8 * 16**k if noisy_answers else 0)
+    return size * len(pat.plan.frames[0]) if size <= MAX_WORKSPACE_BYTES else size
 
 
 def _record_frame_report(
@@ -211,7 +202,8 @@ def _record_frame_report(
     Hermitian matrices travel as the real code Re + Im of their entries:
     the real part is the symmetric half and the imaginary part the
     antisymmetric one, so nothing is lost, and tr(A B) is the dot product
-    of the codes of A and B.
+    of the codes of A and B.  A real superoperator maps each part on its
+    own, so it maps the code of X to the code of its image.
     """
     for name, chans, kind, allowed in (
         ("measured_channels", measured_channels, "measured", pat.measured),
@@ -221,9 +213,7 @@ def _record_frame_report(
         if stray:
             raise ValueError(f"{name} names qubits {stray}, which are not {kind} qubits {sorted(allowed)}")
     plan, k, m = pat.plan, len(pat.outputs), pat.n_measured
-    answer_noise = tuple(map((answer_channels or {}).get, pat.outputs))
-    noisy_answers = any(answer_noise)
-    size = _report_bytes(pat, noisy_answers)
+    size = _report_bytes(pat)
     if size > MAX_WORKSPACE_BYTES:
         raise ValueError(
             f"a report on {m} measured qubits and {k} outputs needs at least {size / 2**20:.1f} MiB "
@@ -241,29 +231,33 @@ def _record_frame_report(
     memo = _frame_codes(pat, resource, plan._memo.pop("codes", None))
     _, work, norm2, own = memo
     rows, n_records = work.shape[1:]
-    d = 2 ** len(pat.outputs)
     # rho[f, :, r] = sum_k W[r, k] code[f, :, k], W the product of P(read r_i |
     # prepared k_i), by the shuffle of ``frame_branches``: each block of
     # measured positions joins its read matrices into one factor and is one
     # matmul that contracts the leading record bits and appends them last.
-    # The blocks alternate between slabs 1 and 2 and leave slab 0 as it is.
-    rho = work[0]
-    for i, block in enumerate(plan.blocks):
+    # Every stage writes to the slab, 1 or 2, that it does not read; slab 0
+    # keeps the codes, and is rho itself without measured qubits.
+    rho, slab = work[0], 0
+    for block in plan.blocks:
         read = kron_all([reads[pos] for pos in block])
-        out = work[1 + i % 2]
-        np.matmul(rho.reshape(rows, len(read), -1).transpose(0, 2, 1), read.T, out=out.reshape(rows, -1, len(read)))
-        rho = out
-    shape = (-1, d * d, n_records)
-    code, rho, spare = work[0].reshape(shape), rho.reshape(shape), work[1 + len(plan.blocks) % 2].reshape(shape)
+        slab = 2 if slab == 1 else 1
+        prev, rho = rho, work[slab]
+        np.matmul(prev.reshape(rows, len(read), -1).transpose(0, 2, 1), read.T, out=rho.reshape(rows, -1, len(read)))
 
     # Every sum runs over all (frame, record) pairs; record r then takes the
     # flat entry ``own[r]`` of its own frame, where ``code`` holds
     # |psi_r><psi_r| unnormalized.
-    z_raw = rho[:, :: d + 1].sum(axis=1).take(own)
-    # F(r) = tr(rho_r sum_j K_j^dagger |psi_r><psi_r| K_j) / (|psi_r|^2 Z(r)).
-    if noisy_answers:  # else the map is the identity
-        rho = np.matmul(_answer_code_map(answer_noise), rho, out=spare)
-    overlap = np.einsum("fir,fir->fr", code, rho).take(own)
+    code = work[0].reshape(-1, 4**k, n_records)
+    z_raw = _traces(rho, k).take(own)
+    # The answer noise, output by output as in the oracle: the superoperator
+    # of output j acts on the j-th (row bit, column bit) axis of the codes.
+    for j, ch in enumerate(map((answer_channels or {}).get, pat.outputs)):
+        if ch is not None:
+            slab = 2 if slab == 1 else 1
+            out = work[slab].reshape(-1, 4, 4 ** (k - 1 - j) * n_records)
+            rho = np.matmul(superoperator(ch), rho.reshape(out.shape), out=out)
+    # F(r) = tr(N(rho_r) |psi_r><psi_r|) / (|psi_r|^2 Z(r)).
+    overlap = np.einsum("fir,fir->fr", code, rho.reshape(code.shape)).take(own)
     plan._memo["codes"] = memo
     reachable = (z_raw > _UNREACHABLE) & (norm2 > 1e-20)
     f = np.full(n_records, np.nan)
@@ -287,12 +281,15 @@ def fidelity_adaptive(
     ``measured_channels`` may name only measured qubits and
     ``answer_channels`` only outputs; any other key raises ValueError.
     Record probabilities are renormalized; the factor must already be 1 to
-    1e-6.  Records below 1e-12 probability are flagged unreachable.
+    1e-6.  A record gets F NaN and no share of the average when its
+    probability is below 1e-12 before renormalization, or when its noiseless
+    branch has |psi_r|^2 <= 1e-20, even if noise makes it likely.
 
     A report's workspace of 3 frames d^2 2^M floats, d = 2^outputs, stays
     on the pattern's plan; one that needs over ``MAX_WORKSPACE_BYTES`` (64
-    MiB) with its branches and answer map raises ValueError with its size.
-    A 10-step chain without answer noise needs 64 MiB, 11 steps 256.
+    MiB) with its branches raises ValueError with its size; the guard counts
+    only those two, since answer noise runs in the workspace.  A 10-step
+    chain needs 64 MiB, 11 steps 256.
     """
     return _record_frame_report(pat, resource, measured_channels, answer_channels)
 
@@ -304,14 +301,8 @@ def fidelity_nonadaptive(
     answer_channels: Mapping[int, object] | None = None,
 ) -> FidelityReport:
     """Fidelity report for non-adaptive patterns: the one-frame case of the
-    same engine.  One frame is cheap enough that only the resource limits
-    it: no pattern on a ``PureState`` measures more than
-    ``linalg.MAX_PURE_QUBITS`` qubits.  The channel mappings follow the
-    rule of ``fidelity_adaptive``."""
+    same engine, under the same rules and the same guard, which counts only
+    the workspace and the branches (``fidelity_adaptive``)."""
     if not pat.is_nonadaptive():
         raise ValueError("pattern is adaptive; use fidelity_adaptive")
-    if pat.n_measured > MAX_NA_MEASURED:
-        raise ValueError(
-            f"non-adaptive engine refuses {pat.n_measured} measured qubits; the limit is {MAX_NA_MEASURED}"
-        )
     return _record_frame_report(pat, resource, measured_channels, answer_channels)

@@ -13,9 +13,9 @@ from onewaysim.channels import (
     mixing_probabilities,
     superoperator,
 )
-from onewaysim.fidelity import _answer_code_map
+from onewaysim.fidelity import fidelity_nonadaptive
 from onewaysim.linalg import DensityMatrix, PAULIS, PLUS, MINUS, PureState
-from onewaysim.pattern import basis_raw
+from onewaysim.pattern import BooleanExpr, MeasurementPattern, basis_raw
 
 
 # -- the independent reference: the map as Pauli sandwiches from ``lambdas``,
@@ -279,6 +279,13 @@ class TestSuperoperator:
                     assert np.max(np.abs(sup[:, 2 * i + j].reshape(2, 2) - direct)) < 1e-15
 
     def test_fresh_channels_call_no_linalg(self, monkeypatch):
+        # A report with answer noise on outputs 1 and 3 of three, built
+        # before np.linalg is patched.
+        pat = MeasurementPattern(
+            n_qubits=4, measured=(0,), thetas=(0.3,), alphas=(math.pi / 2,), adapt=(BooleanExpr(),)
+        )
+        resource = PureState.plus(4)
+
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg called")
 
@@ -287,9 +294,8 @@ class TestSuperoperator:
                 monkeypatch.setattr(np.linalg, name, refuse)
         with pytest.raises(AssertionError, match="np.linalg called"):
             np.linalg.eigh(np.eye(2))
-        # Parameters no other test uses, so that both caches miss.
-        chans = (NoiseChannel(B=0.4142, C=0.8731, S=0.6271, t=0.3317), None, NoiseChannel.white(0.6173, 0.2719))
-        misses = superoperator.cache_info().misses, _answer_code_map.cache_info().misses
-        _answer_code_map(chans)
-        assert superoperator.cache_info().misses == misses[0] + 2
-        assert _answer_code_map.cache_info().misses == misses[1] + 1
+        # Parameters no other test uses, so that the cache misses.
+        answers = {1: NoiseChannel(B=0.4142, C=0.8731, S=0.6271, t=0.3317), 3: NoiseChannel.white(0.6173, 0.2719)}
+        misses = superoperator.cache_info().misses
+        fidelity_nonadaptive(pat, resource, None, answers)
+        assert superoperator.cache_info().misses == misses + 2
