@@ -54,6 +54,11 @@ class NoiseChannel:
             raise ValueError(f"bath parameter S={self.S} outside [0, 1]")
         if self.t < 0:
             raise ValueError("time must be nonnegative")
+        # NaN passes every comparison above but S's.  B, C and t are now >= 0
+        # or NaN, so their sum is NaN only when one of them is.
+        if math.isnan(self.B + self.C + self.t):
+            name = next(name for name in ("B", "C", "t") if math.isnan(getattr(self, name)))
+            raise ValueError(f"parameter {name} is NaN")
         lam = lambdas(self)
         if abs(sum(lam[:4]) - 1.0) > 1e-12:
             raise AssertionError("weight normalization broke; file a bug")

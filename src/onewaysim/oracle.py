@@ -25,6 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .channels import superoperator
+from .fidelity import _Records
 from .linalg import _frozen, check_density_matrices
 from .pattern import MeasurementPattern, _ZERO_BRANCH, _resource_vector, apply_byproducts
 
@@ -38,12 +39,15 @@ class OracleRun:
     against BP(r) BP(r0)^-1 A_r0, with A_r0 the noiseless answer of the
     first reachable record r0.
 
-    ``branches`` maps each unpruned record to (probability, read-only
-    density matrix of its answer); pruned records are absent everywhere.
+    ``branches`` and ``fidelities`` are read-only views of the run's
+    arrays, keyed by outcome tuple as ``FidelityReport.per_outcome`` is:
+    ``branches`` reads each unpruned record as (probability, read-only
+    density matrix of its answer), ``fidelities`` as its fidelity; pruned
+    records are absent from both.
     """
 
-    branches: dict[tuple[int, ...], tuple[float, np.ndarray]]
-    fidelities: dict[tuple[int, ...], float]
+    branches: Mapping[tuple[int, ...], tuple[float, np.ndarray]]
+    fidelities: Mapping[tuple[int, ...], float]
     average: float
 
 
@@ -123,9 +127,9 @@ def simulate(resource, pat: MeasurementPattern, channels: Mapping[int, object] |
 
     ref = refs[prefix]
     fids = np.einsum("ra,rab,rb->r", ref.conj(), mats, ref).real
-    keys = list(map(tuple, ((prefix[:, None] >> np.arange(m - 1, -1, -1)) & 1).tolist()))
+    prefix, prob, fids = map(_frozen, (prefix, prob, fids))
     return OracleRun(
-        branches=dict(zip(keys, zip(prob.tolist(), mats))),
-        fidelities=dict(zip(keys, fids.tolist())),
+        branches=_Records(m, prefix, prob, mats),
+        fidelities=_Records(m, prefix, fids),
         average=float(prob @ fids),
     )

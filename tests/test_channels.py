@@ -245,6 +245,16 @@ class TestKraus:
         with pytest.raises(InvalidMapError):
             NoiseChannel(B=4.0, C=0.0, S=0.5, t=1.0)
 
+    @pytest.mark.parametrize(
+        "name, message", [("B", "parameter B is NaN"), ("C", "parameter C is NaN"), ("S", "S=nan"), ("t", "parameter t is NaN")]
+    )
+    def test_nan_parameter_rejected(self, name, message):
+        # NaN passes a sign check and would fill the superoperator with NaN.
+        params = {"B": 0.5, "C": 1.0, "S": 0.7, "t": math.inf}
+        NoiseChannel(**params)  # t = inf selects the stationary state
+        with pytest.raises(ValueError, match=message):
+            NoiseChannel(**{**params, name: math.nan})
+
 
 class TestChoi:
     def test_psd_on_cp_region(self):

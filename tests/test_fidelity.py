@@ -537,9 +537,9 @@ class TestReport:
     def test_unreachable_reads_none(self):
         rep = FidelityReport(z=[0.25, 0.0, 0.5, 0.25], f=[0.9, np.nan, 0.7, 0.5], average=0.7)
         assert rep.per_outcome == {(0, 0): (0.25, 0.9), (0, 1): (0.0, None), (1, 0): (0.5, 0.7), (1, 1): (0.25, 0.5)}
-        assert rep.fidelity((0, 1)) is None
-        assert rep.probability([0, 1]) == 0.0
-        assert rep.fidelity((1, 0)) == 0.7
+        assert rep.per_outcome[(0, 1)][1] is None
+        assert rep.per_outcome[(0, 1)][0] == 0.0
+        assert rep.per_outcome[(1, 0)][1] == 0.7
 
     def test_read_only_arrays(self):
         z, f = np.array([0.5, 0.5]), np.array([0.9, 0.7])
@@ -566,6 +566,48 @@ class TestReport:
         assert list(rep.per_outcome) == [outcome_tuple(r, 4) for r in range(16)]
         for r, (z, f) in enumerate(rep.per_outcome.values()):
             assert (z, f) == (rep.z[r], rep.f[r])
+
+    @pytest.mark.parametrize("name", ["chain", "cnot15"])
+    def test_per_outcome_view(self, name):
+        # A read-only map over z and f that agrees with the dict built from them.
+        rng = np.random.default_rng(70)
+        pat, resource = report_case(name, rng)
+        rep = report(pat, resource, {q: random_cp_channel(rng) for q in range(pat.n_qubits)})
+        m, view = pat.n_measured, rep.per_outcome
+        expected = {}
+        for r, (z, f) in enumerate(zip(rep.z.tolist(), rep.f.tolist())):
+            expected[outcome_tuple(r, m)] = (z, None if math.isnan(f) else f)
+        assert view == expected and expected == view
+        assert list(view) == list(expected)
+        assert list(view.items()) == list(expected.items())
+        assert list(view.values()) == list(expected.values())
+        assert len(view) == len(view.items()) == len(view.values()) == 2**m
+        assert all(view[key] == row for key, row in expected.items())
+        key = outcome_tuple(2**m - 2, m)
+        assert view[tuple(np.array(key))] == view.get(key) == expected[key] and key in view
+        for bad in [key[1:], key + (0,), key[:-1] + (2,), key[:-1] + (None,), key[:-1] + ("1",), list(key)]:
+            assert bad not in view and view.get(bad, "absent") == "absent"
+            with pytest.raises(KeyError):
+                view[bad]
+        with pytest.raises(TypeError):
+            view[key] = (1.0, 1.0)
+
+    def test_per_outcome_holds_nothing(self):
+        # Reading per_outcome of an 8192-record report builds no per-record objects.
+        m = 13
+        rep = FidelityReport(z=np.full(2**m, 2.0**-m), f=np.full(2**m, 0.5), average=0.5)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            view = rep.per_outcome
+            assert len(view) == 2**m and view[(1,) * m] == (2.0**-m, 0.5)
+            grown = len(gc.get_objects()) - before
+        finally:
+            if enabled:
+                gc.enable()
+        assert not any(isinstance(value, dict) for value in vars(rep).values())
+        assert grown < 100
 
 
 class TestAnswerNoise:

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import gc
+import itertools
 import math
 import sys
 import threading
@@ -107,6 +108,13 @@ class TestSimulate:
         assert list(run.branches) == list(run.fidelities) == keys
         assert abs(run.branches[(0, 0, 1, 0)][0] - 1e-10 * run.branches[(0, 0, 0, 0)][0]) < 1e-20
         assert abs(sum(p for p, _ in run.branches.values()) - 1.0) < 1e-12
+        pruned = [key for key in itertools.product((0, 1), repeat=4) if key not in keys]
+        for view in (run.branches, run.fidelities):
+            assert len(view) == 2**4 - len(pruned)
+            for key in pruned:
+                assert key not in view and view.get(key, "absent") == "absent"
+                with pytest.raises(KeyError):
+                    view[key]
 
     def test_branch_states_read_only(self):
         gs = build_graph_state(Graph.from_edges(2, [(0, 1)]))
@@ -218,8 +226,8 @@ class TestFirstReachableRecord:
         scored = [key for key, (_, f) in rep.per_outcome.items() if f is not None]
         assert scored == [(1, 0), (1, 1)]
         for key in scored:
-            assert abs(run.fidelities[key] - rep.fidelity(key)) < 1e-12
-        assert rep.fidelity((1, 0)) > (0.999 if gamma == 0.0 else 0.8)
+            assert abs(run.fidelities[key] - rep.per_outcome[key][1]) < 1e-12
+        assert rep.per_outcome[(1, 0)][1] > (0.999 if gamma == 0.0 else 0.8)
 
     @pytest.mark.xfail(strict=True, reason="the engine leaves out records whose noiseless branch vanishes")
     def test_engine_average_counts_every_likely_record(self):
