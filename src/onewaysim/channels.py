@@ -59,9 +59,6 @@ class NoiseChannel:
         if math.isnan(self.B + self.C + self.t):
             name = next(name for name in ("B", "C", "t") if math.isnan(getattr(self, name)))
             raise ValueError(f"parameter {name} is NaN")
-        lam = lambdas(self)
-        if abs(sum(lam[:4]) - 1.0) > 1e-12:
-            raise AssertionError("weight normalization broke; file a bug")
         w0 = choi_min_eigenvalue(self)
         if w0 < -CHOI_ATOL:
             raise InvalidMapError(

@@ -1,9 +1,8 @@
 """Correlation measures of the (noisy) resource state.
 
 Entanglement monotones (two-qubit concurrence, bipartite negativity),
-quantum discord with its projective-measurement search, normalized linear
-entropy, and the minimum entanglement potential (MEP) of the activation
-protocol.
+quantum discord with its projective-measurement search, and the minimum
+entanglement potential (MEP) of the activation protocol.
 
 Two-qubit discord works on the Pauli tensor M_ij = tr(rho sigma_i x sigma_j),
 i, j in 0..3, which one product of a constant (4, 4, 16) array with vec(rho)
@@ -268,13 +267,6 @@ def discord(rho: DensityMatrix, measured_side: str = "B", method: str = "auto") 
             return bell_diagonal_correlations((sv[0], sv[1], det_sign * sv[2]))[2]
     info = mutual_information(rho)
     return info - classical_correlation(rho, measured_side)
-
-
-def linear_entropy(rho: DensityMatrix) -> float:
-    """Normalized single-qubit mixedness 2(1 - Tr rho^2)."""
-    if rho.n != 1:
-        raise ValueError("linear entropy here is single-qubit only")
-    return float(2.0 * (1.0 - np.real(np.trace(rho.entries @ rho.entries))))
 
 
 def _l1_coherence(rho: np.ndarray, angles: np.ndarray) -> np.ndarray:

@@ -52,87 +52,19 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import NoiseChannel, mixing_probabilities, superoperator
 from .linalg import _frozen, kron_all
-from .pattern import MeasurementPattern, _resource_vector, frame_branches
+from .pattern import MeasurementPattern, _Records, _resource_vector, frame_branches
 
 # A report's (3, frames d^2, 2^M) workspace stays on the pattern's plan for
 # the life of the pattern; a report that needs more is refused.
 MAX_WORKSPACE_BYTES = 64 * 2**20
 _UNREACHABLE = 1e-12
-
-
-class _Records(Mapping):
-    """A read-only map from outcome tuples to rows of per-record arrays,
-    read from the arrays on lookup.
-
-    Record r is the tuple of the m bits of r, first-measured qubit most
-    significant (``pattern.outcome_tuple``).  Row i of ``columns`` belongs
-    to record ``index[i]``, ``index`` ascending; records not in ``index``
-    are absent, and ``index`` None stands for all 2^m records.  A row reads
-    each 1-d column as a float, None where NaN, and each other column as a
-    view of its sub-array, read-only when the column is; one column gives
-    that entry alone, more a tuple.  Iteration, ``items()`` and ``values()``
-    read whole columns at once.
-    """
-
-    __slots__ = ("_m", "_index", "_columns")
-
-    def __init__(self, m: int, index: np.ndarray | None, *columns: np.ndarray):
-        self._m, self._index, self._columns = m, index, columns
-
-    def _position(self, key) -> int:
-        if not isinstance(key, tuple) or len(key) != self._m:
-            raise KeyError(key)
-        r = 0
-        for bit in key:
-            if bit != 0 and bit != 1:
-                raise KeyError(key)
-            r = 2 * r + int(bit == 1)
-        if self._index is None:
-            return r
-        i = int(np.searchsorted(self._index, r))
-        if i == len(self._index) or self._index[i] != r:
-            raise KeyError(key)
-        return i
-
-    def _rows(self, rows: slice = slice(None)):
-        cols = [c[rows] for c in self._columns]
-        cols = [iter(c) if c.ndim > 1 else np.where(np.isnan(c), None, c).tolist() for c in cols]
-        return iter(cols[0]) if len(cols) == 1 else zip(*cols)
-
-    def __getitem__(self, key):
-        i = self._position(key)
-        return next(self._rows(slice(i, i + 1)))
-
-    def __iter__(self):
-        if self._index is None:
-            return itertools.product((0, 1), repeat=self._m)
-        return map(tuple, ((self._index[:, None] >> np.arange(self._m - 1, -1, -1)) & 1).tolist())
-
-    def __len__(self) -> int:
-        return 2**self._m if self._index is None else len(self._index)
-
-    def items(self):
-        return _RecordItems(self)
-
-    def values(self):
-        return _RecordValues(self)
-
-
-class _RecordItems(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping, self._mapping._rows())
-
-
-class _RecordValues(ValuesView):
-    def __iter__(self):
-        return self._mapping._rows()
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,14 +73,13 @@ class FidelityReport:
     weighted average.
 
     ``z`` and ``f`` are read-only arrays over the 2^M records; record r has
-    the bits of r, first-measured qubit most significant (as in
-    ``pattern.outcome_tuple``).  ``f`` is NaN on records flagged
-    unreachable, and ``average`` sums Z F over the rest.  A record is
-    unreachable when Z is below 1e-12 before renormalization, or when its
-    noiseless branch, its answer, has |psi_r|^2 <= 1e-20, even if noise
-    makes it likely.  ``per_outcome`` is a read-only view of ``z`` and
-    ``f`` that reads each outcome tuple as (Z, F), F None where
-    unreachable, from the arrays on lookup.
+    the bits of r as its outcomes, first-measured qubit most significant.
+    ``f`` is NaN on records flagged unreachable, and ``average`` sums Z F
+    over the rest.  A record is unreachable when Z is below 1e-12 before
+    renormalization, or when its noiseless branch, its answer, has
+    |psi_r|^2 <= 1e-20, even if noise makes it likely.  ``per_outcome`` is
+    a read-only view of ``z`` and ``f`` that reads each outcome tuple as
+    (Z, F), F None where unreachable, from the arrays on lookup.
     """
 
     z: np.ndarray

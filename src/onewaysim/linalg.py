@@ -1,8 +1,8 @@
 """Dense complex linear algebra for small multi-qubit systems.
 
 Qubit 0 sits on the most significant bit of the basis index: basis state
-|k_0 k_1 ... k_{n-1}> has index sum(k_i << (n-1-i)), and ``tensor(a, b)``
-places ``a`` on the high-order qubits.
+|k_0 k_1 ... k_{n-1}> has index sum(k_i << (n-1-i)), so the Kronecker
+product a (x) b puts ``a`` on the high-order qubits.
 """
 
 from __future__ import annotations
@@ -24,11 +24,9 @@ ID2 = np.eye(2, dtype=complex)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 PAULIS = (ID2, X, Y, Z)
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
 
 
 def _n_qubits(dim: int, what: str, limit: int) -> int:
@@ -74,27 +72,11 @@ class PureState:
         object.__setattr__(self, "n", n)
 
     @classmethod
-    def computational(cls, bits: Sequence[int]) -> "PureState":
-        n = len(bits)
-        amp = np.zeros(2**n, dtype=complex)
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | (int(b) & 1)
-        amp[idx] = 1.0
-        return cls(amp)
-
-    @classmethod
     def plus(cls, n: int) -> "PureState":
         return cls(np.full(2**n, 2.0 ** (-n / 2.0), dtype=complex))
 
     def density(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amplitudes, np.conj(self.amplitudes)))
-
-    def overlap(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def fidelity(self, other: "PureState") -> float:
-        return float(abs(self.overlap(other)) ** 2)
 
 
 def check_density_matrices(mats: np.ndarray) -> None:
@@ -131,16 +113,6 @@ class DensityMatrix:
         object.__setattr__(self, "n", n)
 
 
-def tensor(a, b):
-    """Kronecker product of two states of the same kind; ``a`` goes on the
-    high-order qubits."""
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(np.kron(a.entries, b.entries))
-    raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
-
-
 def partial_trace_raw(mat: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:
     keep = list(keep)
     t = mat.reshape((2,) * (2 * n))
@@ -165,15 +137,4 @@ def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
         out = out[..., :, None, :, None] * f[..., None, :, None, :]
         out = out.reshape(out.shape[:-4] + (out.shape[-4] * out.shape[-3], out.shape[-2] * out.shape[-1]))
     return out
-
-
-# -- raw-array helpers used by the simulation engines ------------------------
-# These skip validation; public types validate at API boundaries.
-
-
-def apply_single_qubit_unitary(vec: np.ndarray, u: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    t = vec.reshape((2,) * n)
-    t = np.tensordot(u, t, axes=([1], [qubit]))
-    t = np.moveaxis(t, 0, qubit)
-    return t.reshape(-1)
 

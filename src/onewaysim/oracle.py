@@ -25,15 +25,14 @@ from typing import Mapping
 import numpy as np
 
 from .channels import superoperator
-from .fidelity import _Records
 from .linalg import _frozen, check_density_matrices
-from .pattern import MeasurementPattern, _ZERO_BRANCH, _resource_vector, apply_byproducts
+from .pattern import MeasurementPattern, _Records, _ZERO_BRANCH, _resource_vector, apply_byproducts
 
 MAX_ORACLE_QUBITS = 10
 _PRUNE = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleRun:
     """Per-outcome probabilities, post-measurement answers, and fidelities
     against BP(r) BP(r0)^-1 A_r0, with A_r0 the noiseless answer of the

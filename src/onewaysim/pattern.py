@@ -12,15 +12,19 @@ by-product X^{f_x} Z^{f_z} per output qubit, with f_x and f_z affine in
 the outcomes.  A global sign is left out: no fidelity can see it.
 
 What a pattern alone fixes is compiled once per pattern into its ``plan``,
-shared by every fidelity report and oracle run of that pattern.
+shared by every fidelity report and oracle run of that pattern.  Record r
+has the bits of r as its outcomes, first-measured qubit most significant;
+fidelity reports and oracle runs both read their per-record arrays in that
+order, keyed by outcome tuple, through ``_Records``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -65,12 +69,6 @@ class BooleanExpr:
 
     def is_zero(self) -> bool:
         return self.const == 0 and not self.xor
-
-    def evaluate(self, bits: Mapping[int, int]) -> int:
-        v = self.const
-        for q in self.xor:
-            v ^= bits[q] & 1
-        return v
 
     def evaluate_columns(self, columns: Mapping[int, np.ndarray]) -> np.ndarray:
         """Vectorized evaluation over stacked outcome records; an empty
@@ -167,17 +165,79 @@ def basis_raw(theta: float, alpha: float, s: int, k: int) -> np.ndarray:
     return np.array([c, d * phase], dtype=complex)
 
 
-def outcome_tuple(index: int, m: int) -> tuple[int, ...]:
-    """Bits of an outcome record, first-measured qubit on the most
-    significant bit."""
-    return tuple((index >> (m - 1 - j)) & 1 for j in range(m))
+class _Records(Mapping):
+    """A read-only map from outcome tuples to rows of per-record arrays,
+    read from the arrays on lookup.
+
+    Record r is the tuple of the m bits of r, first-measured qubit most
+    significant.  Row i of ``columns`` belongs to record ``index[i]``,
+    ``index`` ascending; records not in ``index`` are absent, and ``index``
+    None stands for all 2^m records.  A row reads each 1-d column as a
+    float, None where NaN, and each other column as a view of its
+    sub-array, read-only when the column is; one column gives that entry
+    alone, more a tuple.  Iteration, ``items()`` and ``values()`` read
+    whole columns at once.
+    """
+
+    __slots__ = ("_m", "_index", "_columns")
+
+    def __init__(self, m: int, index: np.ndarray | None, *columns: np.ndarray):
+        self._m, self._index, self._columns = m, index, columns
+
+    def _position(self, key) -> int:
+        if not isinstance(key, tuple) or len(key) != self._m:
+            raise KeyError(key)
+        r = 0
+        for bit in key:
+            if bit != 0 and bit != 1:
+                raise KeyError(key)
+            r = 2 * r + int(bit == 1)
+        if self._index is None:
+            return r
+        i = int(np.searchsorted(self._index, r))
+        if i == len(self._index) or self._index[i] != r:
+            raise KeyError(key)
+        return i
+
+    def _rows(self, rows: slice = slice(None)):
+        cols = [c[rows] for c in self._columns]
+        cols = [iter(c) if c.ndim > 1 else np.where(np.isnan(c), None, c).tolist() for c in cols]
+        return iter(cols[0]) if len(cols) == 1 else zip(*cols)
+
+    def __getitem__(self, key):
+        i = self._position(key)
+        return next(self._rows(slice(i, i + 1)))
+
+    def __iter__(self):
+        if self._index is None:
+            return itertools.product((0, 1), repeat=self._m)
+        return map(tuple, ((self._index[:, None] >> np.arange(self._m - 1, -1, -1)) & 1).tolist())
+
+    def __len__(self) -> int:
+        return 2**self._m if self._index is None else len(self._index)
+
+    def items(self):
+        return _RecordItems(self)
+
+    def values(self):
+        return _RecordValues(self)
+
+
+class _RecordItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._rows())
+
+
+class _RecordValues(ValuesView):
+    def __iter__(self):
+        return self._mapping._rows()
 
 
 class PatternPlan:
     """The work fixed by a pattern alone, shared by every call that runs it:
     each piece is built on first use, so a pattern made for one call pays
     only for what that call reads, and then kept read-only for the life of
-    the pattern.  Records are indexed as in ``outcome_tuple``.
+    the pattern.  Records are in the module's record order.
 
     One piece is mutable: ``_memo`` keeps the resource half of the last
     fidelity report ("codes", ``fidelity._frame_codes``, taken off the plan

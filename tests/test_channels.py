@@ -14,8 +14,10 @@ from onewaysim.channels import (
     superoperator,
 )
 from onewaysim.fidelity import fidelity_nonadaptive
-from onewaysim.linalg import DensityMatrix, PAULIS, PLUS, MINUS, PureState
+from onewaysim.linalg import DensityMatrix, PAULIS, PLUS, PureState
 from onewaysim.pattern import BooleanExpr, MeasurementPattern, basis_raw
+
+from test_linalg import computational
 
 
 # -- the independent reference: the map as Pauli sandwiches from ``lambdas``,
@@ -123,7 +125,7 @@ class TestApply:
 
     def test_white_full_mixing(self):
         # p_w = 1 swaps the state with the maximally mixed one.
-        rho = PureState.computational([0]).density()
+        rho = computational([0]).density()
         out = apply(NoiseChannel.white(1.0, math.inf), rho, 0)
         assert np.max(np.abs(out.entries - np.eye(2) / 2)) < 1e-12
 
@@ -132,7 +134,7 @@ class TestApply:
         ch = NoiseChannel.phase_flip(1.0, math.log(2) / 2)
         p = 0.5
         rho_plus = PureState(PLUS).density()
-        rho_minus = PureState(MINUS).density()
+        rho_minus = PureState(np.array([1.0, -1.0]) / np.sqrt(2.0)).density()
         out = apply(ch, rho_plus, 0)
         expect = (1 - p / 2) * rho_plus.entries + (p / 2) * rho_minus.entries
         assert np.max(np.abs(out.entries - expect)) < 1e-12

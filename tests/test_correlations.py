@@ -12,14 +12,15 @@ from onewaysim.correlations import (
     classical_correlation,
     concurrence,
     discord,
-    linear_entropy,
     mep,
     mutual_information,
     negativity,
     von_neumann_entropy,
 )
 from onewaysim.graphstate import Graph, build_graph_state
-from onewaysim.linalg import ID2, PAULIS, DensityMatrix, PureState, kron_all, tensor
+from onewaysim.linalg import ID2, PAULIS, PLUS, DensityMatrix, PureState, kron_all
+
+from test_linalg import computational
 
 
 def rotation(axis, phi):
@@ -53,7 +54,7 @@ class TestConcurrence:
         assert abs(concurrence(bell()) - 1.0) < 1e-12
 
     def test_product_is_zero(self):
-        rho = tensor(PureState.plus(1).density(), PureState.computational([0]).density())
+        rho = PureState(np.kron(PLUS, computational([0]).amplitudes)).density()
         assert concurrence(rho) < 1e-8
 
     def test_phase_flip_decay(self):
@@ -80,7 +81,7 @@ class TestConcurrence:
 
 class TestNegativity:
     def test_product_zero(self):
-        rho = tensor(PureState.plus(1).density(), PureState.plus(1).density())
+        rho = PureState(np.kron(PLUS, PLUS)).density()
         assert negativity(rho, {0}) < 1e-12
 
     def test_bell_half(self):
@@ -109,16 +110,6 @@ class TestEntropies:
     def test_mixed(self):
         assert abs(von_neumann_entropy(DensityMatrix(np.eye(4) / 4)) - 2.0) < 1e-12
 
-    def test_linear_entropy_pure(self):
-        assert linear_entropy(PureState.plus(1).density()) < 1e-12
-
-    def test_linear_entropy_mixed(self):
-        assert abs(linear_entropy(DensityMatrix(np.eye(2) / 2)) - 1.0) < 1e-12
-
-    def test_linear_entropy_bloch_length(self):
-        for v in (0.2, 0.5, 0.9):
-            rho = DensityMatrix(np.array([[1 + v, 0], [0, 1 - v]]) / 2)
-            assert abs(linear_entropy(rho) - (1 - v**2)) < 1e-12
 
 
 def random_directions(rng, count):
@@ -162,7 +153,7 @@ class TestPauliTensor:
         rng = np.random.default_rng(5)
         states = [random_density(rng, 2).entries for _ in range(4)]
         # A product state measured along z has an outcome of probability 0.
-        states.append(PureState.computational([0, 0]).density().entries)
+        states.append(computational([0, 0]).density().entries)
         for rho in states:
             a, b, t = _bloch_decomposition(rho)
             if measured_side == "A":
@@ -289,7 +280,7 @@ class TestMep:
     def test_single_qubit_plus_state(self):
         # A pure superposition activates a full unit of entanglement only
         # in the worst basis; the minimum over unitaries is zero.
-        assert mep(PureState.computational([0]).density(), starts=8) < 1e-6
+        assert mep(computational([0]).density(), starts=8) < 1e-6
 
     def test_phase_flip_g2(self):
         gamma, t = 1.0, 0.35
@@ -307,7 +298,7 @@ class TestMep:
     def test_three_qubit_g2_with_idle_qubit(self, kind, rate):
         # A |0> qubit beside the noisy pair adds no coherence to activate.
         gamma, t = 1.0, 0.3
-        rho = tensor(noisy_g2(kind, gamma, t), PureState.computational([0]).density())
+        rho = DensityMatrix(np.kron(noisy_g2(kind, gamma, t).entries, computational([0]).density().entries))
         assert abs(mep(rho) - math.exp(-rate * gamma * t)) < 1e-4
 
     def test_three_qubit_local_unitary_invariance(self):

@@ -24,10 +24,10 @@ from onewaysim.fidelity import FidelityReport, fidelity_adaptive, fidelity_nonad
 from onewaysim.graphstate import Graph, build_graph_state, resource_state
 from onewaysim.linalg import PureState, kron_all
 from onewaysim.oracle import simulate
-from onewaysim.pattern import BooleanExpr, ByproductSpec, MeasurementPattern, basis_raw, frame_branches, outcome_tuple
+from onewaysim.pattern import BooleanExpr, ByproductSpec, MeasurementPattern, basis_raw, frame_branches
 
 from test_channels import kraus
-from test_pattern import rotation_pattern, rsp_pattern
+from test_pattern import evaluate, outcome_tuple, rotation_pattern, rsp_pattern
 
 
 def g2():
@@ -630,7 +630,7 @@ class TestAnswerNoise:
         joint = [kron_all(ops) if ops else np.eye(1) for ops in itertools.product(*per_qubit)]
         for r in range(2**m):
             bits = dict(zip(pat.measured, outcome_tuple(r, m)))
-            answer = tensordot_branches(resource.amplitudes, pat, [e.evaluate(bits) for e in pat.adapt])[r]
+            answer = tensordot_branches(resource.amplitudes, pat, [evaluate(e, bits) for e in pat.adapt])[r]
             answer /= np.linalg.norm(answer)
             expected = sum(abs(answer.conj() @ k @ answer) ** 2 for k in joint)
             assert abs(rep.f[r] - expected) < 1e-12
@@ -756,7 +756,7 @@ class TestFrameBranches:
         reference = {}
         for r in range(2**m):
             bits = dict(zip(pat.measured, outcome_tuple(r, m)))
-            s = tuple(e.evaluate(bits) for e in pat.adapt)
+            s = tuple(evaluate(e, bits) for e in pat.adapt)
             if s not in reference:
                 reference[s] = tensordot_branches(resource.amplitudes, pat, s)
             assert np.max(np.abs(psi[frame_of[r]] - reference[s])) < 1e-13

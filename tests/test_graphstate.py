@@ -3,8 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from onewaysim.graphstate import Graph, GraphState, _stabilizer_defect, build_graph_state, resource_state
-from onewaysim.linalg import ATOL, H, PureState, X, Z, apply_single_qubit_unitary
+from onewaysim.graphstate import Graph, GraphState, build_graph_state, resource_state
+from onewaysim.linalg import ATOL, PureState
+
+from test_linalg import computational
 
 
 def cnot15_graph():
@@ -13,6 +15,16 @@ def cnot15_graph():
     chain1 = [(i, i + 1) for i in range(6)]
     chain2 = [(i, i + 1) for i in range(8, 14)]
     return Graph.from_edges(15, chain1 + chain2 + [(3, 7), (7, 11)])
+
+
+def stabilizer_defect(amp, graph, v):
+    """Max deviation of X_v prod_{j in N(v)} Z_j |psi> from |psi>: X_v flips
+    axis v of the amplitude tensor, and each Z_j negates the half of axis j
+    where qubit j reads 1."""
+    t = np.flip(amp.reshape((2,) * graph.n), axis=v).copy()
+    for j in graph.neighbors(v):
+        t[(slice(None),) * j + (1,)] *= -1
+    return float(np.max(np.abs(t.reshape(-1) - amp)))
 
 
 class TestGraph:
@@ -41,14 +53,8 @@ class TestBuildGraphState:
 
     def test_three_chain_stabilizers(self):
         gs = build_graph_state(Graph.path(3))
-        amp = gs.state.amplitudes
         for v in range(3):
-            out = apply_single_qubit_unitary(amp, X, v, 3)
-            for j in gs.graph.neighbors(v):
-                out = apply_single_qubit_unitary(
-                    out, np.diag([1.0, -1.0]).astype(complex), j, 3
-                )
-            assert np.max(np.abs(out - amp)) < 1e-10
+            assert stabilizer_defect(gs.state.amplitudes, gs.graph, v) < 1e-10
 
     def test_edge_order_independent(self):
         edges = [(0, 1), (1, 2), (0, 3), (2, 3)]
@@ -62,43 +68,68 @@ class TestBuildGraphState:
             GraphState(g, PureState.plus(2))
 
 
-class TestApplyLocal:
-    def test_x_on_first(self):
-        out = apply_single_qubit_unitary(PureState.computational([0, 0]).amplitudes, X, 0, 2)
-        assert np.allclose(out, [0, 0, 1, 0])
-
-    def test_h_squares_to_identity(self):
-        rng = np.random.default_rng(7)
-        v = rng.normal(size=8) + 1j * rng.normal(size=8)
-        v /= np.linalg.norm(v)
-        out = apply_single_qubit_unitary(apply_single_qubit_unitary(v, H, 1, 3), H, 1, 3)
-        assert np.max(np.abs(out - v)) < 1e-12
-
-    def test_z_on_g2(self):
-        gs = build_graph_state(Graph.from_edges(2, [(0, 1)]))
-        out = apply_single_qubit_unitary(gs.state.amplitudes, Z, 1, 2)
-        assert np.allclose(out, np.array([1, -1, 1, 1]) / 2.0)
-
-
 class TestNeighborZ:
     """X on a vertex acts on |G> exactly like Z on all its neighbors."""
 
     def test_g2(self):
         gs = build_graph_state(Graph.from_edges(2, [(0, 1)]))
-        assert _stabilizer_defect(gs, 0) < ATOL
+        assert stabilizer_defect(gs.state.amplitudes, gs.graph, 0) < ATOL
+        # The reference sees a state that K_0 = X_0 Z_1 moves: |00> -> |10>.
+        assert stabilizer_defect(computational([0, 0]).amplitudes, gs.graph, 0) == 1.0
 
     def test_isolated_vertex(self):
         gs = build_graph_state(Graph(1, ()))
-        assert _stabilizer_defect(gs, 0) < ATOL
+        assert stabilizer_defect(gs.state.amplitudes, gs.graph, 0) < ATOL
 
     def test_cnot15_cluster_all_vertices(self):
         gs = build_graph_state(cnot15_graph())
-        assert all(_stabilizer_defect(gs, v) < ATOL for v in range(15))
+        assert all(stabilizer_defect(gs.state.amplitudes, gs.graph, v) < ATOL for v in range(15))
+
+
+class TestGivenState:
+    """A given state passes when it is the graph state up to a global phase,
+    to ATOL/2 in every amplitude."""
+
+    def test_rejects_whatever_the_stabilizers_reject(self):
+        # The old rule, each K_v moving the state by at most ATOL, never
+        # rejects a state that the comparison accepts.
+        rng = np.random.default_rng(23)
+        old_rejects = new_rejects = 0
+        for scale in (1e-12, 1e-11, 2e-11, 5e-11, 1e-10, 1e-8, 1e-4, 1.0):
+            for _ in range(30):
+                n = int(rng.integers(1, 7))
+                edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.uniform() < 0.5]
+                g = Graph.from_edges(n, edges)
+                noise = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+                amp = np.exp(1j * rng.uniform(0, 2 * np.pi)) * resource_state(g).amplitudes
+                amp = amp + scale * noise / np.abs(noise).max()
+                state = PureState(amp / np.linalg.norm(amp))
+                rejected = any(stabilizer_defect(state.amplitudes, g, v) > ATOL for v in range(n))
+                try:
+                    GraphState(g, state)
+                except ValueError:
+                    new_rejects += 1
+                else:
+                    assert not rejected, (n, edges, scale)
+                old_rejects += rejected
+        assert 0 < old_rejects <= new_rejects < 240
+
+    def test_cnot15_with_global_phase(self):
+        g = cnot15_graph()
+        state = PureState(np.exp(2.1j) * resource_state(g).amplitudes)
+        assert GraphState(g, state).state is state
+
+    def test_plus_rejected_on_g2(self):
+        # |++> - |g2> is (0, 0, 0, 1), so the deviation is 1.
+        with pytest.raises(ValueError, match=r"deviates from the graph state by 1 up to a global phase"):
+            GraphState(Graph.path(2), PureState.plus(2))
+        with pytest.raises(ValueError, match="orthogonal"):
+            GraphState(Graph.path(2), PureState(np.array([1, 1, -1, 1]) / 2.0))
 
 
 def test_resource_state_embeds_inputs():
     g = Graph.from_edges(2, [(0, 1)])
-    psi = resource_state(g, {0: PureState.computational([1])})
+    psi = resource_state(g, {0: computational([1])})
     # CZ on |1>|+> gives |1>|->.
     assert np.allclose(psi.amplitudes, [0, 0, 1 / np.sqrt(2), -1 / np.sqrt(2)])
 

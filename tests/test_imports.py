@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, the
-package metadata names exactly the third-party packages it imports, and
-importing it loads no scipy."""
+package metadata names exactly the third-party packages it imports,
+importing it loads no scipy, and the oracle imports nothing from the
+engine it checks."""
 
 import ast
 import os
@@ -47,6 +48,17 @@ def test_dependencies_name_the_imported_packages():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert declared == imported - set(sys.stdlib_module_names)
+
+
+def test_oracle_imports_nothing_from_the_engine():
+    """The ground truth must not share code with the fidelity engine that
+    it checks."""
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    sources = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            sources.update([node.module] if node.module else [alias.name for alias in node.names])
+    assert "fidelity" not in sources
 
 
 def test_no_module_loads_scipy():

@@ -10,8 +10,11 @@ from onewaysim.linalg import (
     Z,
     check_density_matrices,
     partial_trace_raw,
-    tensor,
 )
+
+
+def computational(bits):
+    return PureState(np.eye(2 ** len(bits))[int("".join(map(str, bits)), 2)])
 
 
 def bell_state():
@@ -32,7 +35,8 @@ class TestPureState:
             PureState(np.ones(3) / np.sqrt(3))
 
     def test_computational(self):
-        s = PureState.computational([1, 0])
+        # Qubit 0 is the most significant bit of the basis index.
+        s = computational([1, 0])
         assert np.allclose(s.amplitudes, [0, 0, 1, 0])
 
 
@@ -104,36 +108,6 @@ class TestCheckDensityMatrices:
         check_density_matrices(self.stack_with([[1.0 + 5e-10, 0.0], [0.0, -5e-10]]))
 
 
-class TestTensor:
-    def test_computational_kets(self):
-        s = tensor(PureState.computational([0]), PureState.computational([1]))
-        assert np.allclose(s.amplitudes, [0, 1, 0, 0])
-
-    def test_plus_plus(self):
-        s = tensor(PureState.plus(1), PureState.plus(1))
-        assert np.allclose(s.amplitudes, [0.5, 0.5, 0.5, 0.5])
-
-    def test_mixed_identity(self):
-        mixed = DensityMatrix(np.eye(2) / 2)
-        r = tensor(mixed, mixed)
-        assert np.allclose(r.entries, np.eye(4) / 4.0)
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(TypeError):
-            tensor(PureState.plus(1), DensityMatrix(np.eye(2) / 2))
-
-    def test_associative(self):
-        rng = np.random.default_rng(5)
-        states = []
-        for _ in range(3):
-            v = rng.normal(size=2) + 1j * rng.normal(size=2)
-            states.append(PureState(v / np.linalg.norm(v)))
-        a, b, c = states
-        left = tensor(tensor(a, b), c).amplitudes
-        right = tensor(a, tensor(b, c)).amplitudes
-        assert np.max(np.abs(left - right)) < 1e-12
-
-
 class TestPartialTrace:
     def test_bell_keep_first(self):
         r = partial_trace_raw(bell_state().density().entries, [0], 2)
@@ -141,7 +115,7 @@ class TestPartialTrace:
 
     def test_product_keep_second(self):
         plus = PureState.plus(1)
-        rho = tensor(PureState.computational([0]).density(), plus.density())
+        rho = DensityMatrix(np.kron(computational([0]).density().entries, plus.density().entries))
         r = partial_trace_raw(rho.entries, [1], 2)
         assert np.allclose(r, plus.density().entries, atol=1e-12)
 
@@ -162,7 +136,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(11)
         a = _random_density(rng, 1)
         b = _random_density(rng, 2)
-        joint = tensor(a, b)
+        joint = DensityMatrix(np.kron(a.entries, b.entries))
         back = partial_trace_raw(joint.entries, [0], 3)
         assert np.max(np.abs(back - a.entries)) < 1e-10
         back_b = partial_trace_raw(joint.entries, [1, 2], 3)

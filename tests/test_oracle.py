@@ -125,6 +125,16 @@ class TestSimulate:
         with pytest.raises(ValueError):
             run.branches[(0,)][1][0, 0] = 1.0
 
+    def test_runs_equal_only_themselves(self):
+        # A run holds arrays, so it compares and hashes by identity, as
+        # reports and states do; ``assert_same_run`` compares contents.
+        gs = build_graph_state(Graph.from_edges(2, [(0, 1)]))
+        run, again = (simulate(gs, rsp_pattern(0.9), {1: NoiseChannel.white(0.3, 0.5)}) for _ in range(2))
+        assert run == run and hash(run) == hash(run)
+        assert (run == again) is False and run != again
+        assert len({run, run, again}) == 2
+        assert_same_run(run, again)
+
     def test_rejects_channel_outside_resource(self):
         gs = build_graph_state(Graph.from_edges(2, [(0, 1)]))
         with pytest.raises(ValueError, match="outside the 2-qubit resource"):

@@ -17,8 +17,22 @@ from onewaysim.pattern import (
     apply_byproducts,
     basis_raw,
     frame_branches,
-    outcome_tuple,
 )
+
+
+def outcome_tuple(index, m):
+    """Bits of record ``index``, first-measured qubit on the most
+    significant bit: the record order of the package."""
+    return tuple((index >> (m - 1 - j)) & 1 for j in range(m))
+
+
+def evaluate(expr, bits):
+    """``expr`` on one record, ``bits`` mapping each qubit to its outcome:
+    the scalar reference for ``BooleanExpr.evaluate_columns``."""
+    v = expr.const
+    for q in expr.xor:
+        v ^= bits[q] & 1
+    return v
 
 
 def byproduct_unitary(pat, outcome):
@@ -30,7 +44,7 @@ def byproduct_unitary(pat, outcome):
     factors = []
     for q in pat.outputs:
         bp = specs.get(q, ByproductSpec(q))
-        x, z = bp.fx.evaluate(bits), bp.fz.evaluate(bits)
+        x, z = evaluate(bp.fx, bits), evaluate(bp.fz, bits)
         factors.append(np.linalg.matrix_power(X, x) @ np.linalg.matrix_power(Z, z))
     return kron_all(factors) if factors else np.eye(1, dtype=complex)
 
@@ -86,7 +100,7 @@ class TestBooleanExpr:
         vec = e.evaluate_columns(cols)
         for row in range(40):
             bits = {q: int(cols[q][row]) for q in range(3)}
-            assert vec[row] == e.evaluate(bits)
+            assert vec[row] == evaluate(e, bits)
 
 
 class TestPatternValidation:
