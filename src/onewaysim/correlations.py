@@ -10,8 +10,12 @@ gives: the local Bloch vectors are a = M[1:, 0] and b = M[0, 1:], the
 correlation matrix is T = M[1:, 1:].  Measuring B along the unit vector n
 gives outcome probabilities p+- = (1 +- b.n)/2 and leaves A with Bloch
 vector (a +- T n)/(2 p+-), so the conditional entropy of the discord search
-is sum+- p+- h(|a +- T n|/(2 p+-)) with h the entropy of a qubit of that
-Bloch length; measuring A swaps a and b and transposes T.
+is sum+- p+- h(|a +- T n|/(2 p+-)) with h(r) the entropy of a qubit of
+Bloch length r, and S(A) = h(|a|); measuring A swaps a and b and
+transposes T.  With a = b = 0 both outcomes have probability 1/2, the
+search is least at T's largest singular value sigma, and discord is
+(2 - S(AB)) - (1 - h(sigma)) = 1 - S(AB) + h(sigma) (Luo, PRA 77, 042303
+(2008)).
 
 The activation protocol applies a local unitary U and then one CNOT from
 each system qubit onto a fresh |0> ancilla, which takes rho' = U rho U^dagger
@@ -38,7 +42,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import DensityMatrix, PAULIS, Y, kron_all, partial_trace_raw
+from .linalg import DensityMatrix, PAULIS, Y, kron_all
 
 _LOG2 = math.log(2.0)
 # tr(rho P) = vec(rho) . vec(P^T) for row-major vec, so this stack of the
@@ -57,10 +61,16 @@ _ITERATIONS = 3000
 
 def _entropy(p, axis=-1):
     """Base-2 Shannon entropy of the probabilities along ``axis``; entries at
-    or below zero contribute nothing (0 log 0 = 0)."""
+    or below 1e-15 count as 0: rounding leaves a few eps where zeros belong,
+    as in (1 - r) / 2 at r = 1, and x log x lifts that to 1e-14."""
     p = np.asarray(p, dtype=float)
-    logs = np.log(p, out=np.zeros_like(p), where=p > 0.0)
+    logs = np.log(p, out=np.zeros_like(p), where=p > 1e-15)
     return -(p * logs).sum(axis=axis) / _LOG2
+
+
+def _qubit_entropy(r):
+    """Base-2 entropy h(r) of a qubit of Bloch length r, elementwise."""
+    return _entropy(np.array(((1.0 + r) / 2.0, (1.0 - r) / 2.0)), axis=0)
 
 
 def von_neumann_entropy(rho) -> float:
@@ -110,12 +120,12 @@ def negativity(rho: DensityMatrix, partition: Iterable[int]) -> float:
 
 
 def mutual_information(rho: DensityMatrix) -> float:
-    """S(A) + S(B) - S(AB) for a two-qubit state."""
+    """S(A) + S(B) - S(AB) for a two-qubit state, the marginal entropies
+    read off the local Bloch lengths."""
     if rho.n != 2:
         raise ValueError("mutual information here is two-qubit only")
-    sa = von_neumann_entropy(partial_trace_raw(rho.entries, [0], 2))
-    sb = von_neumann_entropy(partial_trace_raw(rho.entries, [1], 2))
-    return sa + sb - von_neumann_entropy(rho)
+    a, b, _ = _bloch_decomposition(rho.entries)
+    return float(_qubit_entropy(np.linalg.norm((a, b), axis=1)).sum()) - von_neumann_entropy(rho)
 
 
 def _bloch_decomposition(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -134,8 +144,7 @@ def _measured_entropy(a, b, t, n):
     for sign in (1.0, -1.0):
         p = (1.0 + sign * bn) / 2.0
         r = np.linalg.norm(a + sign * tn, axis=-1) / np.maximum(2.0 * p, 1e-14)
-        h = _entropy(np.stack(((1.0 + r) / 2.0, (1.0 - r) / 2.0)), axis=0)
-        total = total + np.where(p > 1e-14, p * h, 0.0)
+        total = total + np.where(p > 1e-14, p * _qubit_entropy(r), 0.0)
     return total
 
 
@@ -198,21 +207,18 @@ def _nelder_mead(objective, k: int, count: int) -> tuple[np.ndarray, np.ndarray]
     return values.min(axis=1), ~active
 
 
-def classical_correlation(rho: DensityMatrix, measured_side: str = "B", starts: int = 16) -> float:
+def classical_correlation(rho: DensityMatrix, measured_side: str = "B") -> float:
     """max over projective measurements of S(other) - S(other | outcome),
     by minimizing the closed-form conditional entropy over the Bloch angles
-    of the measured projector pair from ``starts`` starts."""
+    of the measured projector pair from 16 starts."""
     if rho.n != 2:
         raise ValueError("classical correlation here is two-qubit only")
-    if starts < 1:
-        raise ValueError(f"starts={starts}: at least one start is needed")
     if measured_side not in ("A", "B"):
         raise ValueError("measured_side must be 'A' or 'B'")
     a, b, t = _bloch_decomposition(rho.entries)
     if measured_side == "A":
         a, b, t = b, a, t.T
-    r = np.linalg.norm(a)
-    s_other = float(_entropy([(1.0 + r) / 2.0, (1.0 - r) / 2.0]))
+    s_other = float(_qubit_entropy(np.linalg.norm(a)))
 
     def objective(angles):
         theta, phi = angles
@@ -220,38 +226,16 @@ def classical_correlation(rho: DensityMatrix, measured_side: str = "B", starts: 
         n = np.stack((st * np.cos(phi), st * np.sin(phi), np.cos(theta)), axis=-1)
         return _measured_entropy(a, b, t, n)
 
-    least, _ = _nelder_mead(objective, 2, starts)
+    least, _ = _nelder_mead(objective, 2, 16)
     return s_other - float(least.min())
-
-
-def bell_diagonal_correlations(c: Sequence[float]) -> tuple[float, float, float]:
-    """Closed-form (mutual information, classical correlation, discord) for
-    a state (I + sum_j c_j sigma_j x sigma_j) / 4."""
-    c1, c2, c3 = c
-    lam = np.array(
-        [
-            (1 + c1 - c2 + c3) / 4,
-            (1 - c1 + c2 + c3) / 4,
-            (1 + c1 + c2 - c3) / 4,
-            (1 - c1 - c2 - c3) / 4,
-        ]
-    )
-    if np.any(lam < -1e-12):
-        raise ValueError(f"coefficients {c} do not give a state")
-    info = 2.0 - float(_entropy(lam))
-    cmax = max(abs(c1), abs(c2), abs(c3))
-    # Measuring along the strongest correlation leaves outcomes that agree
-    # with probability (1 + cmax) / 2.
-    cc = 1.0 - float(_entropy([(1.0 + cmax) / 2.0, (1.0 - cmax) / 2.0]))
-    return info, cc, info - cc
 
 
 def discord(rho: DensityMatrix, measured_side: str = "B", method: str = "auto") -> float:
     """Quantum discord: mutual information minus classical correlation.
 
-    ``method='auto'`` uses the Bell-diagonal closed form whenever both local
-    Bloch vectors vanish (the state is then locally equivalent to a Bell
-    mixture with the correlation-matrix singular values as coefficients);
+    ``method='auto'`` uses the closed form 1 - S(AB) + h(sigma), sigma the
+    largest singular value of the correlation matrix T, whenever both local
+    Bloch vectors vanish (module docstring; Luo, PRA 77, 042303 (2008));
     ``method='optimize'`` always runs the projective-measurement search.
     """
     if method not in ("auto", "optimize"):
@@ -259,12 +243,8 @@ def discord(rho: DensityMatrix, measured_side: str = "B", method: str = "auto") 
     if method == "auto":
         a, b, t = _bloch_decomposition(rho.entries)
         if np.max(np.abs(a)) < 1e-12 and np.max(np.abs(b)) < 1e-12:
-            # Proper local rotations diagonalize the correlation matrix to
-            # (s1, s2, sign(det T) s3); the determinant sign is not a local
-            # invariant to discard.
-            sv = np.linalg.svd(t, compute_uv=False)
-            det_sign = 1.0 if np.linalg.det(t) >= 0.0 else -1.0
-            return bell_diagonal_correlations((sv[0], sv[1], det_sign * sv[2]))[2]
+            sigma = np.linalg.svd(t, compute_uv=False)[0]
+            return 1.0 - von_neumann_entropy(rho) + float(_qubit_entropy(sigma))
     info = mutual_information(rho)
     return info - classical_correlation(rho, measured_side)
 

@@ -211,10 +211,10 @@ def _record_frame_report(
             f"of workspace; the limit is {MAX_WORKSPACE_BYTES >> 20} MiB"
         )
     # P(read r_i | prepared k_i) at each measured position, as [r_i, k_i].
-    measured_channels = measured_channels or {}
     reads = []
     for q, alpha in zip(pat.measured, pat.alphas):
-        p0, p1 = mixing_probabilities(measured_channels[q], alpha) if q in measured_channels else (0.0, 0.0)
+        ch = (measured_channels or {}).get(q)
+        p0, p1 = (0.0, 0.0) if ch is None else mixing_probabilities(ch, alpha)
         reads.append(np.array([[1.0 - p0, p1], [p0, 1.0 - p1]]))
     # The memo leaves the plan until the workspace is read for the last time
     # (a dict pop is atomic), so two threads that share the pattern never
@@ -270,11 +270,12 @@ def fidelity_adaptive(
     """Exact per-record fidelity for (possibly) adaptive patterns.
 
     ``measured_channels`` may name only measured qubits and
-    ``answer_channels`` only outputs; any other key raises ValueError.
-    Record probabilities are renormalized; the factor must already be 1 to
-    1e-6.  A record gets F NaN and no share of the average when its
-    probability is below 1e-12 before renormalization, or when its noiseless
-    branch has |psi_r|^2 <= 1e-20, even if noise makes it likely.
+    ``answer_channels`` only outputs; any other key raises ValueError.  A
+    None value is no channel, as is a missing key.  Record probabilities
+    are renormalized; the factor must already be 1 to 1e-6.  A record gets
+    F NaN and no share of the average when its probability is below 1e-12
+    before renormalization, or when its noiseless branch has
+    |psi_r|^2 <= 1e-20, even if noise makes it likely.
 
     A report's workspace of 3 frames d^2 2^M floats, d = 2^outputs, stays
     on the pattern's plan; one that needs over ``MAX_WORKSPACE_BYTES`` (64

@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import ATOL, PLUS, PureState, _frozen
+from .linalg import ATOL, MAX_PURE_QUBITS, PLUS, PureState, _frozen, _n_qubits
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,7 @@ class Graph:
 def resource_state(graph: Graph, inputs: Mapping[int, PureState] | None = None) -> PureState:
     """CZ-entangled product state: |+> everywhere except the single-qubit
     ``inputs`` embedded on their vertices."""
+    _n_qubits(2**graph.n, "state vector", MAX_PURE_QUBITS)  # before any allocation
     inputs = inputs or {}
     stray = sorted(set(inputs) - set(range(graph.n)))
     if stray:

@@ -73,6 +73,7 @@ class PureState:
 
     @classmethod
     def plus(cls, n: int) -> "PureState":
+        _n_qubits(2**n, "state vector", MAX_PURE_QUBITS)
         return cls(np.full(2**n, 2.0 ** (-n / 2.0), dtype=complex))
 
     def density(self) -> "DensityMatrix":
@@ -111,20 +112,6 @@ class DensityMatrix:
         check_density_matrices(mat[None])
         object.__setattr__(self, "entries", _frozen(mat))
         object.__setattr__(self, "n", n)
-
-
-def partial_trace_raw(mat: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:
-    keep = list(keep)
-    t = mat.reshape((2,) * (2 * n))
-    traced = [q for q in range(n) if q not in keep]
-    # Contract row/column axes of each traced qubit, highest axis first so
-    # the remaining axis numbers stay valid.
-    offset = n
-    for q in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=q, axis2=q + offset)
-        offset -= 1
-    d = 2 ** len(keep)
-    return t.reshape(d, d)
 
 
 def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:

@@ -75,17 +75,17 @@ def _resource_half(pat: MeasurementPattern, amp: np.ndarray) -> tuple:
 
 
 def simulate(resource, pat: MeasurementPattern, channels: Mapping[int, object] | None = None) -> OracleRun:
-    """Noisy run of a pattern: every qubit's channel, then sequential
-    adaptive projective measurements over every branch."""
+    """Noisy run of a pattern: every qubit's channel (a None or missing one
+    is none), then adaptive projective measurements over every branch."""
     amp, n = _resource_vector(resource)
     if n > MAX_ORACLE_QUBITS:
         raise ValueError(f"brute-force simulation capped at {MAX_ORACLE_QUBITS} qubits, got {n}")
     if n != pat.n_qubits:
         raise ValueError("pattern size does not match the resource")
-    channels = channels or {}
-    stray = sorted(set(channels) - set(range(n)))
+    stray = sorted(set(channels or ()) - set(range(n)))
     if stray:
         raise ValueError(f"channels on qubits {stray} outside the {n}-qubit resource")
+    channels = {q: ch for q, ch in (channels or {}).items() if ch is not None}
     m, plan = pat.n_measured, pat.plan
     # Entries are never written once built: two calls that both miss build
     # their own, and the last one stored stays.

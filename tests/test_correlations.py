@@ -8,7 +8,6 @@ from onewaysim.correlations import (
     _bloch_decomposition,
     _l1_coherence,
     _measured_entropy,
-    bell_diagonal_correlations,
     classical_correlation,
     concurrence,
     discord,
@@ -222,18 +221,69 @@ class TestDiscord:
         assert abs(discord(noisy_g2("pf", gamma, t)) - (1 - h)) < 1e-10
 
 
-class TestBellDiagonalClosedForm:
-    def test_rejects_non_state(self):
-        with pytest.raises(ValueError):
-            bell_diagonal_correlations((1.0, 1.0, 1.0))
+def luo_reference(c):
+    """(mutual information, discord) of the Bell-diagonal state
+    (I + sum_j c_j sigma_j x sigma_j) / 4 from its four eigenvalues
+    (Luo, PRA 77, 042303 (2008))."""
+    c1, c2, c3 = c
+    lam = [
+        (1 + c1 - c2 + c3) / 4,
+        (1 - c1 + c2 + c3) / 4,
+        (1 + c1 + c2 - c3) / 4,
+        (1 - c1 - c2 - c3) / 4,
+    ]
+    info = 2.0 + sum(x * math.log2(x) for x in lam if x > 0.0)
+    # Measuring along the strongest correlation leaves outcomes that agree
+    # with probability (1 + cmax) / 2.
+    agree = (1.0 + max(map(abs, c))) / 2.0
+    cc = 1.0 + sum(x * math.log2(x) for x in (agree, 1.0 - agree) if x > 0.0)
+    return info, info - cc
 
-    def test_werner(self):
-        p = 0.3
-        c = 1 - p
-        info, cc, q = bell_diagonal_correlations((c, -c, c))
-        rho = DensityMatrix((1 - p) * bell().entries + p * np.eye(4) / 4)
-        assert abs(info - mutual_information(rho)) < 1e-12
-        assert q >= 0
+
+def random_bell_diagonal_coefficients(rng, count):
+    """Coefficients of ``count`` random Bell-diagonal states, drawn from the
+    cube and kept where all four eigenvalues are nonnegative."""
+    kept = []
+    while len(kept) < count:
+        c = rng.uniform(-1.0, 1.0, size=3)
+        if min(1 + c[0] - c[1] + c[2], 1 - c[0] + c[1] + c[2], 1 + c[0] + c[1] - c[2], 1 - c.sum()) >= 0.0:
+            kept.append(c)
+    return kept
+
+
+class TestLuoClosedForm:
+    def test_rotated_bell_diagonal_states(self):
+        # Local unitaries rotate T by proper rotations, which keep the sign
+        # of det T; the sample holds both signs.
+        rng = np.random.default_rng(7)
+        coefficients = random_bell_diagonal_coefficients(rng, 100)
+        assert {np.sign(np.prod(c)) for c in coefficients} == {-1.0, 1.0}
+        for c in coefficients:
+            bell_diagonal = (np.eye(4) + sum(cj * np.kron(p, p) for cj, p in zip(c, PAULIS[1:]))) / 4
+            u = random_local_unitary(rng, 2)
+            rho = DensityMatrix(u @ bell_diagonal @ u.conj().T)
+            info, q = luo_reference(c)
+            assert abs(mutual_information(rho) - info) < 1e-12
+            for side in ("A", "B"):
+                assert abs(discord(rho, measured_side=side) - q) < 1e-12
+
+    def test_rank_two_mixtures_to_rounding(self):
+        # T's largest singular value is 1 up to rounding, which h must not
+        # lift to 1e-14.
+        for t in np.linspace(0.05, 0.6, 12):
+            q = (1 - math.exp(-2 * t)) / 2
+            expect = 1 + q * math.log2(q) + (1 - q) * math.log2(1 - q)
+            assert abs(discord(noisy_g2("pf", 1.0, t)) - expect) < 2e-15
+
+    def test_mutual_information_matches_partial_traces(self):
+        # Random states have nonzero local Bloch vectors.
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            rho = random_density(rng, 2)
+            t = rho.entries.reshape(2, 2, 2, 2)
+            sa = von_neumann_entropy(np.trace(t, axis1=1, axis2=3))
+            sb = von_neumann_entropy(np.trace(t, axis1=0, axis2=2))
+            assert abs(mutual_information(rho) - (sa + sb - von_neumann_entropy(rho))) < 1e-12
 
 
 def rz(a):
@@ -317,5 +367,3 @@ class TestMep:
     def test_rejects_no_starts(self):
         with pytest.raises(ValueError, match="starts=0"):
             mep(bell(), starts=0)
-        with pytest.raises(ValueError, match="starts=0"):
-            classical_correlation(bell(), starts=0)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,3 +182,17 @@ def test_resource_state_rejects_inputs_off_the_graph(stray):
     bad = sorted(set(stray) - {0, 1, 2})
     with pytest.raises(ValueError, match=re.escape(f"inputs name vertices {bad}")):
         resource_state(Graph.path(3), stray)
+
+
+def test_resource_state_refuses_past_the_limit_before_it_allocates():
+    # At 17 vertices the amplitudes and the graph's signs would take MiBs.
+    graph = Graph.path(17)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="state vector with 17 qubits exceeds the 15-qubit limit"):
+            resource_state(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert "cz_signs" not in graph.__dict__

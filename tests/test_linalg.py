@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from onewaysim.linalg import (
     Y,
     Z,
     check_density_matrices,
-    partial_trace_raw,
 )
 
 
@@ -33,6 +34,16 @@ class TestPureState:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             PureState(np.ones(3) / np.sqrt(3))
+
+    def test_plus_refuses_past_the_limit_before_it_allocates(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="state vector with 17 qubits exceeds the 15-qubit limit"):
+                PureState.plus(17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_computational(self):
         # Qubit 0 is the most significant bit of the basis index.
@@ -106,52 +117,3 @@ class TestCheckDensityMatrices:
         # (eigenvalues) pass.
         check_density_matrices(self.stack_with([[0.5 + 5e-11, 5e-11], [0.0, 0.5]]))
         check_density_matrices(self.stack_with([[1.0 + 5e-10, 0.0], [0.0, -5e-10]]))
-
-
-class TestPartialTrace:
-    def test_bell_keep_first(self):
-        r = partial_trace_raw(bell_state().density().entries, [0], 2)
-        assert np.allclose(r, np.eye(2) / 2.0, atol=1e-12)
-
-    def test_product_keep_second(self):
-        plus = PureState.plus(1)
-        rho = DensityMatrix(np.kron(computational([0]).density().entries, plus.density().entries))
-        r = partial_trace_raw(rho.entries, [1], 2)
-        assert np.allclose(r, plus.density().entries, atol=1e-12)
-
-    def test_g2_keep_second_is_mixed(self):
-        # Independent oracle: brute-force sum over the traced qubit's basis.
-        rho = g2_state().density().entries
-        reduced = np.zeros((2, 2), dtype=complex)
-        for b in range(2):
-            bra = np.zeros(2)
-            bra[b] = 1.0
-            proj = np.kron(bra, np.eye(2))
-            reduced += proj @ rho @ proj.T
-        assert np.allclose(reduced, np.eye(2) / 2.0, atol=1e-12)
-        r = partial_trace_raw(g2_state().density().entries, [1], 2)
-        assert np.allclose(r, reduced, atol=1e-10)
-
-    def test_inverse_of_tensor(self):
-        rng = np.random.default_rng(11)
-        a = _random_density(rng, 1)
-        b = _random_density(rng, 2)
-        joint = DensityMatrix(np.kron(a.entries, b.entries))
-        back = partial_trace_raw(joint.entries, [0], 3)
-        assert np.max(np.abs(back - a.entries)) < 1e-10
-        back_b = partial_trace_raw(joint.entries, [1, 2], 3)
-        assert np.max(np.abs(back_b - b.entries)) < 1e-10
-
-    def test_trace_preserved(self):
-        rng = np.random.default_rng(12)
-        rho = _random_density(rng, 3)
-        for keep in ([0], [1, 2], [0, 2]):
-            r = partial_trace_raw(rho.entries, keep, 3)
-            assert abs(np.trace(r) - 1.0) < 1e-10
-
-
-def _random_density(rng, n):
-    d = 2**n
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = a @ a.conj().T
-    return DensityMatrix(m / np.trace(m))

@@ -64,6 +64,13 @@ class TestSimulate:
         expect = (1 + math.exp(-4 * gamma * t)) / 2
         assert abs(run.average - expect) < 1e-10
 
+    def test_none_is_no_channel(self):
+        # A None entry runs as the key left out, on a measured qubit or an output.
+        gs, pat, ch = build_graph_state(Graph.path(2)), rsp_pattern(0.7), NoiseChannel.white(1.0, 0.3)
+        for chans in ({0: None, 1: ch}, {0: ch, 1: None}):
+            left_out = {q: c for q, c in chans.items() if c is not None}
+            assert_same_run(simulate(gs, pat, chans), simulate(gs, pat, left_out))
+
     def test_rotation_zero_noise(self):
         rng = np.random.default_rng(1)
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
