@@ -17,32 +17,29 @@ Projecting the resource onto the frame's bases gives a branch vector
 psi_{s,k} for every prepared record k, and
 
     Z(r) = sum_k W[r,k] |psi_{s(r),k}|^2,
-    F(r) = sum_k W[r,k] <A_r| N(|psi_{s(r),k}><psi_{s(r),k}|) |A_r> / Z(r),
+    F(r) = sum_k W[r,k] <T_r| N(|psi_{s(r),k}><psi_{s(r),k}|) |T_r> / Z(r),
 
 with W[r,k] = prod_i P(r_i | k_i), N the answer noise on the outputs, and
-A_r the normalized noiseless branch psi_{s(r),r}.  What the
-pattern alone fixes runs once per pattern (``MeasurementPattern.plan``).
-Both W and the bras of a frame are tensor products of 2x2 matrices, and
-both are applied in blocks of b <= ``pattern.BLOCK`` measured positions,
-each block's factors joined into one 2^b x 2^b matrix and applied as one
-matmul over all frames at once.  A frame then costs O(2^B M 2^n / B) for
-the branches and O(2^B M 2^M d^2 / B) for W, B = ``pattern.BLOCK``, in
-ceil(M/B) steps, so a non-adaptive pattern (one frame) costs that, and an
-adaptive one that times its number of frames.  The codes of the branch
-projectors are stored in the oracle's Liouville order, each output's (row
-bit, column bit) pair on one axis of 4, so the answer noise runs as in the
-oracle: each noisy output's 4x4 superoperator in one batched product on
-its axis, O(frames d^2 2^M) per noisy output.  See Danos, Kashefi and
-Panangaden, "The measurement calculus", arXiv:0704.1263.
+T_r = BP(r) T, T = BP(r0) A_r0, A_r0 the normalized noiseless branch of
+the first record r0 with |psi_r0|^2 > 1e-20, as in the oracle.  In a
+deterministic pattern every noiseless branch is BP(r) T up to a phase
+(Browne, Kashefi, Mhalla and Perdrix, NJP 9, 250 (2007)).  W and the bras
+of a frame are tensor products of 2x2 matrices, applied in blocks of
+B = ``pattern.BLOCK`` positions, one 2^B x 2^B matmul over all frames per
+block: a frame costs O(2^B M 2^n / B) for the branches and
+O(2^B M 2^M d^2 / B) for W.  Codes are in the oracle's Liouville order,
+each output's (row bit, column bit) pair on one axis of 4.  The answer
+noise acts on the few reference codes R, as tr(N(rho) R) =
+tr(rho N^dagger(R)): each output's 4x4 superoperator, transposed, on its
+axis.  See Danos, Kashefi and Panangaden, arXiv:0704.1263.
 
 A sweep over the exposure time t changes only the noise, so a report has
 two halves.  The resource half (the branches, the codes of their
-projectors |psi_{s,k}><psi_{s,k}| and their norms) stays on the pattern's
-plan, in the workspace of the report, keyed by the identity of the
-resource's read-only amplitude array; the plan holds that array only
-weakly.  A later report on the same array runs only the noise half: the
-flip stage, the answer noise and the sums.  A report on another resource
-recomputes the resource half into the same workspace.
+projectors |psi_{s,k}><psi_{s,k}| and of the references T_r T_r^dagger,
+one per distinct by-product) stays on the pattern's plan, keyed by the
+identity of the resource's read-only amplitude array, which the plan holds
+only weakly.  A later report on the same array runs only the noise half:
+the flip stage, the answer noise and the sums.
 
 The brute-force simulator in ``oracle`` is the independent ground truth
 for everything here.
@@ -59,7 +56,7 @@ import numpy as np
 
 from .channels import NoiseChannel, mixing_probabilities, superoperator
 from .linalg import _frozen, kron_all
-from .pattern import MeasurementPattern, _Records, _resource_vector, frame_branches
+from .pattern import MeasurementPattern, _Records, _ZERO_BRANCH, _resource_vector, byproduct_codes, frame_branches
 
 # A report's (3, frames d^2, 2^M) workspace stays on the pattern's plan for
 # the life of the pattern; a report that needs more is refused.
@@ -74,12 +71,10 @@ class FidelityReport:
 
     ``z`` and ``f`` are read-only arrays over the 2^M records; record r has
     the bits of r as its outcomes, first-measured qubit most significant.
-    ``f`` is NaN on records flagged unreachable, and ``average`` sums Z F
-    over the rest.  A record is unreachable when Z is below 1e-12 before
-    renormalization, or when its noiseless branch, its answer, has
-    |psi_r|^2 <= 1e-20, even if noise makes it likely.  ``per_outcome`` is
-    a read-only view of ``z`` and ``f`` that reads each outcome tuple as
-    (Z, F), F None where unreachable, from the arrays on lookup.
+    ``f`` is NaN on unreachable records, those with Z below 1e-12 before
+    renormalization, and ``average`` sums Z F over the rest.
+    ``per_outcome`` is a read-only view of ``z`` and ``f`` that reads each
+    outcome tuple as (Z, F), F None where unreachable, from the arrays.
     """
 
     z: np.ndarray
@@ -113,14 +108,12 @@ class FidelityReport:
 def _workspace(shape: tuple[int, ...]) -> np.ndarray:
     """A plan's report workspace, allocated once for the life of the plan.
 
-    A block of the same size is allocated and freed first.  Freeing a large
-    block raises glibc's dynamic mmap and trim thresholds above its size, as
-    every report did when each report freed its own workspace; without that,
-    the branch temporaries of a report come from fresh pages, or from a heap
-    trimmed between reports, and fault the pages in again each time (57 to
-    340 minor faults per operation of a CNOT15 sweep in a fresh process,
-    against none).  Other allocators pay one extra allocation per plan.
-    """
+    A block of the same size is allocated and freed first: freeing a large
+    block raises glibc's dynamic mmap and trim thresholds above its size.
+    Without that, the branch temporaries of each report come from fresh
+    pages, or from a heap trimmed between reports, and fault them in again
+    (57 to 340 minor faults per report of a CNOT15 sweep in a fresh process,
+    against none).  Other allocators pay one extra allocation per plan."""
     np.empty(shape)
     return np.empty(shape)
 
@@ -134,17 +127,14 @@ def _traces(codes: np.ndarray, k: int) -> np.ndarray:
 
 def _frame_codes(pat: MeasurementPattern, resource, memo: tuple | None) -> tuple:
     """The resource half of a report: (a weak reference to the resource's
-    amplitude array, the report's workspace, norm2, own).  Slab 0 of the
-    (3, frames d^2, 2^M) workspace holds code[f, :, k], the code of
-    |psi_fk><psi_fk| in the oracle's Liouville order (each output's row bit
-    and column bit adjacent, outputs ascending), norm2[r] = |psi_r|^2 for
-    record r's own branch, and ``own[r]`` is the flat (frame, record) entry
-    of that branch.  ``memo``, the plan's last result, is returned as it is
-    when it was made from the same array, and otherwise lends its workspace.
-
-    A report allocates one large array, not one per stage, since fresh large
-    arrays cost page faults; for the same reason a miss overwrites the
-    memo's workspace rather than freeing it.
+    amplitude array, the workspace, refs, own, pick).  Slab 0 of the (3,
+    frames d^2, 2^M) workspace holds code[f, :, k], the code of
+    |psi_fk><psi_fk| in the oracle's Liouville order; refs[u] is the code of
+    T_r T_r^dagger for the records r of by-product row u.  own[r] is record
+    r's flat (frame, record) entry, pick[r] its flat (frame, row, record)
+    one.  ``memo``, the plan's last result, is returned as it is when made
+    from the same array, and otherwise lends its workspace, own and pick: a
+    miss overwrites that workspace, since fresh large arrays fault pages in.
     """
     amp, _ = _resource_vector(resource)
     if memo is not None and memo[0]() is amp:
@@ -153,7 +143,12 @@ def _frame_codes(pat: MeasurementPattern, resource, memo: tuple | None) -> tuple
     n_frames, n_records, d = psi.shape
     # Records last, so that every loop below runs over them.
     psi = psi.transpose(0, 2, 1)
-    work = _workspace((3, n_frames * d * d, n_records)) if memo is None else memo[1]
+    if memo is None:
+        work = _workspace((3, n_frames * d * d, n_records))
+        own = frame_of * n_records + np.arange(n_records)
+        pick = (frame_of * len(pat.plan.byproducts[0]) + pat.plan.byproducts[1]) * n_records + np.arange(n_records)
+    else:
+        _, work, _, own, pick = memo
     # Viewed as complex, the two other slabs first hold |psi_fk><psi_fk|, one
     # product per entry: a broadcast product over a short record axis frees
     # numpy's iterator buffers, after which each report faults pages in again.
@@ -168,18 +163,27 @@ def _frame_codes(pat: MeasurementPattern, resource, memo: tuple | None) -> tuple
     bits = (n_frames,) + (2,) * (2 * k) + (n_records,)
     liouville = work[0].reshape(bits).transpose([0, *range(1, 2 * k, 2), *range(2, 2 * k + 1, 2), 2 * k + 1])
     np.add(outer.real.reshape(bits), outer.imag.reshape(bits), out=liouville)
-    own = frame_of * n_records + np.arange(n_records)
+    # The references are built once the branches are freed.
+    del psi, conj
     norm2 = _traces(work[0], k).take(own)
-    return weakref.ref(amp), work, norm2, own
+    r0 = int(np.argmax(norm2 > _ZERO_BRANCH))
+    refs = byproduct_codes(pat, work[0].reshape(n_frames, -1, n_records)[frame_of[r0], :, r0], r0)
+    refs /= norm2[r0]
+    return weakref.ref(amp), work, refs, own, pick
 
 
 def _report_bytes(pat: MeasurementPattern) -> int:
-    """A report's peak bytes: its workspace and its (frames, 2^k, 2^M)
-    complex branches for k outputs.  The frames, read off the adaptation
-    bits of all 2^M records, are counted only when one frame fits."""
+    """A report's peak bytes: its workspace, and its (frames, 2^k, 2^M)
+    complex branches for k outputs or, built once those are freed, its
+    (rows, 4^k) reference codes, up to three copies at once while they are
+    built or take the answer noise.  Frames and rows, read off all 2^M
+    records, are counted only when one frame fits."""
     k, m = len(pat.outputs), pat.n_measured
-    size = (3 * 8 * 4**k + 16 * 2**k) * 2**m
-    return size * len(pat.plan.frames[0]) if size <= MAX_WORKSPACE_BYTES else size
+    work, branches = 24 * 4**k * 2**m, 16 * 2**k * 2**m
+    if work + branches > MAX_WORKSPACE_BYTES:
+        return work + branches
+    frames, rows = len(pat.plan.frames[0]), len(pat.plan.byproducts[0])
+    return work * frames + max(branches * frames, 24 * 4**k * rows)
 
 
 def _record_frame_report(
@@ -220,7 +224,7 @@ def _record_frame_report(
     # (a dict pop is atomic), so two threads that share the pattern never
     # share a workspace; a report that raises before then drops it.
     memo = _frame_codes(pat, resource, plan._memo.pop("codes", None))
-    _, work, norm2, own = memo
+    _, work, refs, own, pick = memo
     rows, n_records = work.shape[1:]
     # rho[f, :, r] = sum_k W[r, k] code[f, :, k], W the product of P(read r_i |
     # prepared k_i), by the shuffle of ``frame_branches``: each block of
@@ -235,24 +239,21 @@ def _record_frame_report(
         prev, rho = rho, work[slab]
         np.matmul(prev.reshape(rows, len(read), -1).transpose(0, 2, 1), read.T, out=rho.reshape(rows, -1, len(read)))
 
-    # Every sum runs over all (frame, record) pairs; record r then takes the
-    # flat entry ``own[r]`` of its own frame, where ``code`` holds
-    # |psi_r><psi_r| unnormalized.
-    code = work[0].reshape(-1, 4**k, n_records)
+    # Sums run over all (frame, record) pairs; record r then takes the entry
+    # ``own[r]`` of its frame, or ``pick[r]`` of its frame and by-product row.
     z_raw = _traces(rho, k).take(own)
-    # The answer noise, output by output as in the oracle: the superoperator
-    # of output j acts on the j-th (row bit, column bit) axis of the codes.
+    # F(r) = tr(rho_r N^dagger(T_r T_r^dagger)) / Z(r): the superoperator of
+    # each noisy output j acts, transposed, on the j-th axis of the references.
     for j, ch in enumerate(map((answer_channels or {}).get, pat.outputs)):
         if ch is not None:
-            slab = 2 if slab == 1 else 1
-            out = work[slab].reshape(-1, 4, 4 ** (k - 1 - j) * n_records)
-            rho = np.matmul(superoperator(ch), rho.reshape(out.shape), out=out)
-    # F(r) = tr(N(rho_r) |psi_r><psi_r|) / (|psi_r|^2 Z(r)).
-    overlap = np.einsum("fir,fir->fr", code, rho.reshape(code.shape)).take(own)
+            refs = (superoperator(ch).T @ refs.reshape(-1, 4, 4 ** (k - 1 - j))).reshape(len(refs), -1)
+    # The overlap of every (frame, by-product row, record), in a slab that rho is not in.
+    out = work[2 if slab == 1 else 1][: rows // 4**k * len(refs)].reshape(-1, len(refs), n_records)
+    overlap = np.matmul(refs, rho.reshape(len(out), -1, n_records), out=out).take(pick)
     plan._memo["codes"] = memo
-    reachable = (z_raw > _UNREACHABLE) & (norm2 > 1e-20)
+    reachable = z_raw > _UNREACHABLE
     f = np.full(n_records, np.nan)
-    np.divide(overlap, norm2 * z_raw, out=f, where=reachable)
+    np.divide(overlap, z_raw, out=f, where=reachable)
 
     total = float(z_raw.sum())
     if abs(total - 1.0) > 1e-6:
@@ -274,14 +275,12 @@ def fidelity_adaptive(
     None value is no channel, as is a missing key.  Record probabilities
     are renormalized; the factor must already be 1 to 1e-6.  A record gets
     F NaN and no share of the average when its probability is below 1e-12
-    before renormalization, or when its noiseless branch has
-    |psi_r|^2 <= 1e-20, even if noise makes it likely.
+    before renormalization; every other record is scored against BP(r) T.
 
     A report's workspace of 3 frames d^2 2^M floats, d = 2^outputs, stays
     on the pattern's plan; one that needs over ``MAX_WORKSPACE_BYTES`` (64
-    MiB) with its branches raises ValueError with its size; the guard counts
-    only those two, since answer noise runs in the workspace.  A 10-step
-    chain needs 64 MiB, 11 steps 256.
+    MiB) with its branches or its reference codes raises ValueError with
+    its size.  A 10-step chain needs 64 MiB, 11 steps 256.
     """
     return _record_frame_report(pat, resource, measured_channels, answer_channels)
 
@@ -293,8 +292,7 @@ def fidelity_nonadaptive(
     answer_channels: Mapping[int, object] | None = None,
 ) -> FidelityReport:
     """Fidelity report for non-adaptive patterns: the one-frame case of the
-    same engine, under the same rules and the same guard, which counts only
-    the workspace and the branches (``fidelity_adaptive``)."""
+    same engine, under the same rules and guard (``fidelity_adaptive``)."""
     if not pat.is_nonadaptive():
         raise ValueError("pattern is adaptive; use fidelity_adaptive")
     return _record_frame_report(pat, resource, measured_channels, answer_channels)

@@ -31,7 +31,7 @@ PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 def _n_qubits(dim: int, what: str, limit: int) -> int:
     n = int(dim).bit_length() - 1
-    if dim <= 0 or 2**n != dim:
+    if n < 0 or 2**n != dim:
         raise ValueError(f"{what} dimension {dim} is not a power of two")
     if n > limit:
         raise ValueError(f"{what} with {n} qubits exceeds the {limit}-qubit limit")

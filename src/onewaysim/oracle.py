@@ -6,13 +6,13 @@ temporal order.  Each channel is one 4x4 superoperator on its qubit's axis;
 at each depth every surviving record prefix is projected at once onto the
 effect |M_k^s><M_k^s| of its own adaptation bit s.  Noise acts on the
 state, never on the effects, so the oracle stays independent of the
-outcome-flip reduction that ``fidelity`` rests on.  Fidelities are taken
-against BP(r) BP(r0)^-1 A_r0, A_r0 the noiseless answer of the first
-reachable record r0 (record 0 can be unreachable).  What the pattern alone
-fixes comes from its plan, and what the resource adds (the state's
-Liouville tensor and the reference answers, 4^n 16 bytes: 16 MiB at ten
-qubits) stays read-only there for the life of the pattern, keyed by the
-resource's amplitude array, so a sweep over t pays only for the noise.
+outcome-flip reduction that ``fidelity`` rests on.  Each leaf is scored by
+one Liouville dot against BP(r) T, T = BP(r0) A_r0, A_r0 the noiseless
+answer of the first reachable record r0, which the oracle finds by its own
+walk.  What the pattern alone fixes comes from its plan, and what the
+resource adds (the state's Liouville tensor, 4^n 16 bytes: 16 MiB at ten
+qubits, and the references) stays read-only there, keyed by the resource's
+amplitude array, so a sweep over t pays only for the noise.
 Dimension-guarded to ten qubits (4^10 entries).
 """
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .channels import superoperator
 from .linalg import _frozen, check_density_matrices
-from .pattern import MeasurementPattern, _Records, _ZERO_BRANCH, _resource_vector, apply_byproducts
+from .pattern import MeasurementPattern, _Records, _ZERO_BRANCH, _resource_vector, byproduct_codes
 
 MAX_ORACLE_QUBITS = 10
 _PRUNE = 1e-14
@@ -35,7 +35,7 @@ _PRUNE = 1e-14
 @dataclass(frozen=True, eq=False)
 class OracleRun:
     """Per-outcome probabilities, post-measurement answers, and fidelities
-    against BP(r) BP(r0)^-1 A_r0, with A_r0 the noiseless answer of the
+    against BP(r) T, T = BP(r0) A_r0, with A_r0 the noiseless answer of the
     first reachable record r0.
 
     ``branches`` and ``fidelities`` are read-only views of the run's
@@ -53,8 +53,8 @@ class OracleRun:
 def _resource_half(pat: MeasurementPattern, amp: np.ndarray) -> tuple:
     """What a run takes from the pattern and the resource alone: (a weak
     reference to ``amp``, the read-only (1, 4^n) Liouville tensor of the
-    state in ``plan.axes`` order, the read-only reference answers
-    BP(r) BP(r0)^-1 A_r0 of all 2^M records)."""
+    state in ``plan.axes`` order, the read-only Liouville vectors of
+    BP(r) T T^dagger BP(r), one per by-product row)."""
     n, m, plan = pat.n_qubits, pat.n_measured, pat.plan
     psi = np.transpose(amp.reshape((2,) * n), plan.axes).reshape(-1)
     rho = np.multiply.outer(psi, psi.conj()).reshape((2,) * (2 * n))
@@ -68,10 +68,11 @@ def _resource_half(pat: MeasurementPattern, amp: np.ndarray) -> tuple:
         branches = plan.basis[depth, s].conj() @ a0.reshape(2, -1)
         bit = int(np.vdot(branches[0], branches[0]).real <= _ZERO_BRANCH)
         a0, r0 = branches[bit], r0 << 1 | bit
-    # By-products are Paulis X^{f_x} Z^{f_z}, so BP(r0)^-1 A_r0 = +-BP(r0) A_r0,
-    # whose sign drops out of F.
-    a0 = apply_byproducts(pat, a0 / np.sqrt(np.vdot(a0, a0).real))[r0]
-    return weakref.ref(amp), _frozen(rho), _frozen(apply_byproducts(pat, a0))
+    # |A_r0><A_r0| normalized, whose conjugates by BP(r) BP(r0) are the references.
+    k = n - m
+    a0 = np.multiply.outer(a0, a0.conj()).reshape((2,) * (2 * k)) / np.vdot(a0, a0).real
+    a0 = a0.transpose([a for j in range(k) for a in (j, k + j)]).reshape(-1)
+    return weakref.ref(amp), _frozen(rho), _frozen(byproduct_codes(pat, a0, r0))
 
 
 def simulate(resource, pat: MeasurementPattern, channels: Mapping[int, object] | None = None) -> OracleRun:
@@ -124,8 +125,8 @@ def simulate(resource, pat: MeasurementPattern, channels: Mapping[int, object] |
     check_density_matrices(mats)
     mats.setflags(write=False)
 
-    ref = refs[prefix]
-    fids = np.einsum("ra,rab,rb->r", ref.conj(), mats, ref).real
+    # F = tr(R rho) = sum of conj(R) rho over the Liouville entries, R Hermitian.
+    fids = np.einsum("ri,ri->r", refs[plan.byproducts[1][prefix]].conj(), rho.reshape(len(prefix), -1)).real
     prefix, prob, fids = map(_frozen, (prefix, prob, fids))
     return OracleRun(
         branches=_Records(m, prefix, prob, mats),

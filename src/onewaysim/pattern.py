@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import ItemsView, Mapping, Sequence, ValuesView
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +32,9 @@ from .graphstate import GraphState
 from .linalg import PureState, _frozen, kron_all
 
 _ZERO_BRANCH = 1e-20
+# [z + 2 x] is conjugation by X^x Z^z on one qubit's (row bit, column bit)
+# axis of 4: Z negates entries 1 and 2, X reverses the entries.
+_PAULI_CONJ = _frozen(np.array([np.diag([1.0, z, z, 1.0])[::x] for x in (1, -1) for z in (1.0, -1.0)]))
 # Measured positions per Kronecker factor of the branch and flip stages:
 # 3 beat 2, 4 and 5 on the 15-qubit CNOT and on 6-qubit adaptive chains.
 BLOCK = 3
@@ -69,15 +72,6 @@ class BooleanExpr:
 
     def is_zero(self) -> bool:
         return self.const == 0 and not self.xor
-
-    def evaluate_columns(self, columns: Mapping[int, np.ndarray]) -> np.ndarray:
-        """Vectorized evaluation over stacked outcome records; an empty
-        mapping stands for the one empty record."""
-        some = next(iter(columns.values()), np.zeros(1, dtype=np.uint8))
-        v = np.full(some.shape, self.const, dtype=np.uint8)
-        for q in self.xor:
-            v ^= columns[q]
-        return v
 
 
 @dataclass(frozen=True)
@@ -240,11 +234,12 @@ class PatternPlan:
     the pattern.  Records are in the module's record order.
 
     One piece is mutable: ``_memo`` keeps the resource half of the last
-    fidelity report ("codes", ``fidelity._frame_codes``, taken off the plan
-    while a report runs) and of the last oracle run ("oracle",
-    ``oracle._resource_half``), each keyed by the identity of the resource's
-    read-only amplitude array, held weakly so the plan never keeps a
-    resource alive."""
+    fidelity report ("codes", ``fidelity._frame_codes``: the workspace with
+    the branch codes and the reference codes, taken off the plan while a
+    report runs) and of the last oracle run ("oracle",
+    ``oracle._resource_half``: the Liouville tensor and the references),
+    each keyed by the identity of the resource's read-only amplitude array,
+    held weakly so the plan never keeps a resource alive."""
 
     def __init__(self, pat: MeasurementPattern):
         self._pat = pat
@@ -260,29 +255,18 @@ class PatternPlan:
         return self._pat.measured + self.outputs
 
     @functools.cached_property
-    def columns(self) -> dict[int, np.ndarray]:
-        """The outcome bit of each measured qubit over all 2^M records."""
+    def frames(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct vectors of adaptation bits, (frames, M), and each
+        record's frame."""
         m = self._pat.n_measured
-        bits = (np.arange(2**m) >> np.arange(m - 1, -1, -1)[:, None]) & 1
-        return dict(zip(self._pat.measured, _frozen(bits.astype(np.uint8))))
+        if self._pat.is_nonadaptive():
+            return _frozen(np.zeros((1, m), dtype=np.uint8)), _frozen(np.zeros(2**m, dtype=np.intp))
+        return _distinct_values(self._pat.measured, self._pat.adapt, 1)
 
     @functools.cached_property
     def adapt_bits(self) -> np.ndarray:
         """(2^M, M): the adaptation bit of every position on every record."""
-        bits = np.zeros((2**self._pat.n_measured, self._pat.n_measured), dtype=np.uint8)
-        for pos, e in enumerate(self._pat.adapt):
-            bits[:, pos] = e.evaluate_columns(self.columns)
-        return _frozen(bits)
-
-    @functools.cached_property
-    def frames(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct rows of ``adapt_bits``, and each record's row."""
-        m = self._pat.n_measured
-        if self._pat.is_nonadaptive():
-            frames, frame_of = np.zeros((1, m), dtype=np.uint8), np.zeros(2**m, dtype=np.intp)
-        else:
-            frames, frame_of = np.unique(self.adapt_bits, axis=0, return_inverse=True)
-        return _frozen(frames), _frozen(frame_of.reshape(-1))
+        return _frozen(self.frames[0][self.frames[1]])
 
     @functools.cached_property
     def basis(self) -> np.ndarray:
@@ -323,13 +307,27 @@ class PatternPlan:
         return _frozen(functools.reduce(np.kron, [one] * (self._pat.n_qubits - 1), np.ones(1, dtype=complex)))
 
     @functools.cached_property
-    def byproduct_bits(self) -> np.ndarray:
-        """(outputs, 2, 2^M) booleans: f_z and f_x of each output qubit,
-        ascending, on every record."""
+    def byproducts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct by-product rows, (rows, outputs) codes f_z + 2 f_x of
+        each output qubit, ascending, and each record's row."""
         specs = {bp.qubit: bp for bp in self._pat.byproducts}
-        bps = [specs.get(q, ByproductSpec(q)) for q in self.outputs]
-        terms = [e.evaluate_columns(self.columns) for bp in bps for e in (bp.fz, bp.fx)]
-        return _frozen(np.array(terms, dtype=bool).reshape(len(bps), 2, 2**self._pat.n_measured))
+        terms = [e for bp in (specs.get(q) or ByproductSpec(q) for q in self.outputs) for e in (bp.fz, bp.fx)]
+        return _distinct_values(self._pat.measured, terms, 2)
+
+
+def _distinct_values(measured: tuple[int, ...], exprs: Sequence[BooleanExpr], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``exprs`` over all records, in order of first
+    appearance, as read-only (values, len(exprs) / width) uint8 fields of
+    ``width`` expressions, the first on the low bit; and each record's value.
+    Each measured qubit, the last first, doubles the records so far."""
+    keys = [sum(e.const << i for i, e in enumerate(exprs))]
+    for q in reversed(measured):
+        mask = sum(1 << i for i, e in enumerate(exprs) if q in e.xor)
+        keys += [key ^ mask for key in keys]
+    index: dict[int, int] = {}
+    value_of = [index.setdefault(key, len(index)) for key in keys]
+    fields = [[key >> i & (1 << width) - 1 for i in range(0, len(exprs), width)] for key in index]
+    return _frozen(np.array(fields, dtype=np.uint8).reshape(len(index), -1)), _frozen(np.array(value_of))
 
 
 def _resource_vector(resource) -> tuple[np.ndarray, int]:
@@ -350,12 +348,11 @@ def frame_branches(resource, pat: MeasurementPattern) -> tuple[np.ndarray, np.nd
     frame f.  Record r's own branch is psi[frame_of[r], r].
 
     The bras form a Kronecker product, applied by the shuffle algorithm
-    (Fernandes, Plateau and Stewart, J. ACM 45, 381 (1998)) with one
-    factor per block of up to ``BLOCK`` measured qubits: each block is one
-    matmul, batched over the frames, that contracts the block's leading
-    axes and appends its outcome axes at the end.  The frames, the blocks
-    of bras and the axis order come from ``pat.plan``.
-    """
+    (Fernandes, Plateau and Stewart, J. ACM 45, 381 (1998)) with one factor
+    per block of up to ``BLOCK`` measured qubits: one matmul per block,
+    batched over the frames, contracts the block's leading axes and appends
+    its outcome axes at the end.  The frames, bras and axes come from
+    ``pat.plan``."""
     amp, n = _resource_vector(resource)
     if n != pat.n_qubits:
         raise ValueError(f"pattern expects {pat.n_qubits} qubits, state has {n}")
@@ -368,14 +365,18 @@ def frame_branches(resource, pat: MeasurementPattern) -> tuple[np.ndarray, np.nd
     return frame_of, t.reshape(len(t), -1, frame_of.size).transpose(0, 2, 1)
 
 
-def apply_byproducts(pat: MeasurementPattern, vec: np.ndarray) -> np.ndarray:
-    """BP(r) vec for every record r, stacked in record order, with BP(r) =
-    X^{f_x} Z^{f_z} on each output qubit, ascending."""
-    n_records = 2**pat.n_measured
-    k = len(pat.outputs)
-    out = np.repeat(np.asarray(vec, dtype=complex).reshape((1,) + (2,) * k), n_records, axis=0)
-    for axis, (fz, fx) in enumerate(pat.plan.byproduct_bits, start=1):
-        view = np.moveaxis(out, axis, 1)  # (record, bit of the output, other outputs)
-        view[fz, 1] *= -1.0
-        view[fx] = view[fx, ::-1]
-    return out.reshape(n_records, -1)
+def byproduct_codes(pat: MeasurementPattern, code: np.ndarray, r0: int) -> np.ndarray:
+    """B X B^dagger, B = BP(u) BP(r0), for each by-product row u of
+    ``pat.plan.byproducts``, as a new (rows, 4^outputs) array, from X over
+    the outputs in Liouville order (each output's row bit and column bit on
+    one axis of 4, outputs ascending), as complex entries or as their real
+    code Re + Im.  Each output that some row flips costs one batched 4x4
+    product, so up to two (rows, 4^outputs) arrays are alive at once."""
+    rows, row_of = pat.plan.byproducts
+    flips = rows ^ rows[row_of[r0]]
+    out = code.reshape(1, -1)
+    for j in range(flips.shape[1]):
+        if flips[:, j].any():
+            out = _PAULI_CONJ[flips[:, j], None] @ out.reshape(len(out), 4**j, 4, -1)
+    # A single row is r0's own, which flips nothing: ``out`` is still ``code``.
+    return out.reshape(len(rows), -1) if len(rows) > 1 else out.copy()

@@ -3,11 +3,16 @@ import dataclasses
 import functools
 import gc
 import itertools
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,15 +309,21 @@ class TestAdaptiveEngine:
             fidelity_adaptive(pat, PureState.plus(14))
 
 
-def outputs_pattern(k, m, adaptive):
+def outputs_pattern(k, m, adaptive, byproducts=False):
     """m measured qubits, then k outputs; when adaptive, each adaptation bit
-    after the first is the previous outcome, so there are 2^(m-1) frames."""
+    after the first is the previous outcome, so there are 2^(m-1) frames.
+    With ``byproducts``, output j carries X from outcome j mod m and Z from
+    outcome j + 1 mod m, so the records have up to min(2^m, 4^k) distinct
+    by-products."""
     return MeasurementPattern(
         n_qubits=k + m,
         measured=tuple(range(m)),
         thetas=(0.3,) * m,
         alphas=(math.pi / 2,) * m,
         adapt=(BooleanExpr(),) + tuple(BooleanExpr.of(j - 1) if adaptive else BooleanExpr() for j in range(1, m)),
+        byproducts=tuple(
+            ByproductSpec(m + j, fx=BooleanExpr.of(j % m), fz=BooleanExpr.of((j + 1) % m)) for j in range(k if byproducts else 0)
+        ),
     )
 
 
@@ -334,8 +345,9 @@ class TestGuardBytes:
     @pytest.mark.parametrize("adaptive", [False, True], ids=["one_frame", "adaptive"])
     @pytest.mark.parametrize("k", range(6))
     def test_cold_report_peak_within_guard(self, k, adaptive):
-        for m, noisy in itertools.product(range(1, 7), {False, k > 0}):
-            pat = outputs_pattern(k, m, adaptive)
+        for m, noisy, byproducts in itertools.product(range(1, 7), {False, k > 0}, {False, k > 0}):
+            pat = outputs_pattern(k, m, adaptive, byproducts)
+            assert (len(pat.plan.byproducts[0]) > 1) == byproducts
             resource = PureState.plus(k + m)
             answers = {q: NoiseChannel.white(0.3, 0.2) for q in pat.outputs} if noisy else None
             size = fidelity._report_bytes(pat)
@@ -348,7 +360,7 @@ class TestGuardBytes:
                         fidelity_adaptive(pat, resource, None, answers)
 
             peak = traced_peak(cold_report)
-            assert peak <= size + 2**20, f"m = {m}, answer noise {noisy}: peak {peak} bytes, guard {size}"
+            assert peak <= size + 2**20, f"m = {m}, answer noise {noisy}, by-products {byproducts}: peak {peak} bytes, guard {size}"
 
     def test_seven_outputs(self):
         # A dense joint map of the answer noise on 7 outputs would take
@@ -621,10 +633,11 @@ class TestReport:
 class TestAnswerNoise:
     @pytest.mark.parametrize("n_outputs", [0, 1, 2, 3])
     def test_code_map_is_the_adjoint_channel(self, n_outputs):
-        """Without measured noise, rho_r is |A_r><A_r| and the engine's map
-        on the codes gives F(r) = sum_j |<A_r|K_j|A_r>|^2 over the joint
+        """Without measured noise, rho_r is |A_r><A_r| and the engine's
+        answer noise gives F(r) = sum_j |<T|K_j|A_r>|^2 over the joint
         Kraus operators K_j, one operator per output, of the answer noise;
-        A_r comes from ``tensordot_branches``."""
+        the pattern has no by-products, so every record's reference is T =
+        A_0, and A_r comes from ``tensordot_branches``."""
         rng = np.random.default_rng(20 + n_outputs)
         toward_one = NoiseChannel(B=0.5, C=1.1, S=0.15, t=0.9)
         shifted = NoiseChannel(B=0.9, C=0.6, S=0.9, t=0.7)
@@ -636,11 +649,13 @@ class TestAnswerNoise:
         rep = fidelity_adaptive(pat, resource, None, {q: ch for q, ch in zip(pat.outputs, chans) if ch is not None})
         per_qubit = [kraus(ch) if ch is not None else [np.eye(2)] for ch in chans]
         joint = [kron_all(ops) if ops else np.eye(1) for ops in itertools.product(*per_qubit)]
+        answers = []
         for r in range(2**m):
             bits = dict(zip(pat.measured, outcome_tuple(r, m)))
             answer = tensordot_branches(resource.amplitudes, pat, [evaluate(e, bits) for e in pat.adapt])[r]
-            answer /= np.linalg.norm(answer)
-            expected = sum(abs(answer.conj() @ k @ answer) ** 2 for k in joint)
+            answers.append(answer / np.linalg.norm(answer))
+        for r, answer in enumerate(answers):
+            expected = sum(abs(answers[0].conj() @ k @ answer) ** 2 for k in joint)
             assert abs(rep.f[r] - expected) < 1e-12
 
     def test_shifted_answer_channel_matches_oracle(self):
@@ -884,16 +899,12 @@ class TestPlanReports:
             assert_same_bytes(report(pat, gs, chans), expected)
 
 
-@pytest.mark.skipif(getrusage is None, reason="the resource module is missing")
-def test_warm_reports_fault_in_no_pages():
-    """Warm reports of a t sweep, on a fresh CNOT15 resource each time or on
-    one chain resource throughout, reuse the plan's workspace and heap
-    memory, so they fault in no fresh pages; the regressions seen read
-    1,000 or more minor faults per report.  Each sweep runs twice: with each
-    report alive until the next one returns, as in the benchmark loop, and
-    with each report dropped at once.  Plans that kept no workspace have
-    passed either way while reading 100 to 400 faults per report the other
-    way, depending on the allocator's layout."""
+def warm_report_faults():
+    """Minor page faults per warm report of a t sweep, on a fresh CNOT15
+    resource each time or on one chain resource throughout, keyed by case.
+    Each sweep runs twice: with each report alive until the next one
+    returns, as in the benchmark loop, and with each report dropped at
+    once."""
     rng = np.random.default_rng(56)
     cnot, graph = cnot15_pattern(), Graph.from_edges(15, CNOT15_EDGES)
     chain, chain_resource = report_case("chain", rng)
@@ -906,6 +917,7 @@ def test_warm_reports_fault_in_no_pages():
     def chain_report(t):
         return report(chain, chain_resource, {q: NoiseChannel(B=0.8, C=0.9, S=0.7, t=t) for q in range(chain.n_qubits)})
 
+    faults = {}
     for one in (cnot_report, chain_report):
         for kept in (1, 0):
             # The last ``kept`` reports stay alive.
@@ -915,8 +927,25 @@ def test_warm_reports_fault_in_no_pages():
             before = getrusage(RUSAGE_SELF).ru_minflt
             for t in times:
                 alive.append(one(t))
-            per_report = (getrusage(RUSAGE_SELF).ru_minflt - before) / len(times)
-            assert per_report < 50, f"{one.__name__}, {kept} kept: {per_report} minor faults per report"
+            faults[f"{one.__name__}, {kept} kept"] = (getrusage(RUSAGE_SELF).ru_minflt - before) / len(times)
+    return faults
+
+
+@pytest.mark.skipif(getrusage is None, reason="the resource module is missing")
+def test_warm_reports_fault_in_no_pages():
+    """Warm reports reuse the plan's workspace and heap memory, so they
+    fault in no fresh pages; the regressions seen read 1,000 or more minor
+    faults per report.  Plans that kept no workspace have passed one way
+    while reading 100 to 400 faults per report the other way, depending on
+    the allocator's layout.  The sweep runs in a fresh interpreter, as each
+    benchmark run does: in a process that earlier tests have used, their
+    heap hid a plan whose workspace skipped its priming."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]))
+    code = "import json, test_fidelity; print(json.dumps(test_fidelity.warm_report_faults()))"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True)
+    for case, per_report in json.loads(done.stdout.splitlines()[-1]).items():
+        assert per_report < 50, f"{case}: {per_report} minor faults per report"
 
 
 class TestFlipStage:
@@ -933,9 +962,11 @@ class TestFlipStage:
     )
     def test_matches_explicit_kron(self, m, z_axis, noise, seed):
         """Z(r) = sum_k W[r, k] |psi_k|^2 and Z(r) F(r) = sum_k W[r, k]
-        |<A_r|psi_k>|^2, with W the explicit Kronecker product of every
-        measured qubit's read matrix; the fixed-point shift makes the z
-        reads asymmetric (p0 != p1)."""
+        |<T|psi_k>|^2, with W the explicit Kronecker product of every
+        measured qubit's read matrix and T = A_r0, the normalized branch of
+        the first record with |psi_r|^2 > 1e-20 (the pattern has no
+        by-products); the fixed-point shift makes the z reads asymmetric
+        (p0 != p1)."""
         rng = np.random.default_rng(seed)
         alphas = tuple(0.0 if z else math.pi / 2 for z in z_axis[:m])
         pat = MeasurementPattern(
@@ -959,8 +990,9 @@ class TestFlipStage:
         psi = bras @ resource.amplitudes.reshape(2**m, 2)
         norm2 = np.einsum("ka,ka->k", psi, psi.conj()).real
         z = w @ norm2
-        overlap = np.abs(psi.conj() @ psi.T) ** 2  # [r, k] = |<psi_r|psi_k>|^2
-        zf = np.einsum("rk,rk->r", w, overlap) / norm2
+        r0 = int(np.flatnonzero(norm2 > 1e-20)[0])
+        overlap = np.abs(psi @ psi[r0].conj()) ** 2 / norm2[r0]  # [k] = |<A_r0|psi_k>|^2
+        zf = w @ overlap
         assert np.max(np.abs(rep.z - z)) < 1e-13
         reached = ~np.isnan(rep.f)
         assert np.max(np.abs((rep.z * rep.f)[reached] - zf[reached])) < 1e-12

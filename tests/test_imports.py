@@ -93,3 +93,22 @@ def test_every_private_name_is_read():
             private = [d for d in defined if d.startswith("_") and not d.startswith("__")]
             unread += [f"{name}: {d}" for d in private if d not in read]
     assert not unread, f"private names nobody reads: {', '.join(unread)}"
+
+
+def test_every_plan_piece_is_read():
+    """Each cached piece of ``PatternPlan`` is read, as an attribute, by some
+    module of the package, so a piece that a change replaced cannot linger
+    on the plan."""
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))]
+    read = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    plan = next(
+        node for node in ast.walk(ast.parse((PACKAGE / "pattern.py").read_text()))
+        if isinstance(node, ast.ClassDef) and node.name == "PatternPlan"
+    )
+    pieces = [
+        node.name for node in plan.body
+        if isinstance(node, ast.FunctionDef) and any(ast.unparse(d).endswith("cached_property") for d in node.decorator_list)
+    ]
+    assert len(pieces) >= 9
+    unread = [name for name in pieces if name not in read]
+    assert not unread, f"plan pieces nobody reads: {', '.join(unread)}"

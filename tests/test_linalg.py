@@ -35,6 +35,12 @@ class TestPureState:
         with pytest.raises(ValueError):
             PureState(np.ones(3) / np.sqrt(3))
 
+    @pytest.mark.parametrize("n", [-1, -3, 0.5])
+    def test_plus_rejects_fractional_dimensions(self, n):
+        # 2**-1 = 0.5 once passed the power-of-two check with n = -1.
+        with pytest.raises(ValueError, match=r"state vector dimension .* is not a power of two"):
+            PureState.plus(n)
+
     def test_plus_refuses_past_the_limit_before_it_allocates(self):
         tracemalloc.start()
         try:

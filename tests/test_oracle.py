@@ -235,27 +235,67 @@ class TestFirstReachableRecord:
     @pytest.mark.parametrize("gamma", [0.0, 0.3], ids=["noiseless", "white"])
     def test_matches_engine(self, gamma):
         # Scored against the zeroed answer of record 0, every record read
-        # F = 0; the engine gives 1.0 without noise and 0.809 under it.
+        # F = 0.  Without noise records (0, 0) and (0, 1) never occur; under
+        # white noise they do, and both checkers score them against BP(r) T.
         pat, resource = unreachable_record_zero()
         chans = {q: NoiseChannel.white(gamma, 0.2) for q in range(3)}
         run = simulate(resource, pat, chans)
         rep = fidelity_nonadaptive(pat, resource, {q: chans[q] for q in pat.measured}, {2: chans[2]})
         scored = [key for key, (_, f) in rep.per_outcome.items() if f is not None]
-        assert scored == [(1, 0), (1, 1)]
+        assert scored == ([(1, 0), (1, 1)] if gamma == 0.0 else [(0, 0), (0, 1), (1, 0), (1, 1)])
         for key in scored:
             assert abs(run.fidelities[key] - rep.per_outcome[key][1]) < 1e-12
         assert rep.per_outcome[(1, 0)][1] > (0.999 if gamma == 0.0 else 0.8)
 
-    @pytest.mark.xfail(strict=True, reason="the engine leaves out records whose noiseless branch vanishes")
     def test_engine_average_counts_every_likely_record(self):
         # Under white noise records (0, 0) and (0, 1) have Z = 0.053 each,
-        # but no noiseless answer of their own: the engine averages 0.723
-        # over 89% of the probability, the oracle 0.799 over all of it.
+        # but no noiseless answer of their own; scored against BP(r) T, they
+        # count in both averages, 0.799.
         pat, resource = unreachable_record_zero()
         chans = {q: NoiseChannel.white(0.3, 0.2) for q in range(3)}
         run = simulate(resource, pat, chans)
         rep = fidelity_nonadaptive(pat, resource, {q: chans[q] for q in pat.measured}, {2: chans[2]})
         assert abs(rep.average - run.average) < 1e-9
+
+
+def nondeterministic_chain():
+    """A 4-vertex path with input (0.6, 0.8i) on vertex 0, measured at
+    thetas (0, 0.7, 1.9) with no adaptation, fx = {0, 2} and fz = {1} plus a
+    constant: its noiseless branches are not all BP(r) T, so it is not
+    deterministic."""
+    pat = MeasurementPattern(
+        n_qubits=4,
+        measured=(0, 1, 2),
+        thetas=(0.0, 0.7, 1.9),
+        alphas=(math.pi / 2,) * 3,
+        adapt=(BooleanExpr.zero(),) * 3,
+        byproducts=(ByproductSpec(qubit=3, fx=BooleanExpr.of(0, 2), fz=BooleanExpr.of(1, const=1)),),
+    )
+    return pat, resource_state(Graph.path(4), {0: PureState(np.array([0.6, 0.8j]))})
+
+
+class TestNonDeterministicChain:
+    """Engine and oracle score every record against the same BP(r) T; each
+    used to score against its own reference, and they differed by up to
+    0.869 per record."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5], ids=["noiseless", "white"])
+    def test_engine_equals_oracle_per_record(self, gamma):
+        pat, resource = nondeterministic_chain()
+        chans = {q: NoiseChannel.white(gamma, 0.3) for q in range(4)}
+        run = simulate(resource, pat, chans)
+        rep = fidelity_nonadaptive(pat, resource, {q: chans[q] for q in pat.measured}, {3: chans[3]})
+        assert set(run.fidelities) == set(rep.per_outcome)
+        for key, (z, f) in rep.per_outcome.items():
+            assert abs(z - run.branches[key][0]) < 1e-12
+            assert abs(f - run.fidelities[key]) < 1e-12
+        assert abs(rep.average - run.average) < 1e-12
+
+    def test_noiseless_average_shows_the_non_determinism(self):
+        # A deterministic pattern averages 1 without noise.
+        pat, resource = nondeterministic_chain()
+        rep = fidelity_nonadaptive(pat, resource)
+        assert abs(rep.average - 0.4918) < 1e-4
 
 
 def shifted_channels(rng, n):

@@ -14,8 +14,8 @@ from onewaysim.pattern import (
     ByproductSpec,
     MeasurementPattern,
     PatternPlan,
-    apply_byproducts,
     basis_raw,
+    byproduct_codes,
     frame_branches,
 )
 
@@ -28,7 +28,7 @@ def outcome_tuple(index, m):
 
 def evaluate(expr, bits):
     """``expr`` on one record, ``bits`` mapping each qubit to its outcome:
-    the scalar reference for ``BooleanExpr.evaluate_columns``."""
+    the scalar reference for the plan's adaptation bits and by-products."""
     v = expr.const
     for q in expr.xor:
         v ^= bits[q] & 1
@@ -37,7 +37,7 @@ def evaluate(expr, bits):
 
 def byproduct_unitary(pat, outcome):
     """X^{f_x} Z^{f_z} over the output qubits, ascending order: the
-    reference for ``apply_byproducts``, one record at a time."""
+    reference for ``byproduct_codes``, one record at a time."""
     bits = {q: int(b) & 1 for q, b in zip(pat.measured, outcome)}
     assert len(outcome) == pat.n_measured
     specs = {bp.qubit: bp for bp in pat.byproducts}
@@ -93,14 +93,27 @@ class TestBooleanExpr:
         e = BooleanExpr(xor=(1, 1, 2))
         assert e.xor == (2,)
 
-    def test_evaluate_columns_matches_scalar(self):
-        e = BooleanExpr(const=1, xor=(0, 2))
-        rng = np.random.default_rng(0)
-        cols = {q: rng.integers(0, 2, size=40).astype(np.uint8) for q in range(3)}
-        vec = e.evaluate_columns(cols)
-        for row in range(40):
-            bits = {q: int(cols[q][row]) for q in range(3)}
-            assert vec[row] == evaluate(e, bits)
+    def test_plan_matches_scalar(self):
+        """The plan's adaptation bits and by-product rows, read off all
+        records at once, match ``evaluate`` record by record."""
+        pat = MeasurementPattern(
+            n_qubits=6,
+            measured=(4, 0, 2, 5),
+            thetas=(0.1, 0.3, 0.5, 0.7),
+            alphas=(math.pi / 2,) * 4,
+            adapt=(BooleanExpr(), BooleanExpr.of(4, const=1), BooleanExpr.of(0, 4), BooleanExpr.of(2)),
+            byproducts=(
+                ByproductSpec(qubit=1, fx=BooleanExpr.of(4, 2), fz=BooleanExpr.of(0, 5, const=1)),
+                ByproductSpec(qubit=3, fz=BooleanExpr.of(2, 4)),
+            ),
+        )
+        rows, row_of = pat.plan.byproducts
+        specs = {bp.qubit: bp for bp in pat.byproducts}
+        for r in range(16):
+            bits = dict(zip(pat.measured, outcome_tuple(r, 4)))
+            assert list(pat.plan.adapt_bits[r]) == [evaluate(e, bits) for e in pat.adapt]
+            bps = [specs.get(q, ByproductSpec(q)) for q in pat.outputs]
+            assert list(rows[row_of[r]]) == [evaluate(bp.fz, bits) + 2 * evaluate(bp.fx, bits) for bp in bps]
 
 
 class TestPatternValidation:
@@ -329,12 +342,24 @@ class TestApplyByproducts:
         ],
     )
     def test_matches_byproduct_unitary_on_every_record(self, pat):
+        """``byproduct_codes`` row row_of[r] is B X B^dagger with B = BP(r)
+        BP(r0), in Liouville order, for every record r and two choices of
+        r0; the rows are distinct."""
         rng = np.random.default_rng(11)
-        d = 2 ** len(pat.outputs)
-        vec = rng.normal(size=d) + 1j * rng.normal(size=d)
-        rows = apply_byproducts(pat, vec)
-        m = pat.n_measured
-        assert rows.shape == (2**m, d)
-        for r in range(2**m):
-            expect = byproduct_unitary(pat, outcome_tuple(r, m)) @ vec
-            assert np.max(np.abs(rows[r] - expect)) < 1e-15
+        k, m = len(pat.outputs), pat.n_measured
+        x = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+        rows, row_of = pat.plan.byproducts
+        assert len(np.unique(rows.reshape(len(rows), -1), axis=0)) == len(rows)
+        for r0 in {0, 2**m - 1}:
+            codes = byproduct_codes(pat, liouville(x, k), r0)
+            assert codes.shape == (len(rows), 4**k)
+            b0 = byproduct_unitary(pat, outcome_tuple(r0, m))
+            for r in range(2**m):
+                b = byproduct_unitary(pat, outcome_tuple(r, m)) @ b0
+                assert np.max(np.abs(codes[row_of[r]] - liouville(b @ x @ b.conj().T, k))) < 1e-15
+
+
+def liouville(mat, k):
+    """The entries of a 2^k x 2^k matrix with each qubit's row bit and
+    column bit adjacent, qubits ascending."""
+    return mat.reshape((2,) * (2 * k)).transpose([a for j in range(k) for a in (j, k + j)]).reshape(-1)
