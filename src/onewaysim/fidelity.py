@@ -39,7 +39,8 @@ projectors |psi_{s,k}><psi_{s,k}| and of the references T_r T_r^dagger,
 one per distinct by-product) stays on the pattern's plan, keyed by the
 identity of the resource's read-only amplitude array, which the plan holds
 only weakly.  A later report on the same array runs only the noise half:
-the flip stage, the answer noise and the sums.
+the flip stage, the answer noise and the sums.  A report on any other
+array drops that half before it builds its own, as on a fresh plan.
 
 The brute-force simulator in ``oracle`` is the independent ground truth
 for everything here.
@@ -58,8 +59,9 @@ from .channels import NoiseChannel, mixing_probabilities, superoperator
 from .linalg import _frozen, kron_all
 from .pattern import MeasurementPattern, _Records, _ZERO_BRANCH, _resource_vector, byproduct_codes, frame_branches
 
-# A report's (3, frames d^2, 2^M) workspace stays on the pattern's plan for
-# the life of the pattern; a report that needs more is refused.
+# The most a report may allocate (``_report_bytes``), mostly the (3, frames
+# d^2, 2^M) workspace that stays on the pattern's plan until a report on
+# another resource; a report that needs more is refused.
 MAX_WORKSPACE_BYTES = 64 * 2**20
 _UNREACHABLE = 1e-12
 
@@ -105,19 +107,6 @@ class FidelityReport:
 # -- the record-frame engine ----------------------------------------------------
 
 
-def _workspace(shape: tuple[int, ...]) -> np.ndarray:
-    """A plan's report workspace, allocated once for the life of the plan.
-
-    A block of the same size is allocated and freed first: freeing a large
-    block raises glibc's dynamic mmap and trim thresholds above its size.
-    Without that, the branch temporaries of each report come from fresh
-    pages, or from a heap trimmed between reports, and fault them in again
-    (57 to 340 minor faults per report of a CNOT15 sweep in a fresh process,
-    against none).  Other allocators pay one extra allocation per plan."""
-    np.empty(shape)
-    return np.empty(shape)
-
-
 def _traces(codes: np.ndarray, k: int) -> np.ndarray:
     """tr X of every code in a (..., records) array of Liouville codes: the
     entries whose every (row bit, column bit) axis reads 00 or 11, 0 or 3."""
@@ -125,37 +114,29 @@ def _traces(codes: np.ndarray, k: int) -> np.ndarray:
     return diag.sum(axis=tuple(range(1, k + 1)))
 
 
-def _frame_codes(pat: MeasurementPattern, resource, memo: tuple | None) -> tuple:
-    """The resource half of a report: (a weak reference to the resource's
-    amplitude array, the workspace, refs, own, pick).  Slab 0 of the (3,
-    frames d^2, 2^M) workspace holds code[f, :, k], the code of
+def _frame_codes(pat: MeasurementPattern, resource, amp: np.ndarray) -> tuple:
+    """The resource half of a report: (a weak reference to ``amp``, the
+    resource's amplitude array, the workspace, refs, own, pick).  Slab 0 of
+    the (3, frames d^2, 2^M) workspace holds code[f, :, k], the code of
     |psi_fk><psi_fk| in the oracle's Liouville order; refs[u] is the code of
     T_r T_r^dagger for the records r of by-product row u.  own[r] is record
     r's flat (frame, record) entry, pick[r] its flat (frame, row, record)
-    one.  ``memo``, the plan's last result, is returned as it is when made
-    from the same array, and otherwise lends its workspace, own and pick: a
-    miss overwrites that workspace, since fresh large arrays fault pages in.
-    """
-    amp, _ = _resource_vector(resource)
-    if memo is not None and memo[0]() is amp:
-        return memo
+    one."""
     frame_of, psi = frame_branches(resource, pat)
     n_frames, n_records, d = psi.shape
     # Records last, so that every loop below runs over them.
     psi = psi.transpose(0, 2, 1)
-    if memo is None:
-        work = _workspace((3, n_frames * d * d, n_records))
-        own = frame_of * n_records + np.arange(n_records)
-        pick = (frame_of * len(pat.plan.byproducts[0]) + pat.plan.byproducts[1]) * n_records + np.arange(n_records)
-    else:
-        _, work, _, own, pick = memo
+    work = np.empty((3, n_frames * d * d, n_records))
+    own = frame_of * n_records + np.arange(n_records)
+    pick = (frame_of * len(pat.plan.byproducts[0]) + pat.plan.byproducts[1]) * n_records + np.arange(n_records)
     # Viewed as complex, the two other slabs first hold |psi_fk><psi_fk|, one
     # product per entry: a broadcast product over a short record axis frees
     # numpy's iterator buffers, after which each report faults pages in again.
     outer = work[1:].reshape(-1).view(complex).reshape(n_frames, d, d, n_records)
-    # Slab 0 holds the conjugate branches, where they fit (d > 1), until the codes overwrite them.
-    slab = work[0].reshape(-1)[: 2 * psi.size].view(complex).reshape(psi.shape) if d > 1 else None
-    conj = np.conjugate(psi, out=slab)
+    # The conjugate branches take slab 0 until the codes overwrite it, or,
+    # with one output entry (d = 1), the products they are multiplied into.
+    slab = work[0] if d > 1 else work[1:]
+    conj = np.conjugate(psi, out=slab.reshape(-1)[: 2 * psi.size].view(complex).reshape(psi.shape))
     for i, j in itertools.product(range(d), repeat=2):
         np.multiply(psi[:, i], conj[:, j], out=outer[:, i, j])
     # Written through the view of the codes that reads all row bits, then all column bits.
@@ -177,7 +158,10 @@ def _report_bytes(pat: MeasurementPattern) -> int:
     complex branches for k outputs or, built once those are freed, its
     (rows, 4^k) reference codes, up to three copies at once while they are
     built or take the answer noise.  Frames and rows, read off all 2^M
-    records, are counted only when one frame fits."""
+    records, are counted only when one frame fits.  A report on another
+    resource than the last frees the last workspace first, so this bounds
+    it too.  The plan's own pieces, built once per pattern, are not
+    counted: mostly its bras, 1.5 MiB at a 10-step chain."""
     k, m = len(pat.outputs), pat.n_measured
     work, branches = 24 * 4**k * 2**m, 16 * 2**k * 2**m
     if work + branches > MAX_WORKSPACE_BYTES:
@@ -223,7 +207,13 @@ def _record_frame_report(
     # The memo leaves the plan until the workspace is read for the last time
     # (a dict pop is atomic), so two threads that share the pattern never
     # share a workspace; a report that raises before then drops it.
-    memo = _frame_codes(pat, resource, plan._memo.pop("codes", None))
+    amp = _resource_vector(resource, pat)
+    memo = plan._memo.pop("codes", None)
+    if memo is None or memo[0]() is not amp:
+        # A miss frees the last resource's workspace before its branches are
+        # built, so it peaks as a cold report does.
+        del memo
+        memo = _frame_codes(pat, resource, amp)
     _, work, refs, own, pick = memo
     rows, n_records = work.shape[1:]
     # rho[f, :, r] = sum_k W[r, k] code[f, :, k], W the product of P(read r_i |
@@ -278,9 +268,11 @@ def fidelity_adaptive(
     before renormalization; every other record is scored against BP(r) T.
 
     A report's workspace of 3 frames d^2 2^M floats, d = 2^outputs, stays
-    on the pattern's plan; one that needs over ``MAX_WORKSPACE_BYTES`` (64
-    MiB) with its branches or its reference codes raises ValueError with
-    its size.  A 10-step chain needs 64 MiB, 11 steps 256.
+    on the pattern's plan for later reports on the same resource; a report
+    on another one frees it and builds its own.  A report, on the same
+    resource or not, that needs over ``MAX_WORKSPACE_BYTES`` (64 MiB) with
+    its branches or its reference codes raises ValueError with its size.
+    A 10-step chain needs 64 MiB, 11 steps 256.
     """
     return _record_frame_report(pat, resource, measured_channels, answer_channels)
 

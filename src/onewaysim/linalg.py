@@ -66,7 +66,7 @@ class PureState:
     def _own(self, amp: np.ndarray) -> None:
         n = _n_qubits(amp.size, "state vector", MAX_PURE_QUBITS)
         norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > ATOL:
+        if not abs(norm - 1.0) <= ATOL:  # True on NaN
             raise ValueError(f"state vector norm {norm!r} differs from 1")
         object.__setattr__(self, "amplitudes", _frozen(amp))
         object.__setattr__(self, "n", n)

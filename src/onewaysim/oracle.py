@@ -78,11 +78,9 @@ def _resource_half(pat: MeasurementPattern, amp: np.ndarray) -> tuple:
 def simulate(resource, pat: MeasurementPattern, channels: Mapping[int, object] | None = None) -> OracleRun:
     """Noisy run of a pattern: every qubit's channel (a None or missing one
     is none), then adaptive projective measurements over every branch."""
-    amp, n = _resource_vector(resource)
+    amp, n = _resource_vector(resource, pat), pat.n_qubits
     if n > MAX_ORACLE_QUBITS:
         raise ValueError(f"brute-force simulation capped at {MAX_ORACLE_QUBITS} qubits, got {n}")
-    if n != pat.n_qubits:
-        raise ValueError("pattern size does not match the resource")
     stray = sorted(set(channels or ()) - set(range(n)))
     if stray:
         raise ValueError(f"channels on qubits {stray} outside the {n}-qubit resource")

@@ -108,6 +108,9 @@ class MeasurementPattern:
             raise ValueError("measured qubit out of range")
         if not (len(self.thetas) == len(self.alphas) == len(self.adapt) == m):
             raise ValueError("angles and adaptations must match the measured list")
+        for pos, theta in enumerate(self.thetas):
+            if not math.isfinite(theta):
+                raise ValueError(f"theta[{pos}]={theta}: angles must be finite")
         for pos, alpha in enumerate(self.alphas):
             if not (abs(alpha) < 1e-12 or abs(alpha - math.pi / 2) < 1e-12):
                 raise ValueError(f"alpha[{pos}]={alpha}: only 0 and pi/2 are supported")
@@ -236,10 +239,11 @@ class PatternPlan:
     One piece is mutable: ``_memo`` keeps the resource half of the last
     fidelity report ("codes", ``fidelity._frame_codes``: the workspace with
     the branch codes and the reference codes, taken off the plan while a
-    report runs) and of the last oracle run ("oracle",
-    ``oracle._resource_half``: the Liouville tensor and the references),
-    each keyed by the identity of the resource's read-only amplitude array,
-    held weakly so the plan never keeps a resource alive."""
+    report runs and dropped by a report on another resource) and of the
+    last oracle run ("oracle", ``oracle._resource_half``: the Liouville
+    tensor and the references), each keyed by the identity of the
+    resource's read-only amplitude array, held weakly so the plan never
+    keeps a resource alive."""
 
     def __init__(self, pat: MeasurementPattern):
         self._pat = pat
@@ -330,12 +334,15 @@ def _distinct_values(measured: tuple[int, ...], exprs: Sequence[BooleanExpr], wi
     return _frozen(np.array(fields, dtype=np.uint8).reshape(len(index), -1)), _frozen(np.array(value_of))
 
 
-def _resource_vector(resource) -> tuple[np.ndarray, int]:
+def _resource_vector(resource, pat: MeasurementPattern) -> np.ndarray:
+    """The amplitude array of a resource that ``pat`` can run on."""
     if isinstance(resource, GraphState):
-        return resource.state.amplitudes, resource.state.n
-    if isinstance(resource, PureState):
-        return resource.amplitudes, resource.n
-    raise TypeError(f"expected PureState or GraphState, got {type(resource).__name__}")
+        resource = resource.state
+    if not isinstance(resource, PureState):
+        raise TypeError(f"expected PureState or GraphState, got {type(resource).__name__}")
+    if resource.n != pat.n_qubits:
+        raise ValueError(f"pattern expects {pat.n_qubits} qubits, state has {resource.n}")
+    return resource.amplitudes
 
 
 def frame_branches(resource, pat: MeasurementPattern) -> tuple[np.ndarray, np.ndarray]:
@@ -353,10 +360,7 @@ def frame_branches(resource, pat: MeasurementPattern) -> tuple[np.ndarray, np.nd
     batched over the frames, contracts the block's leading axes and appends
     its outcome axes at the end.  The frames, bras and axes come from
     ``pat.plan``."""
-    amp, n = _resource_vector(resource)
-    if n != pat.n_qubits:
-        raise ValueError(f"pattern expects {pat.n_qubits} qubits, state has {n}")
-    plan = pat.plan
+    amp, n, plan = _resource_vector(resource, pat), pat.n_qubits, pat.plan
     frame_of = plan.frames[1]
     t = np.transpose(amp.reshape((2,) * n), plan.axes).reshape(1, -1)
     for bras in plan.bras:

@@ -339,8 +339,9 @@ def traced_peak(call):
 
 
 class TestGuardBytes:
-    """The size guard counts what a cold report allocates: a new
-    allocation that it does not count shows here."""
+    """The size guard counts what a cold report, or a report on another
+    resource than the last one, allocates: a new allocation that it does not
+    count shows here."""
 
     @pytest.mark.parametrize("adaptive", [False, True], ids=["one_frame", "adaptive"])
     @pytest.mark.parametrize("k", range(6))
@@ -361,6 +362,26 @@ class TestGuardBytes:
 
             peak = traced_peak(cold_report)
             assert peak <= size + 2**20, f"m = {m}, answer noise {noisy}, by-products {byproducts}: peak {peak} bytes, guard {size}"
+
+    def at_the_limit(self, pat, *resources):
+        """Reports on ``resources`` in turn, traced from the first on, after
+        one that builds the plan's pieces, which the guard does not count."""
+        fidelity_adaptive(pat, PureState.plus(pat.n_qubits))
+        pat.plan._memo.clear()
+        chans = {q: NoiseChannel.phase_flip(0.5, 0.3) for q in pat.measured}
+        peak = traced_peak(lambda: [fidelity_adaptive(pat, r, chans) for r in resources])
+        assert peak <= fidelity._report_bytes(pat) + 2**20, f"peak {peak} bytes, guard {fidelity._report_bytes(pat)}"
+
+    def test_ten_step_chain(self):
+        self.at_the_limit(chain_pattern((0.0,) * 10), PureState.plus(11))
+
+    def test_ten_step_chain_on_another_resource(self):
+        # The workspace of the first report stays on the plan until the second.
+        other = resource_state(Graph.path(11), {0: random_state(np.random.default_rng(57))})
+        self.at_the_limit(chain_pattern((0.0,) * 10), PureState.plus(11), other)
+
+    def test_ten_measured_qubits_without_outputs(self):
+        self.at_the_limit(outputs_pattern(0, 10, True), PureState.plus(10))
 
     def test_seven_outputs(self):
         # A dense joint map of the answer noise on 7 outputs would take
@@ -838,10 +859,9 @@ class TestPlanReports:
         chans = {q: random_cp_channel(rng) for q in range(pat.n_qubits)}
         expected = {id(r): report(dataclasses.replace(pat), r, chans) for r in (one, other)}
         report(pat, one, chans)
-        work = pat.plan._memo["codes"][1]
         for r in (other, one, other, other, one):
             assert_same_bytes(report(pat, r, chans), expected[id(r)])
-            assert pat.plan._memo["codes"][1] is work  # a miss overwrites the workspace it holds
+            assert pat.plan._memo["codes"][0]() is r.amplitudes
 
     def test_plan_does_not_pin_the_resource(self):
         rng = np.random.default_rng(53)
@@ -939,7 +959,8 @@ def test_warm_reports_fault_in_no_pages():
     while reading 100 to 400 faults per report the other way, depending on
     the allocator's layout.  The sweep runs in a fresh interpreter, as each
     benchmark run does: in a process that earlier tests have used, their
-    heap hid a plan whose workspace skipped its priming."""
+    heap hid a plan that held one workspace for good, so that no free raised
+    glibc's mmap and trim thresholds, at 200 to 600 faults per CNOT15 report."""
     tests = Path(__file__).resolve().parent
     path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]))
     code = "import json, test_fidelity; print(json.dumps(test_fidelity.warm_report_faults()))"

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,11 @@ class TestPureState:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             PureState([1.0, 1.0])
+
+    @pytest.mark.parametrize("amp", [[math.nan, 0.0], [1.0, math.nan]])
+    def test_rejects_nan_amplitudes(self, amp):
+        with pytest.raises(ValueError, match="state vector norm nan differs from 1"):
+            PureState(amp)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):

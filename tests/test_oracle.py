@@ -147,6 +147,10 @@ class TestSimulate:
         with pytest.raises(ValueError, match="outside the 2-qubit resource"):
             simulate(gs, rsp_pattern(0.9), {2: NoiseChannel.white(0.3, 0.5)})
 
+    def test_rejects_resource_of_another_size(self):
+        with pytest.raises(ValueError, match="pattern expects 2 qubits, state has 3"):
+            simulate(resource_state(Graph.path(3)), rsp_pattern(0.9))
+
     def test_dimension_guard(self):
         g = Graph(11, ())
         pat = MeasurementPattern(

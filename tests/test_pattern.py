@@ -147,6 +147,17 @@ class TestPatternValidation:
                 adapt=(BooleanExpr.zero(),),
             )
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta(self, theta):
+        with pytest.raises(ValueError, match=r"theta\[1\]=.*: angles must be finite"):
+            MeasurementPattern(
+                n_qubits=3,
+                measured=(0, 1),
+                thetas=(0.0, theta),
+                alphas=(math.pi / 2, math.pi / 2),
+                adapt=(BooleanExpr.zero(),) * 2,
+            )
+
     def test_byproduct_on_measured_qubit_rejected(self):
         with pytest.raises(ValueError, match="non-output"):
             MeasurementPattern(
