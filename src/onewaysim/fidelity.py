@@ -25,13 +25,16 @@ the first record r0 with |psi_r0|^2 > 1e-20, as in the oracle.  In a
 deterministic pattern every noiseless branch is BP(r) T up to a phase
 (Browne, Kashefi, Mhalla and Perdrix, NJP 9, 250 (2007)).  W and the bras
 of a frame are tensor products of 2x2 matrices, applied in blocks of
-B = ``pattern.BLOCK`` positions, one 2^B x 2^B matmul over all frames per
-block: a frame costs O(2^B M 2^n / B) for the branches and
-O(2^B M 2^M d^2 / B) for W.  Codes are in the oracle's Liouville order,
-each output's (row bit, column bit) pair on one axis of 4.  The answer
-noise acts on the few reference codes R, as tr(N(rho) R) =
-tr(rho N^dagger(R)): each output's 4x4 superoperator, transposed, on its
-axis.  See Danos, Kashefi and Panangaden, arXiv:0704.1263.
+B = ``pattern.BLOCK`` positions (B + 1 for a last run that would hold one),
+one matmul over all frames per block: a frame costs O(2^B M 2^n / B) for
+the branches and O(2^B M 2^M d^2 / B) for W.  The branches are contracted
+in the resource's own qubit order, with no copy, when the measured qubits
+ascend.  The codes, Re + Im of each branch projector, take real products
+only, in the oracle's Liouville order, each output's (row bit, column bit)
+pair on one axis of 4.  The answer noise acts on the few reference codes
+R, as tr(N(rho) R) = tr(rho N^dagger(R)): each output's 4x4
+superoperator, transposed, on its axis.  See Danos, Kashefi and
+Panangaden, arXiv:0704.1263.
 
 A sweep over the exposure time t changes only the noise, so a report has
 two halves.  The resource half (the branches, the codes of their
@@ -48,7 +51,6 @@ for everything here.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -117,35 +119,38 @@ def _traces(codes: np.ndarray, k: int) -> np.ndarray:
 def _frame_codes(pat: MeasurementPattern, resource, amp: np.ndarray) -> tuple:
     """The resource half of a report: (a weak reference to ``amp``, the
     resource's amplitude array, the workspace, refs, own, pick).  Slab 0 of
-    the (3, frames d^2, 2^M) workspace holds code[f, :, k], the code of
-    |psi_fk><psi_fk| in the oracle's Liouville order; refs[u] is the code of
-    T_r T_r^dagger for the records r of by-product row u.  own[r] is record
-    r's flat (frame, record) entry, pick[r] its flat (frame, row, record)
-    one."""
+    the (3, frames d^2, 2^M) workspace holds code[f, :, k], the code Re + Im
+    of |psi_fk><psi_fk| in the oracle's Liouville order, written from the
+    real and imaginary parts x and y of the branches as
+
+        code[I, J] = x_I (x_J - y_J) + y_I (x_J + y_J),
+
+    two products and a sum; refs[u] is the code of T_r T_r^dagger for the
+    records r of by-product row u.  own[r] is record r's flat (frame,
+    record) entry, pick[r] its flat (frame, row, record) one."""
     frame_of, psi = frame_branches(resource, pat)
     n_frames, n_records, d = psi.shape
-    # Records last, so that every loop below runs over them.
-    psi = psi.transpose(0, 2, 1)
+    k = len(pat.outputs)
     work = np.empty((3, n_frames * d * d, n_records))
     own = frame_of * n_records + np.arange(n_records)
     pick = (frame_of * len(pat.plan.byproducts[0]) + pat.plan.byproducts[1]) * n_records + np.arange(n_records)
-    # Viewed as complex, the two other slabs first hold |psi_fk><psi_fk|, one
-    # product per entry: a broadcast product over a short record axis frees
-    # numpy's iterator buffers, after which each report faults pages in again.
-    outer = work[1:].reshape(-1).view(complex).reshape(n_frames, d, d, n_records)
-    # The conjugate branches take slab 0 until the codes overwrite it, or,
-    # with one output entry (d = 1), the products they are multiplied into.
-    slab = work[0] if d > 1 else work[1:]
-    conj = np.conjugate(psi, out=slab.reshape(-1)[: 2 * psi.size].view(complex).reshape(psi.shape))
-    for i, j in itertools.product(range(d), repeat=2):
-        np.multiply(psi[:, i], conj[:, j], out=outer[:, i, j])
-    # Written through the view of the codes that reads all row bits, then all column bits.
-    k = len(pat.outputs)
+    # Records last, so that every product below runs over them.  x - y and
+    # x + y take the heads of slabs 1 and 2.  The products x_I (x_J - y_J)
+    # go to the codes, and y_I (x_J + y_J) over slab 1 once x - y is read,
+    # both through views that read all row bits, then all column bits.
+    x, y = (part.transpose(0, 2, 1) for part in (psi.real, psi.imag))
+    diff, total = (work[s, : n_frames * d].reshape(x.shape) for s in (1, 2))
+    np.subtract(x, y, out=diff)
+    np.add(x, y, out=total)
     bits = (n_frames,) + (2,) * (2 * k) + (n_records,)
-    liouville = work[0].reshape(bits).transpose([0, *range(1, 2 * k, 2), *range(2, 2 * k + 1, 2), 2 * k + 1])
-    np.add(outer.real.reshape(bits), outer.imag.reshape(bits), out=liouville)
+    liouville = [0, *range(1, 2 * k, 2), *range(2, 2 * k + 1, 2), 2 * k + 1]
+    rows, cols = (n_frames,) + (2,) * k + (1,) * k + (n_records,), (n_frames,) + (1,) * k + (2,) * k + (n_records,)
+    codes, spare = (work[s].reshape(bits).transpose(liouville) for s in (0, 1))
+    np.multiply(x.reshape(rows), diff.reshape(cols), out=codes)
+    np.multiply(y.reshape(rows), total.reshape(cols), out=spare)
+    np.add(work[0], work[1], out=work[0])
     # The references are built once the branches are freed.
-    del psi, conj
+    del psi, x, y
     norm2 = _traces(work[0], k).take(own)
     r0 = int(np.argmax(norm2 > _ZERO_BRANCH))
     refs = byproduct_codes(pat, work[0].reshape(n_frames, -1, n_records)[frame_of[r0], :, r0], r0)
@@ -161,7 +166,8 @@ def _report_bytes(pat: MeasurementPattern) -> int:
     records, are counted only when one frame fits.  A report on another
     resource than the last frees the last workspace first, so this bounds
     it too.  The plan's own pieces, built once per pattern, are not
-    counted: mostly its bras, 1.5 MiB at a 10-step chain."""
+    counted: mostly its bras, 3.0 MiB at a 10-step chain, whose blocks of
+    3, 3 and 4 positions have 512 frames."""
     k, m = len(pat.outputs), pat.n_measured
     work, branches = 24 * 4**k * 2**m, 16 * 2**k * 2**m
     if work + branches > MAX_WORKSPACE_BYTES:

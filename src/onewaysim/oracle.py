@@ -2,17 +2,19 @@
 
 The density matrix is a Liouville tensor, one axis of size 4 per qubit
 holding its (row bit, column bit), with the measured qubits first in
-temporal order.  Each channel is one 4x4 superoperator on its qubit's axis;
-at each depth every surviving record prefix is projected at once onto the
-effect |M_k^s><M_k^s| of its own adaptation bit s.  Noise acts on the
-state, never on the effects, so the oracle stays independent of the
-outcome-flip reduction that ``fidelity`` rests on.  Each leaf is scored by
-one Liouville dot against BP(r) T, T = BP(r0) A_r0, A_r0 the noiseless
-answer of the first reachable record r0, which the oracle finds by its own
-walk.  What the pattern alone fixes comes from its plan, and what the
-resource adds (the state's Liouville tensor, 4^n 16 bytes: 16 MiB at ten
-qubits, and the references) stays read-only there, keyed by the resource's
-amplitude array, so a sweep over t pays only for the noise.
+temporal order and the outputs after them, ascending: the oracle
+transposes the resource to this order itself.  Each channel is one 4x4
+superoperator on its qubit's axis; at each depth every surviving record
+prefix is projected at once onto the effect |M_k^s><M_k^s| of its own
+adaptation bit s.  Noise acts on the state, never on the effects, so the
+oracle stays independent of the outcome-flip reduction that ``fidelity``
+rests on.  Each leaf is scored by one Liouville dot against BP(r) T,
+T = BP(r0) A_r0, A_r0 the noiseless answer of the first reachable record
+r0, which the oracle finds by its own walk.  What the pattern alone fixes
+comes from its plan, and what the resource adds (the state's Liouville
+tensor, 4^n 16 bytes: 16 MiB at ten qubits, and the references) stays
+read-only there, keyed by the resource's amplitude array, so a sweep over
+t pays only for the noise.
 Dimension-guarded to ten qubits (4^10 entries).
 """
 
@@ -53,10 +55,11 @@ class OracleRun:
 def _resource_half(pat: MeasurementPattern, amp: np.ndarray) -> tuple:
     """What a run takes from the pattern and the resource alone: (a weak
     reference to ``amp``, the read-only (1, 4^n) Liouville tensor of the
-    state in ``plan.axes`` order, the read-only Liouville vectors of
-    BP(r) T T^dagger BP(r), one per by-product row)."""
+    state with the measured qubits first, in temporal order, then the
+    outputs, the read-only Liouville vectors of BP(r) T T^dagger BP(r), one
+    per by-product row)."""
     n, m, plan = pat.n_qubits, pat.n_measured, pat.plan
-    psi = np.transpose(amp.reshape((2,) * n), plan.axes).reshape(-1)
+    psi = np.transpose(amp.reshape((2,) * n), pat.measured + plan.outputs).reshape(-1)
     rho = np.multiply.outer(psi, psi.conj()).reshape((2,) * (2 * n))
     rho = rho.transpose([a for q in range(n) for a in (q, n + q)]).reshape(1, -1)
     # The first reachable record r0 and its noiseless branch: at each depth

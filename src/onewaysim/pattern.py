@@ -37,6 +37,10 @@ _ZERO_BRANCH = 1e-20
 _PAULI_CONJ = _frozen(np.array([np.diag([1.0, z, z, 1.0])[::x] for x in (1, -1) for z in (1.0, -1.0)]))
 # Measured positions per Kronecker factor of the branch and flip stages:
 # 3 beat 2, 4 and 5 on the 15-qubit CNOT and on 6-qubit adaptive chains.
+# A last run of one position joins the block before it, since a 2x2 pass
+# costs a full read and write of the array for 2 multiply-adds per entry:
+# the CNOT15's 13 positions run as 3 + 3 + 3 + 4, not 3 + 3 + 3 + 3 + 1,
+# a 7-step chain as 3 + 4 and a 10-step one as 3 + 3 + 4.
 BLOCK = 3
 
 
@@ -254,9 +258,14 @@ class PatternPlan:
         return tuple(q for q in range(self._pat.n_qubits) if q not in self._pat.measured)
 
     @functools.cached_property
-    def axes(self) -> tuple[int, ...]:
-        """Measured qubits in temporal order, then the outputs."""
-        return self._pat.measured + self.outputs
+    def order(self) -> tuple[int, ...]:
+        """The qubit order that ``frame_branches`` contracts the resource in:
+        its own when the measured qubits ascend, so that nothing is copied,
+        else the outputs and then the measured qubits in temporal order."""
+        measured = self._pat.measured
+        if list(measured) == sorted(measured):
+            return tuple(range(self._pat.n_qubits))
+        return self.outputs + measured
 
     @functools.cached_property
     def frames(self) -> tuple[np.ndarray, np.ndarray]:
@@ -281,10 +290,18 @@ class PatternPlan:
 
     @functools.cached_property
     def blocks(self) -> tuple[range, ...]:
-        """The measured positions in consecutive runs of ``BLOCK``, the last
-        run shorter when ``BLOCK`` does not divide M."""
-        positions = range(self._pat.n_measured)
-        return tuple(positions[i : i + BLOCK] for i in range(0, len(positions), BLOCK))
+        """The measured positions in consecutive runs of ``BLOCK``.  A run
+        ends where an output sits between two measured qubits in ``order``,
+        and a last run of one position joins the run before it."""
+        at = [self.order.index(q) for q in self._pat.measured]
+        cuts = [0] + [pos for pos in range(1, len(at)) if at[pos] != at[pos - 1] + 1] + [len(at)]
+        blocks = []
+        for first, end in zip(cuts, cuts[1:]):
+            starts = list(range(first, end, BLOCK))
+            if len(starts) > 1 and end - starts[-1] == 1:
+                starts.pop()
+            blocks += map(range, starts, starts[1:] + [end])
+        return tuple(blocks)
 
     @functools.cached_property
     def bras(self) -> tuple[np.ndarray, ...]:
@@ -352,19 +369,24 @@ def frame_branches(resource, pat: MeasurementPattern) -> tuple[np.ndarray, np.nd
     the frame row of each record r, and ``psi`` of shape (frames, 2^M,
     2^outputs): psi[f, k] is the unnormalized output vector left when the
     measured qubits are projected onto <M_{k_i}^{s_i}| with s the bits of
-    frame f.  Record r's own branch is psi[frame_of[r], r].
+    frame f, the outputs ascending.  Record r's own branch is
+    psi[frame_of[r], r].
 
     The bras form a Kronecker product, applied by the shuffle algorithm
     (Fernandes, Plateau and Stewart, J. ACM 45, 381 (1998)) with one factor
-    per block of up to ``BLOCK`` measured qubits: one matmul per block,
-    batched over the frames, contracts the block's leading axes and appends
-    its outcome axes at the end.  The frames, bras and axes come from
-    ``pat.plan``."""
+    per block of measured positions, on the resource's axes in the plan's
+    ``order``: the resource's own, a view, when the measured qubits ascend.
+    One matmul per block, batched over the frames and over the outputs that
+    precede the block, which stay in front, contracts the block's axes and
+    appends its outcome axes at the end.  The frames, bras, order and
+    blocks come from ``pat.plan``."""
     amp, n, plan = _resource_vector(resource, pat), pat.n_qubits, pat.plan
     frame_of = plan.frames[1]
-    t = np.transpose(amp.reshape((2,) * n), plan.axes).reshape(1, -1)
-    for bras in plan.bras:
-        t = (t.reshape(len(t), bras.shape[1], -1).transpose(0, 2, 1) @ bras).reshape(len(bras), -1)
+    t = np.transpose(amp.reshape((2,) * n), plan.order).reshape(1, -1)
+    for block, bras in zip(plan.blocks, plan.bras):
+        lead = 2 ** (plan.order.index(pat.measured[block.start]) - block.start)
+        t = t.reshape(len(t), lead, bras.shape[1], -1).transpose(0, 1, 3, 2) @ bras[:, None]
+        t = t.reshape(len(bras), -1)
     # The axes now read (outputs, k_1, ..., k_M).
     return frame_of, t.reshape(len(t), -1, frame_of.size).transpose(0, 2, 1)
 

@@ -33,7 +33,7 @@ from onewaysim.oracle import simulate
 from onewaysim.pattern import BooleanExpr, ByproductSpec, MeasurementPattern, basis_raw, frame_branches
 
 from test_channels import kraus
-from test_pattern import evaluate, outcome_tuple, rotation_pattern, rsp_pattern
+from test_pattern import evaluate, outcome_tuple, rotation_pattern, rsp_pattern, scrambled_pattern
 
 
 def g2():
@@ -255,6 +255,23 @@ class TestAdaptiveEngine:
             for key, (z, f) in rep.per_outcome.items():
                 assert abs(z - run.branches[key][0]) < 1e-9
                 assert abs(f - run.fidelities[key]) < 1e-9
+
+    def test_non_ascending_order_matches_oracle(self):
+        # Shifted general noise (S != 1/2) on every qubit, on a pattern whose
+        # measured qubits do not ascend and whose outputs sit between them.
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            pat = scrambled_pattern(rng.uniform(0.0, 2 * math.pi, size=4))
+            resource = random_state(rng, 6)
+            chans = {q: NoiseChannel(B=b, C=b / 2 + rng.uniform(0.2, 1.0), S=rng.uniform(0.6, 0.9), t=0.4)
+                     for q, b in enumerate(rng.uniform(0.2, 1.5, size=6))}
+            rep = fidelity_adaptive(pat, resource, {q: chans[q] for q in pat.measured}, {q: chans[q] for q in pat.outputs})
+            run = simulate(resource, pat, chans)
+            assert len(run.branches) == 16
+            for key, (z, f) in rep.per_outcome.items():
+                assert abs(z - run.branches[key][0]) < 1e-9
+                assert abs(f - run.fidelities[key]) < 1e-9
+            assert abs(rep.average - run.average) < 1e-9
 
     def test_label_permutation_invariance(self):
         # Relabeling vertices together with channels and expressions leaves
@@ -786,6 +803,20 @@ def tensordot_branches(amp, pat, s):
     return t.transpose(list(range(m - 1, -1, -1)) + list(range(m, n))).reshape(2**m, -1)
 
 
+def assert_matches_one_frame_at_a_time(pat, resource):
+    frame_of, psi = frame_branches(resource, pat)
+    m = pat.n_measured
+    assert frame_of.shape == (2**m,) and psi.shape == (frame_of.max() + 1, 2**m, 2 ** len(pat.outputs))
+    reference = {}
+    for r in range(2**m):
+        bits = dict(zip(pat.measured, outcome_tuple(r, m)))
+        s = tuple(evaluate(e, bits) for e in pat.adapt)
+        if s not in reference:
+            reference[s] = tensordot_branches(resource.amplitudes, pat, s)
+        assert np.max(np.abs(psi[frame_of[r]] - reference[s])) < 1e-13
+    assert len(reference) == len(psi)
+
+
 class TestFrameBranches:
     @pytest.mark.parametrize("z_last", [False, True], ids=["xy", "z_last"])
     @pytest.mark.parametrize("m", range(1, 10))
@@ -794,17 +825,21 @@ class TestFrameBranches:
         pat = chain_pattern(tuple(rng.uniform(0.0, 2 * math.pi, size=m)))
         if z_last:
             pat = dataclasses.replace(pat, alphas=pat.alphas[:-1] + (0.0,), adapt=pat.adapt[:-1] + (BooleanExpr(),))
-        resource = random_state(rng, m + 1)
-        frame_of, psi = frame_branches(resource, pat)
-        assert frame_of.shape == (2**m,) and psi.shape == (frame_of.max() + 1, 2**m, 2)
-        reference = {}
-        for r in range(2**m):
-            bits = dict(zip(pat.measured, outcome_tuple(r, m)))
-            s = tuple(evaluate(e, bits) for e in pat.adapt)
-            if s not in reference:
-                reference[s] = tensordot_branches(resource.amplitudes, pat, s)
-            assert np.max(np.abs(psi[frame_of[r]] - reference[s])) < 1e-13
-        assert len(reference) == len(psi)
+        assert_matches_one_frame_at_a_time(pat, random_state(rng, m + 1))
+
+    @pytest.mark.parametrize("name", ["non_ascending", "outputs_between", "cnot15"])
+    def test_outputs_among_the_measured_qubits(self, name):
+        """Outputs that lead a block, and measured qubits that do not
+        ascend, which contract after one transpose."""
+        rng = np.random.default_rng(49)
+        if name == "non_ascending":
+            pat = scrambled_pattern(rng.uniform(0.0, 2 * math.pi, size=4))
+        elif name == "outputs_between":
+            thetas = tuple(rng.uniform(0.0, 2 * math.pi, size=2))
+            pat = MeasurementPattern(4, (0, 2), thetas, (math.pi / 2,) * 2, (BooleanExpr(), BooleanExpr.of(0)))
+        else:
+            pat = cnot15_pattern()
+        assert_matches_one_frame_at_a_time(pat, random_state(rng, pat.n_qubits))
 
 
 def report_case(name, rng):

@@ -88,6 +88,29 @@ def euler_rotation(p1, p2, p3):
     return rx(p3) @ rzm(p2) @ rx(p1)
 
 
+def scrambled_pattern(thetas=(0.1, 0.3, 0.5, 0.7)):
+    """An adaptive pattern whose measured qubits (4, 0, 2, 5) do not ascend,
+    with outputs 1 and 3 between them."""
+    return MeasurementPattern(
+        n_qubits=6,
+        measured=(4, 0, 2, 5),
+        thetas=tuple(thetas),
+        alphas=(math.pi / 2,) * 4,
+        adapt=(BooleanExpr(), BooleanExpr.of(4, const=1), BooleanExpr.of(0, 4), BooleanExpr.of(2)),
+        byproducts=(
+            ByproductSpec(qubit=1, fx=BooleanExpr.of(4, 2), fz=BooleanExpr.of(0, 5, const=1)),
+            ByproductSpec(qubit=3, fz=BooleanExpr.of(2, 4)),
+        ),
+    )
+
+
+def x_pattern(n, measured):
+    """Equatorial measurements of ``measured``, in that order, with no
+    adaptation and no by-products."""
+    m = len(measured)
+    return MeasurementPattern(n, measured, (0.0,) * m, (math.pi / 2,) * m, (BooleanExpr(),) * m)
+
+
 class TestBooleanExpr:
     def test_xor_parity_normalization(self):
         e = BooleanExpr(xor=(1, 1, 2))
@@ -96,17 +119,7 @@ class TestBooleanExpr:
     def test_plan_matches_scalar(self):
         """The plan's adaptation bits and by-product rows, read off all
         records at once, match ``evaluate`` record by record."""
-        pat = MeasurementPattern(
-            n_qubits=6,
-            measured=(4, 0, 2, 5),
-            thetas=(0.1, 0.3, 0.5, 0.7),
-            alphas=(math.pi / 2,) * 4,
-            adapt=(BooleanExpr(), BooleanExpr.of(4, const=1), BooleanExpr.of(0, 4), BooleanExpr.of(2)),
-            byproducts=(
-                ByproductSpec(qubit=1, fx=BooleanExpr.of(4, 2), fz=BooleanExpr.of(0, 5, const=1)),
-                ByproductSpec(qubit=3, fz=BooleanExpr.of(2, 4)),
-            ),
-        )
+        pat = scrambled_pattern()
         rows, row_of = pat.plan.byproducts
         specs = {bp.qubit: bp for bp in pat.byproducts}
         for r in range(16):
@@ -193,6 +206,35 @@ class TestPlan:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[...] = 0
+
+    @pytest.mark.parametrize(
+        "n, measured, blocks",
+        [
+            (15, (*range(6), *range(7, 14)), [(0, 3), (3, 6), (6, 9), (9, 13)]),
+            (8, tuple(range(7)), [(0, 3), (3, 7)]),
+            (11, tuple(range(10)), [(0, 3), (3, 6), (6, 10)]),
+            (5, tuple(range(4)), [(0, 4)]),
+            (8, (0, 1, 3, 4, 5, 6), [(0, 2), (2, 6)]),
+            (4, (0, 2), [(0, 1), (1, 2)]),
+            (3, (), []),
+        ],
+        ids=["cnot15", "chain7", "chain10", "chain4", "output_ends_block", "outputs_between", "no_measured"],
+    )
+    def test_ascending_blocks(self, n, measured, blocks):
+        """Ascending patterns contract in the resource's own order; a block
+        ends at an output between two measured qubits, and a last run of
+        one position joins the block before it."""
+        plan = x_pattern(n, measured).plan
+        assert plan.order == tuple(range(n))
+        assert plan.blocks == tuple(range(*b) for b in blocks)
+
+    def test_non_ascending_order(self):
+        """Outputs first, then the measured qubits in temporal order, which
+        no output interrupts."""
+        plan = scrambled_pattern().plan
+        assert plan.order == (1, 3, 4, 0, 2, 5)
+        assert plan.blocks == (range(0, 4),)
+        assert x_pattern(7, (5, 4, 3, 2, 1, 0, 6)).plan.blocks == (range(0, 3), range(3, 7))
 
     def test_caller_lists_cannot_change_the_pattern(self):
         ref = rotation_pattern(0.3, 0.6, 0.9)
