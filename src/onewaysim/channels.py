@@ -133,14 +133,15 @@ def apply(ch, rho: DensityMatrix, qubit: int) -> DensityMatrix:
 def mixing_probabilities(ch: NoiseChannel, alpha: float) -> tuple[float, float]:
     """Probability (p0, p1) that decoherence swaps the outcome of a
     measurement with latitude ``alpha`` (0 = z axis, pi/2 = equator), per
-    prepared bit.  Both are entries of ``superoperator(ch)``: on the equator
-    the coherence keeps e^{-Ct}, so p0 = p1 = (1 - e^{-Ct})/2; on the z axis
-    they are the |0> -> |1> and |1> -> |0> weights, unequal when the shift
-    breaks the 0/1 symmetry."""
-    s = superoperator(ch)
+    prepared bit.  Both come from entries of ``superoperator(ch)``: on the
+    equator the coherence keeps e^{-Ct}, its [1, 1] entry, so p0 = p1 =
+    (1 - e^{-Ct})/2, read off the same float without building the map; on
+    the z axis they are the |0> -> |1> and |1> -> |0> weights, unequal when
+    the shift breaks the 0/1 symmetry."""
     if abs(alpha) < 1e-12:
+        s = superoperator(ch)
         return (float(s[3, 0]), float(s[0, 3]))
     if abs(alpha - math.pi / 2.0) < 1e-12:
-        p = (1.0 - float(s[1, 1])) / 2.0
+        p = (1.0 - _decay(ch.C, ch.t)) / 2.0
         return (p, p)
     raise ValueError(f"no mixing rule for alpha={alpha}; use 0 or pi/2")

@@ -42,8 +42,11 @@ projectors |psi_{s,k}><psi_{s,k}| and of the references T_r T_r^dagger,
 one per distinct by-product) stays on the pattern's plan, keyed by the
 identity of the resource's read-only amplitude array, which the plan holds
 only weakly.  A later report on the same array runs only the noise half:
-the flip stage, the answer noise and the sums.  A report on any other
-array drops that half before it builds its own, as on a fresh plan.
+the reads P(r_i | k_i), one gathered flip factor and one matmul per block,
+the traces, the answer noise on the references and one overlap.  A report
+on any other array drops that half before it builds its own, as on a fresh
+plan.  Only a report that builds the resource half checks the size guard,
+which depends on the pattern alone.
 
 The brute-force simulator in ``oracle`` is the independent ground truth
 for everything here.
@@ -58,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import NoiseChannel, mixing_probabilities, superoperator
-from .linalg import _frozen, kron_all
+from .linalg import _frozen
 from .pattern import MeasurementPattern, _Records, _ZERO_BRANCH, _resource_vector, byproduct_codes, frame_branches
 
 # The most a report may allocate (``_report_bytes``), mostly the (3, frames
@@ -79,6 +82,10 @@ class FidelityReport:
     renormalization, and ``average`` sums Z F over the rest.
     ``per_outcome`` is a read-only view of ``z`` and ``f`` that reads each
     outcome tuple as (Z, F), F None where unreachable, from the arrays.
+
+    The constructor copies ``z`` and ``f``, so that no caller can write to
+    a report's arrays; the engine's reports adopt the fresh arrays they were
+    computed in instead, under the same checks.
     """
 
     z: np.ndarray
@@ -86,9 +93,22 @@ class FidelityReport:
     average: float
 
     def __post_init__(self):
-        for name in ("z", "f"):
-            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=float)))
-        z, f = self.z, self.f
+        self._own(np.array(self.z, dtype=float), np.array(self.f, dtype=float))
+
+    @classmethod
+    def _adopt(cls, z: np.ndarray, f: np.ndarray, reachable: np.ndarray) -> "FidelityReport":
+        """The report of ``z`` and ``f``, fresh float vectors that no one
+        else holds, checked and frozen in place rather than copied; its
+        average sums Z F over the records that ``reachable`` marks, so a NaN
+        F on one of them fails the average check."""
+        report = cls.__new__(cls)
+        object.__setattr__(report, "average", float(z[reachable] @ f[reachable]))
+        report._own(z, f)
+        return report
+
+    def _own(self, z: np.ndarray, f: np.ndarray) -> None:
+        object.__setattr__(self, "z", _frozen(z))
+        object.__setattr__(self, "f", _frozen(f))
         if z.ndim != 1 or f.shape != z.shape or z.size & (z.size - 1):
             raise ValueError(f"z and f need one power-of-two length, got shapes {z.shape} and {f.shape}")
         total = z.sum()
@@ -113,7 +133,33 @@ def _traces(codes: np.ndarray, k: int) -> np.ndarray:
     """tr X of every code in a (..., records) array of Liouville codes: the
     entries whose every (row bit, column bit) axis reads 00 or 11, 0 or 3."""
     diag = codes.reshape((-1,) + (4,) * k + codes.shape[-1:])[(slice(None),) + (slice(None, None, 3),) * k]
-    return diag.sum(axis=tuple(range(1, k + 1)))
+    # Without outputs the codes are their own traces: a view, as a sum over
+    # no axes would copy them.
+    return diag.sum(axis=tuple(range(1, k + 1))) if k else diag
+
+
+# Per block size b, the (b, 2^b, 2^b) index of ``_flip_factor``, built on first use.
+_GATHERS: dict[int, np.ndarray] = {}
+
+
+def _flip_factor(reads: np.ndarray, block: range) -> np.ndarray:
+    """The (2^b, 2^b) Kronecker product of the read matrices at the b
+    positions of ``block``, first position on the high-order bits, from the
+    flat (M 4) array of their row-major entries.  Entry [R, C] multiplies
+    entry (r_i, c_i) of each position's matrix, r_i and c_i the i-th bits of
+    R and C: one gather of those b entries and their product, taken in
+    position order as ``linalg.kron_all`` takes it.  A one-position block
+    reads its matrix as a view."""
+    part = reads[4 * block.start : 4 * block.stop]
+    b = len(block)
+    if b == 1:
+        return part.reshape(2, 2)
+    index = _GATHERS.get(b)
+    if index is None:
+        bits = (np.arange(2**b) >> np.arange(b - 1, -1, -1)[:, None]) & 1  # [i, R]: bit i of R
+        index = 4 * np.arange(b)[:, None, None] + 2 * bits[:, :, None] + bits[:, None, :]
+        index = _GATHERS.setdefault(b, _frozen(index))
+    return part.take(index).prod(axis=0)
 
 
 def _frame_codes(pat: MeasurementPattern, resource, amp: np.ndarray) -> tuple:
@@ -197,19 +243,15 @@ def _record_frame_report(
         stray = sorted(set(chans or ()) - set(allowed))
         if stray:
             raise ValueError(f"{name} names qubits {stray}, which are not {kind} qubits {sorted(allowed)}")
-    plan, k, m = pat.plan, len(pat.outputs), pat.n_measured
-    size = _report_bytes(pat)
-    if size > MAX_WORKSPACE_BYTES:
-        raise ValueError(
-            f"a report on {m} measured qubits and {k} outputs needs at least {size / 2**20:.1f} MiB "
-            f"of workspace; the limit is {MAX_WORKSPACE_BYTES >> 20} MiB"
-        )
-    # P(read r_i | prepared k_i) at each measured position, as [r_i, k_i].
-    reads = []
+    plan, k = pat.plan, len(pat.outputs)
+    # P(read r_i | prepared k_i) at each measured position, the matrix
+    # [r_i, k_i] row-major, four entries a position.
+    flips = []
     for q, alpha in zip(pat.measured, pat.alphas):
         ch = (measured_channels or {}).get(q)
         p0, p1 = (0.0, 0.0) if ch is None else mixing_probabilities(ch, alpha)
-        reads.append(np.array([[1.0 - p0, p1], [p0, 1.0 - p1]]))
+        flips += (1.0 - p0, p1, p0, 1.0 - p1)
+    reads = np.array(flips)
     # The memo leaves the plan until the workspace is read for the last time
     # (a dict pop is atomic), so two threads that share the pattern never
     # share a workspace; a report that raises before then drops it.
@@ -217,20 +259,28 @@ def _record_frame_report(
     memo = plan._memo.pop("codes", None)
     if memo is None or memo[0]() is not amp:
         # A miss frees the last resource's workspace before its branches are
-        # built, so it peaks as a cold report does.
+        # built, so it peaks as a cold report does.  The guard depends on the
+        # pattern alone, and a pattern that fails it never keeps a memo, so
+        # only a miss checks it.
         del memo
+        size = _report_bytes(pat)
+        if size > MAX_WORKSPACE_BYTES:
+            raise ValueError(
+                f"a report on {pat.n_measured} measured qubits and {k} outputs needs at least "
+                f"{size / 2**20:.1f} MiB of workspace; the limit is {MAX_WORKSPACE_BYTES >> 20} MiB"
+            )
         memo = _frame_codes(pat, resource, amp)
     _, work, refs, own, pick = memo
     rows, n_records = work.shape[1:]
     # rho[f, :, r] = sum_k W[r, k] code[f, :, k], W the product of P(read r_i |
     # prepared k_i), by the shuffle of ``frame_branches``: each block of
-    # measured positions joins its read matrices into one factor and is one
+    # measured positions gathers its read matrices into one factor and is one
     # matmul that contracts the leading record bits and appends them last.
     # Every stage writes to the slab, 1 or 2, that it does not read; slab 0
     # keeps the codes, and is rho itself without measured qubits.
     rho, slab = work[0], 0
     for block in plan.blocks:
-        read = kron_all([reads[pos] for pos in block])
+        read = _flip_factor(reads, block)
         slab = 2 if slab == 1 else 1
         prev, rho = rho, work[slab]
         np.matmul(prev.reshape(rows, len(read), -1).transpose(0, 2, 1), read.T, out=rho.reshape(rows, -1, len(read)))
@@ -254,8 +304,7 @@ def _record_frame_report(
     total = float(z_raw.sum())
     if abs(total - 1.0) > 1e-6:
         raise AssertionError(f"record probabilities sum to {total}; engine inconsistency")
-    z = z_raw / total
-    return FidelityReport(z=z, f=f, average=float(z[reachable] @ f[reachable]))
+    return FidelityReport._adopt(z_raw / total, f, reachable)
 
 
 def fidelity_adaptive(
@@ -278,6 +327,8 @@ def fidelity_adaptive(
     on another one frees it and builds its own.  A report, on the same
     resource or not, that needs over ``MAX_WORKSPACE_BYTES`` (64 MiB) with
     its branches or its reference codes raises ValueError with its size.
+    The guard depends on the pattern alone and is checked when a report
+    builds its resource half, which a pattern that fails it never keeps.
     A 10-step chain needs 64 MiB, 11 steps 256.
     """
     return _record_frame_report(pat, resource, measured_channels, answer_channels)

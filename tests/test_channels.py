@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from onewaysim import channels
 from onewaysim.channels import (
     InvalidMapError,
     NoiseChannel,
@@ -197,6 +198,30 @@ class TestMixingProbabilities:
                     flip = float(np.real(np.conj(other) @ evolved @ other))
                     assert abs(flip - probs[k]) < 1e-10
                     assert abs(stay - (1 - probs[k])) < 1e-10
+
+    def test_superoperator_entries_bit_for_bit(self, monkeypatch):
+        # The equator reads e^{-Ct} without the superoperator, as the same
+        # float as its [1, 1] entry; the z axis reads the map itself.
+        rng = np.random.default_rng(9)
+        chans = [NoiseChannel(B=0.7, C=1.1, S=0.8, t=t) for t in (0.0, math.inf)]
+        chans += [random_cp_channel(rng) for _ in range(40)]
+        chans += [NoiseChannel(B=ch.B, C=ch.C, S=ch.S, t=t) for ch in chans[2:6] for t in (0.0, math.inf)]
+        expected = {}
+        for ch in chans:
+            s = superoperator(ch)
+            p = (1.0 - float(s[1, 1])) / 2.0
+            expected[ch] = ((p, p), (float(s[3, 0]), float(s[0, 3])))
+            assert mixing_probabilities(ch, math.pi / 2) == expected[ch][0]
+            assert mixing_probabilities(ch, 0.0) == expected[ch][1]
+
+        def refuse(ch):
+            raise AssertionError("superoperator called")
+
+        monkeypatch.setattr(channels, "superoperator", refuse)
+        for ch in chans:
+            assert mixing_probabilities(ch, math.pi / 2) == expected[ch][0]
+            with pytest.raises(AssertionError, match="superoperator called"):
+                mixing_probabilities(ch, 0.0)
 
 
 class TestKraus:

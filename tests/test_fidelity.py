@@ -310,6 +310,39 @@ class TestAdaptiveEngine:
         with pytest.raises(ValueError, match="needs at least 256.0 MiB of workspace; the limit is 64 MiB"):
             fidelity_adaptive(chain_pattern((0.0,) * 11), PureState.plus(12))
 
+    def test_guard_refuses_every_call(self):
+        # The guard depends on the pattern alone; a refused report keeps no
+        # resource half, so every call on the pattern is a miss that checks it.
+        rng = np.random.default_rng(58)
+        pat, plus = chain_pattern((0.0,) * 11), PureState.plus(12)
+        other = resource_state(Graph.path(12), {0: random_state(rng)})
+
+        def refusal(resource):
+            with pytest.raises(ValueError, match="needs at least 256.0 MiB of workspace; the limit is 64 MiB") as refused:
+                fidelity_adaptive(pat, resource)
+            assert "codes" not in pat.plan._memo
+            return str(refused.value)
+
+        messages = [refusal(plus), refusal(plus), refusal(other)]
+        fidelity_adaptive(chain_pattern((0.0,) * 3), PureState.plus(4))
+        messages.append(refusal(plus))
+        assert len(set(messages)) == 1
+
+    def test_guard_checked_on_a_miss(self, monkeypatch):
+        # A report that reuses the resource half of the same pattern skips the
+        # guard that the pattern passed to build it; a report on another
+        # resource checks it, and drops the half of the last one.
+        rng = np.random.default_rng(59)
+        pat, one = chain_pattern((0.0,) * 4), PureState.plus(5)
+        other = resource_state(Graph.path(5), {0: random_state(rng)})
+        fidelity_adaptive(pat, one)
+        monkeypatch.setattr(fidelity, "MAX_WORKSPACE_BYTES", fidelity._report_bytes(pat) - 1)
+        fidelity_adaptive(pat, one)
+        for resource in (other, one):
+            with pytest.raises(ValueError, match="needs at least"):
+                fidelity_adaptive(pat, resource)
+            assert "codes" not in pat.plan._memo
+
     def test_guard_counts_outputs(self):
         # Ten measured qubits, as in the chain that runs, but 4 outputs: the
         # 512 frames would need a (3, 512 * 256, 1024) workspace and
@@ -399,6 +432,14 @@ class TestGuardBytes:
 
     def test_ten_measured_qubits_without_outputs(self):
         self.at_the_limit(outputs_pattern(0, 10, True), PureState.plus(10))
+
+    def test_warm_report_without_outputs(self):
+        # Without outputs the traces are a view of the codes: a warm report
+        # on the 10-measured-qubit pattern allocates no (512, 1024) copy.
+        pat, resource = outputs_pattern(0, 10, True), PureState.plus(10)
+        chans = {q: NoiseChannel.phase_flip(0.5, 0.3) for q in pat.measured}
+        fidelity_adaptive(pat, resource, chans)
+        assert traced_peak(lambda: fidelity_adaptive(pat, resource, chans)) < 2**20
 
     def test_seven_outputs(self):
         # A dense joint map of the answer noise on 7 outputs would take
@@ -607,6 +648,35 @@ class TestReport:
         for arr in (rep.z, rep.f):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
+
+    def test_adopted_arrays(self):
+        # The engine's path shares the arrays it is given and freezes them.
+        z, f = np.array([0.5, 0.25, 0.25, 0.0]), np.array([0.9, 0.7, 0.5, np.nan])
+        rep = FidelityReport._adopt(z, f, z > 1e-12)
+        assert rep.average == float(z[:3] @ f[:3])
+        assert np.shares_memory(rep.z, z) and np.shares_memory(rep.f, f)
+        for arr in (rep.z, rep.f, z, f):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "z, f, average, message",
+        [
+            ([0.4, 0.4], [1.0, 1.0], 0.8, "outcome probabilities sum to 0.8, not 1"),
+            ([0.5, 0.5], [1.0 + 2e-9, 0.5], 0.75 + 1e-9, r"fidelity 1.000000002 outside \[0, 1\]"),
+            # A NaN F on a reachable record: the public constructor reads it
+            # as unreachable, so only a wrong average shows it there.
+            ([0.5, 0.5], [np.nan, 0.5], np.nan, "average does not match the outcome sum"),
+            ([0.5, 0.25, 0.25], [1.0, 1.0, 1.0], 1.0, "power-of-two length"),
+        ],
+        ids=["sum", "range", "nan", "length"],
+    )
+    def test_adopting_path_checks(self, z, f, average, message):
+        with pytest.raises(ValueError, match=message) as public:
+            FidelityReport(z=z, f=f, average=average)
+        with pytest.raises(ValueError, match=message) as adopted:
+            FidelityReport._adopt(np.array(z), np.array(f), np.ones(len(z), dtype=bool))
+        assert str(adopted.value) == str(public.value)
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError, match="power-of-two length"):
@@ -1052,3 +1122,29 @@ class TestFlipStage:
         assert np.max(np.abs(rep.z - z)) < 1e-13
         reached = ~np.isnan(rep.f)
         assert np.max(np.abs((rep.z * rep.f)[reached] - zf[reached])) < 1e-12
+
+
+class TestFlipFactor:
+    @pytest.mark.parametrize("b", range(1, 5))
+    def test_matches_reduced_kron(self, b):
+        """The gathered factor of a block of b positions, two positions in,
+        is the Kronecker product of its read matrices bit for bit; z-axis
+        reads under shifted noise (S != 1/2) are asymmetric, p0 != p1, so a
+        transposed entry would show."""
+        rng = np.random.default_rng(60 + b)
+        mats = []
+        for _ in range(b + 3):
+            B = rng.uniform(0.2, 1.5)
+            ch = NoiseChannel(B=B, C=B / 2 + rng.uniform(0.3, 1.5), S=rng.uniform(0.6, 0.95), t=rng.uniform(0.05, 1.0))
+            p0, p1 = mixing_probabilities(ch, 0.0)
+            assert p0 != p1
+            mats.append(np.array([[1.0 - p0, p1], [p0, 1.0 - p1]]))
+        reads = np.array(mats).reshape(-1)
+        block = range(2, 2 + b)
+        factor = fidelity._flip_factor(reads, block)
+        expected = functools.reduce(np.kron, mats[2 : 2 + b])
+        assert factor.shape == expected.shape == (2**b, 2**b)
+        assert factor.tobytes() == expected.tobytes()
+        assert factor.tobytes() == kron_all(mats[2 : 2 + b]).tobytes()
+        # A one-position block reads its matrix in place.
+        assert np.shares_memory(factor, reads) == (b == 1)
