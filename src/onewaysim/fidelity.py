@@ -62,13 +62,12 @@ import numpy as np
 
 from .channels import NoiseChannel, mixing_probabilities, superoperator
 from .linalg import _frozen
-from .pattern import MeasurementPattern, _Records, _ZERO_BRANCH, _resource_vector, byproduct_codes, frame_branches
+from .pattern import MeasurementPattern, _Records, _UNREACHABLE, _ZERO_BRANCH, _resource_vector, byproduct_codes, frame_branches
 
 # The most a report may allocate (``_report_bytes``), mostly the (3, frames
 # d^2, 2^M) workspace that stays on the pattern's plan until a report on
 # another resource; a report that needs more is refused.
 MAX_WORKSPACE_BYTES = 64 * 2**20
-_UNREACHABLE = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,8 +77,8 @@ class FidelityReport:
 
     ``z`` and ``f`` are read-only arrays over the 2^M records; record r has
     the bits of r as its outcomes, first-measured qubit most significant.
-    ``f`` is NaN on unreachable records, those with Z below 1e-12 before
-    renormalization, and ``average`` sums Z F over the rest.
+    ``f`` is NaN on unreachable records, Z at most ``pattern._UNREACHABLE``
+    before renormalization, and ``average`` sums Z F over the rest.
     ``per_outcome`` is a read-only view of ``z`` and ``f`` that reads each
     outcome tuple as (Z, F), F None where unreachable, from the arrays.
 
@@ -226,7 +225,7 @@ def _record_frame_report(
     pat: MeasurementPattern,
     resource,
     measured_channels: Mapping[int, NoiseChannel] | None,
-    answer_channels: Mapping[int, object] | None,
+    answer_channels: Mapping[int, NoiseChannel] | None,
 ) -> FidelityReport:
     """Z(r) and F(r) of every record from the branches of its own frame.
 
@@ -243,6 +242,9 @@ def _record_frame_report(
         stray = sorted(set(chans or ()) - set(allowed))
         if stray:
             raise ValueError(f"{name} names qubits {stray}, which are not {kind} qubits {sorted(allowed)}")
+        for q, ch in (chans or {}).items():
+            if ch is not None and not isinstance(ch, NoiseChannel):
+                raise TypeError(f"{name}[{q}] is a {type(ch).__name__}, not a NoiseChannel or None")
     plan, k = pat.plan, len(pat.outputs)
     # P(read r_i | prepared k_i) at each measured position, the matrix
     # [r_i, k_i] row-major, four entries a position.
@@ -311,7 +313,7 @@ def fidelity_adaptive(
     pat: MeasurementPattern,
     resource,
     measured_channels: Mapping[int, NoiseChannel] | None = None,
-    answer_channels: Mapping[int, object] | None = None,
+    answer_channels: Mapping[int, NoiseChannel] | None = None,
 ) -> FidelityReport:
     """Exact per-record fidelity for (possibly) adaptive patterns.
 
@@ -319,7 +321,7 @@ def fidelity_adaptive(
     ``answer_channels`` only outputs; any other key raises ValueError.  A
     None value is no channel, as is a missing key.  Record probabilities
     are renormalized; the factor must already be 1 to 1e-6.  A record gets
-    F NaN and no share of the average when its probability is below 1e-12
+    F NaN and no share of the average when its probability is at most 1e-12
     before renormalization; every other record is scored against BP(r) T.
 
     A report's workspace of 3 frames d^2 2^M floats, d = 2^outputs, stays
@@ -338,7 +340,7 @@ def fidelity_nonadaptive(
     pat: MeasurementPattern,
     resource,
     measured_channels: Mapping[int, NoiseChannel] | None = None,
-    answer_channels: Mapping[int, object] | None = None,
+    answer_channels: Mapping[int, NoiseChannel] | None = None,
 ) -> FidelityReport:
     """Fidelity report for non-adaptive patterns: the one-frame case of the
     same engine, under the same rules and guard (``fidelity_adaptive``)."""

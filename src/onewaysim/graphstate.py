@@ -14,6 +14,7 @@ graph is checked by one comparison with |G>.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -34,7 +35,7 @@ class Graph:
             raise ValueError("graph needs at least one vertex")
         canon = set()
         for e in self.edges:
-            i, j = int(e[0]), int(e[1])
+            i, j = operator.index(e[0]), operator.index(e[1])
             if i == j:
                 raise ValueError(f"self-loop on vertex {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):
@@ -44,7 +45,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        return cls(n, tuple((int(i), int(j)) for i, j in edges))
+        return cls(n, tuple((i, j) for i, j in edges))
 
     @classmethod
     def path(cls, n: int) -> "Graph":

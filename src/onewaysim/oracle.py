@@ -4,11 +4,14 @@ The density matrix is a Liouville tensor, one axis of size 4 per qubit
 holding its (row bit, column bit), with the measured qubits first in
 temporal order and the outputs after them, ascending: the oracle
 transposes the resource to this order itself.  Each channel is one 4x4
-superoperator on its qubit's axis; at each depth every surviving record
-prefix is projected at once onto the effect |M_k^s><M_k^s| of its own
-adaptation bit s.  Noise acts on the state, never on the effects, so the
-oracle stays independent of the outcome-flip reduction that ``fidelity``
-rests on.  Each leaf is scored by one Liouville dot against BP(r) T,
+superoperator on its qubit's axis; at each depth all 2^depth record
+prefixes, unnormalized, are projected at once onto the effect
+|M_k^s><M_k^s| of their own adaptation bit s.  A leaf's trace is its
+record's probability: the records unreachable by the engine's rule,
+``pattern._UNREACHABLE``, are dropped there and the rest normalized.
+Noise acts on the state, never on the effects, so the oracle stays
+independent of the outcome-flip reduction that ``fidelity`` rests on.
+Each leaf is scored by one Liouville dot against BP(r) T,
 T = BP(r0) A_r0, A_r0 the noiseless answer of the first reachable record
 r0, which the oracle finds by its own walk.  What the pattern alone fixes
 comes from its plan, and what the resource adds (the state's Liouville
@@ -26,12 +29,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .channels import superoperator
+from .channels import NoiseChannel, superoperator
 from .linalg import _frozen, check_density_matrices
-from .pattern import MeasurementPattern, _Records, _ZERO_BRANCH, _resource_vector, byproduct_codes
+from .pattern import MeasurementPattern, _Records, _UNREACHABLE, _ZERO_BRANCH, _resource_vector, byproduct_codes
 
 MAX_ORACLE_QUBITS = 10
-_PRUNE = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,9 +44,9 @@ class OracleRun:
 
     ``branches`` and ``fidelities`` are read-only views of the run's
     arrays, keyed by outcome tuple as ``FidelityReport.per_outcome`` is:
-    ``branches`` reads each unpruned record as (probability, read-only
-    density matrix of its answer), ``fidelities`` as its fidelity; pruned
-    records are absent from both.
+    ``branches`` reads each reachable record as (probability, read-only
+    density matrix of its answer), ``fidelities`` as its fidelity; records
+    of probability at most 1e-12, unreachable, are absent from both.
     """
 
     branches: Mapping[tuple[int, ...], tuple[float, np.ndarray]]
@@ -78,9 +80,10 @@ def _resource_half(pat: MeasurementPattern, amp: np.ndarray) -> tuple:
     return weakref.ref(amp), _frozen(rho), _frozen(byproduct_codes(pat, a0, r0))
 
 
-def simulate(resource, pat: MeasurementPattern, channels: Mapping[int, object] | None = None) -> OracleRun:
+def simulate(resource, pat: MeasurementPattern, channels: Mapping[int, NoiseChannel] | None = None) -> OracleRun:
     """Noisy run of a pattern: every qubit's channel (a None or missing one
-    is none), then adaptive projective measurements over every branch."""
+    is none), then adaptive projective measurements over every record;
+    those of probability at most 1e-12 are unreachable and absent."""
     amp, n = _resource_vector(resource, pat), pat.n_qubits
     if n > MAX_ORACLE_QUBITS:
         raise ValueError(f"brute-force simulation capped at {MAX_ORACLE_QUBITS} qubits, got {n}")
@@ -88,6 +91,9 @@ def simulate(resource, pat: MeasurementPattern, channels: Mapping[int, object] |
     if stray:
         raise ValueError(f"channels on qubits {stray} outside the {n}-qubit resource")
     channels = {q: ch for q, ch in (channels or {}).items() if ch is not None}
+    for q, ch in channels.items():
+        if not isinstance(ch, NoiseChannel):
+            raise TypeError(f"channels[{q}] is a {type(ch).__name__}, not a NoiseChannel or None")
     m, plan = pat.n_measured, pat.plan
     # Entries are never written once built: two calls that both miss build
     # their own, and the last one stored stays.
@@ -96,41 +102,35 @@ def simulate(resource, pat: MeasurementPattern, channels: Mapping[int, object] |
         memo = plan._memo["oracle"] = _resource_half(pat, amp)
     _, rho, refs = memo
 
-    # Row b of ``rho`` is the normalized state left on the unmeasured qubits
-    # by the record prefix ``prefix[b]``, reached with probability prob[b].
-    prefix = np.zeros(1, dtype=np.int64)
-    prob = np.ones(1)
+    # Row r of ``rho`` is the unnormalized state that record prefix r, of
+    # all 2^depth in record order, leaves on the unmeasured qubits.
     for depth, q in enumerate(pat.measured):
         # The qubit's channel acts on the state just before its measurement,
         # when its axis leads and the tensor is smallest: channels on other
         # qubits commute with it and with this measurement.
-        t = rho.reshape(len(prefix), 4, -1)
+        t = rho.reshape(2**depth, 4, -1)
         if q in channels:
             t = superoperator(channels[q]) @ t
-        adapt = plan.adapt_bits[prefix << (m - depth), depth]
-        block = plan.effect_rows[depth, adapt] @ t
-        pk = (block @ plan.trace[: block.shape[2]]).real
-        keep = pk > _PRUNE
-        rho = block[keep] / pk[keep][:, None]
-        prefix = ((prefix[:, None] << 1) | (0, 1))[keep]
-        prob = (prob[:, None] * pk)[keep]
+        rho = plan.effect_rows[depth, plan.adapt_bits[:: 2 ** (m - depth), depth]] @ t
     for j, q in enumerate(plan.outputs):
         if q in channels:
-            rho = superoperator(channels[q]) @ rho.reshape(len(prefix) * 4**j, 4, -1)
+            rho = superoperator(channels[q]) @ rho.reshape(2**m * 4**j, 4, -1)
 
     # Leaves as (record, row bits, column bits) matrices over the outputs.
     k = n - m
-    d = 2**k
     mats = rho.reshape((-1,) + (2, 2) * k).transpose([0] + list(range(1, 2 * k, 2)) + list(range(2, 2 * k + 1, 2)))
-    mats = mats.reshape(-1, d, d)
+    mats = mats.reshape(-1, 2**k, 2**k)
+    prob = mats.trace(axis1=1, axis2=2).real
+    records = np.flatnonzero(prob > _UNREACHABLE)
+    prob = prob[records]
+    mats = mats[records] / prob[:, None, None]
     check_density_matrices(mats)
-    mats.setflags(write=False)
 
     # F = tr(R rho) = sum of conj(R) rho over the Liouville entries, R Hermitian.
-    fids = np.einsum("ri,ri->r", refs[plan.byproducts[1][prefix]].conj(), rho.reshape(len(prefix), -1)).real
-    prefix, prob, fids = map(_frozen, (prefix, prob, fids))
+    fids = np.einsum("ri,ri->r", refs[plan.byproducts[1][records]].conj(), rho.reshape(2**m, -1)[records]).real / prob
+    records, prob, mats, fids = map(_frozen, (records, prob, mats, fids))
     return OracleRun(
-        branches=_Records(m, prefix, prob, mats),
-        fidelities=_Records(m, prefix, fids),
+        branches=_Records(m, records, prob, mats),
+        fidelities=_Records(m, records, fids),
         average=float(prob @ fids),
     )

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections.abc import ItemsView, Mapping, Sequence, ValuesView
 from dataclasses import dataclass
 
@@ -32,6 +33,8 @@ from .graphstate import GraphState
 from .linalg import PureState, _frozen, kron_all
 
 _ZERO_BRANCH = 1e-20
+# Engine and oracle both leave unscored a record of at most this probability.
+_UNREACHABLE = 1e-12
 # [z + 2 x] is conjugation by X^x Z^z on one qubit's (row bit, column bit)
 # axis of 4: Z negates entries 1 and 2, X reverses the entries.
 _PAULI_CONJ = _frozen(np.array([np.diag([1.0, z, z, 1.0])[::x] for x in (1, -1) for z in (1.0, -1.0)]))
@@ -55,12 +58,12 @@ class BooleanExpr:
     xor: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "const", int(self.const) & 1)
+        if operator.index(self.const) not in (0, 1):
+            raise ValueError(f"const must be 0 or 1, got {self.const}")
+        object.__setattr__(self, "const", operator.index(self.const))
         # XOR with even multiplicity cancels; keep a canonical sorted form.
-        counts: dict[int, int] = {}
-        for v in self.xor:
-            counts[int(v)] = counts.get(int(v), 0) + 1
-        object.__setattr__(self, "xor", tuple(sorted(v for v, c in counts.items() if c % 2)))
+        xor = list(map(operator.index, self.xor))
+        object.__setattr__(self, "xor", tuple(sorted(v for v in set(xor) if xor.count(v) % 2)))
 
     @classmethod
     def zero(cls) -> "BooleanExpr":
@@ -102,7 +105,8 @@ class MeasurementPattern:
 
     def __post_init__(self):
         # Own tuples, so that no caller's list can change the pattern under its plan.
-        for name in ("measured", "thetas", "alphas", "adapt", "byproducts"):
+        object.__setattr__(self, "measured", tuple(map(operator.index, self.measured)))
+        for name in ("thetas", "alphas", "adapt", "byproducts"):
             value = tuple(getattr(self, name))
             object.__setattr__(self, name, tuple(map(float, value)) if name in ("thetas", "alphas") else value)
         m = len(self.measured)
@@ -176,8 +180,8 @@ class _Records(Mapping):
     None stands for all 2^m records.  A row reads each 1-d column as a
     float, None where NaN, and each other column as a view of its
     sub-array, read-only when the column is; one column gives that entry
-    alone, more a tuple.  Iteration, ``items()`` and ``values()`` read
-    whole columns at once.
+    alone, more a tuple.  A lookup reads its own row; iteration, ``items()``
+    and ``values()`` read whole columns at once.
     """
 
     __slots__ = ("_m", "_index", "_columns")
@@ -200,14 +204,14 @@ class _Records(Mapping):
             raise KeyError(key)
         return i
 
-    def _rows(self, rows: slice = slice(None)):
-        cols = [c[rows] for c in self._columns]
-        cols = [iter(c) if c.ndim > 1 else np.where(np.isnan(c), None, c).tolist() for c in cols]
+    def _rows(self):
+        cols = [iter(c) if c.ndim > 1 else np.where(np.isnan(c), None, c).tolist() for c in self._columns]
         return iter(cols[0]) if len(cols) == 1 else zip(*cols)
 
     def __getitem__(self, key):
         i = self._position(key)
-        return next(self._rows(slice(i, i + 1)))
+        row = [c[i] if c.ndim > 1 else None if math.isnan(c[i]) else float(c[i]) for c in self._columns]
+        return row[0] if len(row) == 1 else tuple(row)
 
     def __iter__(self):
         if self._index is None:
@@ -318,14 +322,6 @@ class PatternPlan:
         <M_k^s|rho|M_k^s> on one qubit's (row bit, column bit) pair."""
         b = self.basis
         return _frozen((b.conj()[..., :, None] * b[..., None, :]).reshape(b.shape[:-1] + (4,)))
-
-    @functools.cached_property
-    def trace(self) -> np.ndarray:
-        """The complex row (1, 0, 0, 1)^{(x)(n-1)}: tr(rho) = trace @ rho for
-        the Liouville vector rho of the n - 1 qubits left by a measurement.
-        Its first 4^r entries are the row of the last r qubits."""
-        one = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
-        return _frozen(functools.reduce(np.kron, [one] * (self._pat.n_qubits - 1), np.ones(1, dtype=complex)))
 
     @functools.cached_property
     def byproducts(self) -> tuple[np.ndarray, np.ndarray]:

@@ -37,6 +37,23 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 2)])
 
+    @pytest.mark.parametrize(
+        "n, edges, expected",
+        [
+            (3, ((0, 1.7),), TypeError),
+            (3, ((0.0, 1),), TypeError),
+            (np.int64(3), ((np.int64(2), np.uint8(0)),), ((0, 2),)),
+        ],
+        ids=["float_vertex", "integral_float", "numpy_integers"],
+    )
+    def test_integer_vertices(self, n, edges, expected):
+        if isinstance(expected, tuple):
+            g = Graph(n, edges)
+            assert g.edges == expected and all(type(v) is int for v in g.edges[0])
+        else:
+            with pytest.raises(expected, match="cannot be interpreted as an integer"):
+                Graph(n, edges)
+
     def test_canonical_edges(self):
         g = Graph.from_edges(3, [(2, 1), (1, 0), (1, 2)])
         assert g.edges == ((0, 1), (1, 2))

@@ -96,15 +96,27 @@ def test_every_private_name_is_read():
 
 
 def test_every_plan_piece_is_read():
-    """Each cached piece of ``PatternPlan`` is read, as an attribute, by some
-    module of the package, so a piece that a change replaced cannot linger
-    on the plan."""
+    """Each cached piece of ``PatternPlan`` is read off a plan by some module
+    of the package, as ``plan.<piece>``, ``<expr>.plan.<piece>`` or, inside
+    ``PatternPlan``, ``self.<piece>``, so a piece that a change replaced
+    cannot linger on the plan; an attribute of the same name on anything
+    else, such as ``mats.trace``, does not count."""
     trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))]
-    read = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     plan = next(
         node for node in ast.walk(ast.parse((PACKAGE / "pattern.py").read_text()))
         if isinstance(node, ast.ClassDef) and node.name == "PatternPlan"
     )
+    read = {
+        node.attr for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and (
+            isinstance(node.value, ast.Name) and node.value.id == "plan"
+            or isinstance(node.value, ast.Attribute) and node.value.attr == "plan"
+        )
+    }
+    read |= {
+        node.attr for node in ast.walk(plan)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self"
+    }
     pieces = [
         node.name for node in plan.body
         if isinstance(node, ast.FunctionDef) and any(ast.unparse(d).endswith("cached_property") for d in node.decorator_list)

@@ -3,6 +3,7 @@ import functools
 import gc
 import itertools
 import math
+import re
 import sys
 import threading
 import weakref
@@ -24,21 +25,39 @@ from test_pattern import rotation_pattern, rsp_pattern
 
 
 def assert_matches_engine(resource, pat, chans, tol):
-    """Every record both report has the same Z and F; the oracle omits
-    only the records it pruned, and the engine gives those Z ~ 0."""
-    m = pat.n_measured
+    """The oracle keeps exactly the records that the engine reaches, and
+    both give each of them the same Z and F."""
     run = simulate(resource, pat, chans)
     rep = fidelity_adaptive(
         pat, resource, {q: chans[q] for q in pat.measured}, {q: chans[q] for q in pat.outputs}
     )
-    for key, (z, f) in rep.per_outcome.items():
-        if key not in run.branches:
-            assert z < 1e-12
-            continue
+    reached = [key for key, (_, f) in rep.per_outcome.items() if f is not None]
+    assert list(run.branches) == list(run.fidelities) == reached
+    for key in reached:
+        z, f = rep.per_outcome[key]
         assert abs(z - run.branches[key][0]) < tol
         assert abs(f - run.fidelities[key]) < tol
-    assert set(run.branches) <= set(rep.per_outcome)
     return run
+
+
+def tilted_case(p1):
+    """Four measurements of a product state, the first, third and fourth in
+    z: of |0>, of a state that reads 1 with probability ``p1``, and of one
+    that reads 1 with probability 1e-16; white noise on the output."""
+
+    def tilted(p):
+        return np.array([math.sqrt(1.0 - p), math.sqrt(p)])
+
+    pat = MeasurementPattern(
+        n_qubits=5,
+        measured=(0, 1, 2, 3),
+        thetas=(0.0, 0.4, 0.0, 0.0),
+        alphas=(0.0, math.pi / 2, 0.0, 0.0),
+        adapt=(BooleanExpr.zero(),) * 4,
+        byproducts=(ByproductSpec(qubit=4, fz=BooleanExpr.of(1)),),
+    )
+    resource = PureState(functools.reduce(np.kron, [tilted(0.0), PLUS, tilted(p1), tilted(1e-16), PLUS]))
+    return pat, resource, {0: None, 1: None, 2: None, 3: None, 4: NoiseChannel.white(0.5, 0.3)}
 
 
 class TestSimulate:
@@ -95,22 +114,12 @@ class TestSimulate:
             assert abs(p - 0.25) < 1e-10
 
     def test_pruned_records_absent(self):
-        # z measurements of |0> (first depth) and of a state reading 1 with
-        # probability 1e-16 (last depth) drop those children with their
-        # subtrees; a child of probability 1e-10 is kept.
-        def tilted(p1):
-            return np.array([math.sqrt(1.0 - p1), math.sqrt(p1)])
-
-        pat = MeasurementPattern(
-            n_qubits=5,
-            measured=(0, 1, 2, 3),
-            thetas=(0.0, 0.4, 0.0, 0.0),
-            alphas=(0.0, math.pi / 2, 0.0, 0.0),
-            adapt=(BooleanExpr.zero(),) * 4,
-            byproducts=(ByproductSpec(qubit=4, fz=BooleanExpr.of(1)),),
-        )
-        resource = PureState(functools.reduce(np.kron, [tilted(0.0), PLUS, tilted(1e-10), tilted(1e-16), PLUS]))
-        run = simulate(resource, pat, {4: NoiseChannel.white(0.5, 0.3)})
+        # Records of probability at most 1e-12 are absent: the first z
+        # measurement, of |0>, never reads 1, and the last, of a state that
+        # reads 1 with probability 1e-16, nearly never does.  The records
+        # through the third reading 1, of probability 5e-11, are kept.
+        pat, resource, chans = tilted_case(1e-10)
+        run = simulate(resource, pat, chans)
         keys = [(0, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 1, 0)]
         assert list(run.branches) == list(run.fidelities) == keys
         assert abs(run.branches[(0, 0, 1, 0)][0] - 1e-10 * run.branches[(0, 0, 0, 0)][0]) < 1e-20
@@ -122,6 +131,32 @@ class TestSimulate:
                 assert key not in view and view.get(key, "absent") == "absent"
                 with pytest.raises(KeyError):
                     view[key]
+
+    @pytest.mark.parametrize("p1", [1e-10, 1e-13])
+    def test_records_at_the_threshold_match_engine(self, p1):
+        # At p1 = 1e-13 records (0, 0, 1, 0) and (0, 1, 1, 0) have Z = 5e-14,
+        # at or below 1e-12: both checkers leave them out.
+        pat, resource, chans = tilted_case(p1)
+        run = assert_matches_engine(resource, pat, chans, 1e-12)
+        assert len(run.branches) == (4 if p1 == 1e-10 else 2)
+
+    def test_lookups_read_their_rows(self):
+        # A lookup equals its row as ``items()`` reads it, type for type, on
+        # an oracle run with dropped records and on a report with
+        # unreachable ones.
+        pat, resource, chans = tilted_case(1e-13)
+        run = simulate(resource, pat, chans)
+        rep = fidelity_adaptive(pat, resource, {}, {4: chans[4]})
+        assert len(run.branches) == 2 and sum(f is None for _, f in rep.per_outcome.values()) == 14
+        for key, f in run.fidelities.items():
+            assert type(run.fidelities[key]) is float and run.fidelities[key] == f
+        for key, (p, rho) in run.branches.items():
+            got_p, got_rho = run.branches[key]
+            assert type(got_p) is float and got_p == p
+            assert got_rho.tobytes() == rho.tobytes() and not got_rho.flags.writeable
+        for key, row in rep.per_outcome.items():
+            got = rep.per_outcome[key]
+            assert got == row and list(map(type, got)) == list(map(type, row))
 
     def test_branch_states_read_only(self):
         gs = build_graph_state(Graph.from_edges(2, [(0, 1)]))
@@ -146,6 +181,21 @@ class TestSimulate:
         gs = build_graph_state(Graph.from_edges(2, [(0, 1)]))
         with pytest.raises(ValueError, match="outside the 2-qubit resource"):
             simulate(gs, rsp_pattern(0.9), {2: NoiseChannel.white(0.3, 0.5)})
+
+    @pytest.mark.parametrize("value", ["x", np.eye(4)], ids=["str", "array"])
+    @pytest.mark.parametrize("where", ["measured", "answer"])
+    @pytest.mark.parametrize("checker", ["engine", "oracle"])
+    def test_rejects_values_that_are_not_channels(self, checker, where, value):
+        gs, pat, ch = build_graph_state(Graph.path(2)), rsp_pattern(0.7), NoiseChannel.white(1.0, 0.3)
+        q = 0 if where == "measured" else 1
+        chans = {0: ch, 1: ch, q: value}
+        if checker == "oracle":
+            name, call = "channels", lambda: simulate(gs, pat, chans)
+        else:
+            name, call = f"{where}_channels", lambda: fidelity_adaptive(pat, gs, {0: chans[0]}, {1: chans[1]})
+        message = f"{name}[{q}] is a {type(value).__name__}, not a NoiseChannel or None"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            call()
 
     def test_rejects_resource_of_another_size(self):
         with pytest.raises(ValueError, match="pattern expects 2 qubits, state has 3"):
