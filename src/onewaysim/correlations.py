@@ -37,6 +37,7 @@ MEP, whose minimum usually sits on a kink where some rho'_ij vanish.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -109,7 +110,7 @@ def partial_transpose(mat: np.ndarray, transposed: Sequence[int], n: int) -> np.
 def negativity(rho: DensityMatrix, partition: Iterable[int]) -> float:
     """(||rho^{T_A}||_1 - 1) / 2 for the given transposed side; a Bell pair
     scores 1/2."""
-    part = sorted(set(int(q) for q in partition))
+    part = sorted(set(map(operator.index, partition)))
     if not part or len(part) >= rho.n:
         raise ValueError("partition must be a proper nonempty qubit subset")
     if part[0] < 0 or part[-1] >= rho.n:
@@ -240,6 +241,8 @@ def discord(rho: DensityMatrix, measured_side: str = "B", method: str = "auto") 
     """
     if method not in ("auto", "optimize"):
         raise ValueError("method must be 'auto' or 'optimize'")
+    if measured_side not in ("A", "B"):
+        raise ValueError("measured_side must be 'A' or 'B'")
     if method == "auto":
         a, b, t = _bloch_decomposition(rho.entries)
         if np.max(np.abs(a)) < 1e-12 and np.max(np.abs(b)) < 1e-12:

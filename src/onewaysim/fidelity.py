@@ -21,7 +21,7 @@ psi_{s,k} for every prepared record k, and
 
 with W[r,k] = prod_i P(r_i | k_i), N the answer noise on the outputs, and
 T_r = BP(r) T, T = BP(r0) A_r0, A_r0 the normalized noiseless branch of
-the first record r0 with |psi_r0|^2 > 1e-20, as in the oracle.  In a
+the first record r0 with |psi_r0|^2 > ``pattern._UNREACHABLE``.  In a
 deterministic pattern every noiseless branch is BP(r) T up to a phase
 (Browne, Kashefi, Mhalla and Perdrix, NJP 9, 250 (2007)).  W and the bras
 of a frame are tensor products of 2x2 matrices, applied in blocks of
@@ -62,7 +62,7 @@ import numpy as np
 
 from .channels import NoiseChannel, mixing_probabilities, superoperator
 from .linalg import _frozen
-from .pattern import MeasurementPattern, _Records, _UNREACHABLE, _ZERO_BRANCH, _resource_vector, byproduct_codes, frame_branches
+from .pattern import MeasurementPattern, _Records, _UNREACHABLE, _channel_map, _resource_vector, byproduct_codes, frame_branches
 
 # The most a report may allocate (``_report_bytes``), mostly the (3, frames
 # d^2, 2^M) workspace that stays on the pattern's plan until a report on
@@ -197,7 +197,7 @@ def _frame_codes(pat: MeasurementPattern, resource, amp: np.ndarray) -> tuple:
     # The references are built once the branches are freed.
     del psi, x, y
     norm2 = _traces(work[0], k).take(own)
-    r0 = int(np.argmax(norm2 > _ZERO_BRANCH))
+    r0 = int(np.argmax(norm2 > _UNREACHABLE))
     refs = byproduct_codes(pat, work[0].reshape(n_frames, -1, n_records)[frame_of[r0], :, r0], r0)
     refs /= norm2[r0]
     return weakref.ref(amp), work, refs, own, pick
@@ -235,23 +235,15 @@ def _record_frame_report(
     of the codes of A and B.  A real superoperator maps each part on its
     own, so it maps the code of X to the code of its image.
     """
-    for name, chans, kind, allowed in (
-        ("measured_channels", measured_channels, "measured", pat.measured),
-        ("answer_channels", answer_channels, "output", pat.outputs),
-    ):
-        stray = sorted(set(chans or ()) - set(allowed))
-        if stray:
-            raise ValueError(f"{name} names qubits {stray}, which are not {kind} qubits {sorted(allowed)}")
-        for q, ch in (chans or {}).items():
-            if ch is not None and not isinstance(ch, NoiseChannel):
-                raise TypeError(f"{name}[{q}] is a {type(ch).__name__}, not a NoiseChannel or None")
+    message = "{name} names qubits {stray}, which are not %s qubits {allowed}"
+    measured_channels = _channel_map("measured_channels", measured_channels, pat.measured, message % "measured")
+    answer_channels = _channel_map("answer_channels", answer_channels, pat.outputs, message % "output")
     plan, k = pat.plan, len(pat.outputs)
     # P(read r_i | prepared k_i) at each measured position, the matrix
     # [r_i, k_i] row-major, four entries a position.
     flips = []
     for q, alpha in zip(pat.measured, pat.alphas):
-        ch = (measured_channels or {}).get(q)
-        p0, p1 = (0.0, 0.0) if ch is None else mixing_probabilities(ch, alpha)
+        p0, p1 = mixing_probabilities(measured_channels[q], alpha) if q in measured_channels else (0.0, 0.0)
         flips += (1.0 - p0, p1, p0, 1.0 - p1)
     reads = np.array(flips)
     # The memo leaves the plan until the workspace is read for the last time
@@ -292,7 +284,7 @@ def _record_frame_report(
     z_raw = _traces(rho, k).take(own)
     # F(r) = tr(rho_r N^dagger(T_r T_r^dagger)) / Z(r): the superoperator of
     # each noisy output j acts, transposed, on the j-th axis of the references.
-    for j, ch in enumerate(map((answer_channels or {}).get, pat.outputs)):
+    for j, ch in enumerate(map(answer_channels.get, pat.outputs)):
         if ch is not None:
             refs = (superoperator(ch).T @ refs.reshape(-1, 4, 4 ** (k - 1 - j))).reshape(len(refs), -1)
     # The overlap of every (frame, by-product row, record), in a slab that rho is not in.
@@ -322,7 +314,8 @@ def fidelity_adaptive(
     None value is no channel, as is a missing key.  Record probabilities
     are renormalized; the factor must already be 1 to 1e-6.  A record gets
     F NaN and no share of the average when its probability is at most 1e-12
-    before renormalization; every other record is scored against BP(r) T.
+    before renormalization; any other is scored against BP(r) BP(r0) A_r0,
+    r0 the first record whose noiseless probability exceeds 1e-12.
 
     A report's workspace of 3 frames d^2 2^M floats, d = 2^outputs, stays
     on the pattern's plan for later reports on the same resource; a report

@@ -31,10 +31,13 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
         canon = set()
         for e in self.edges:
+            if len(e) != 2:
+                raise ValueError(f"edge {e} is not a pair of vertices")
             i, j = operator.index(e[0]), operator.index(e[1])
             if i == j:
                 raise ValueError(f"self-loop on vertex {i}")

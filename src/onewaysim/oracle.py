@@ -12,12 +12,12 @@ record's probability: the records unreachable by the engine's rule,
 Noise acts on the state, never on the effects, so the oracle stays
 independent of the outcome-flip reduction that ``fidelity`` rests on.
 Each leaf is scored by one Liouville dot against BP(r) T,
-T = BP(r0) A_r0, A_r0 the noiseless answer of the first reachable record
-r0, which the oracle finds by its own walk.  What the pattern alone fixes
-comes from its plan, and what the resource adds (the state's Liouville
-tensor, 4^n 16 bytes: 16 MiB at ten qubits, and the references) stays
-read-only there, keyed by the resource's amplitude array, so a sweep over
-t pays only for the noise.
+T = BP(r0) A_r0, A_r0 the noiseless answer of r0, the first record whose
+noiseless probability exceeds that bound, found by the oracle's own pass
+over all records.  What the pattern alone fixes comes from its plan, and
+what the resource adds (the state's Liouville tensor, 4^n 16 bytes: 16 MiB
+at ten qubits, and the references) stays read-only there, keyed by the
+resource's amplitude array, so a sweep over t pays only for the noise.
 Dimension-guarded to ten qubits (4^10 entries).
 """
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .channels import NoiseChannel, superoperator
 from .linalg import _frozen, check_density_matrices
-from .pattern import MeasurementPattern, _Records, _UNREACHABLE, _ZERO_BRANCH, _resource_vector, byproduct_codes
+from .pattern import MeasurementPattern, _Records, _UNREACHABLE, _channel_map, _resource_vector, byproduct_codes
 
 MAX_ORACLE_QUBITS = 10
 
@@ -39,8 +39,8 @@ MAX_ORACLE_QUBITS = 10
 @dataclass(frozen=True, eq=False)
 class OracleRun:
     """Per-outcome probabilities, post-measurement answers, and fidelities
-    against BP(r) T, T = BP(r0) A_r0, with A_r0 the noiseless answer of the
-    first reachable record r0.
+    against BP(r) T, T = BP(r0) A_r0, with A_r0 the noiseless answer of r0,
+    the first record whose noiseless probability exceeds 1e-12.
 
     ``branches`` and ``fidelities`` are read-only views of the run's
     arrays, keyed by outcome tuple as ``FidelityReport.per_outcome`` is:
@@ -56,28 +56,26 @@ class OracleRun:
 
 def _resource_half(pat: MeasurementPattern, amp: np.ndarray) -> tuple:
     """What a run takes from the pattern and the resource alone: (a weak
-    reference to ``amp``, the read-only (1, 4^n) Liouville tensor of the
-    state with the measured qubits first, in temporal order, then the
-    outputs, the read-only Liouville vectors of BP(r) T T^dagger BP(r), one
-    per by-product row)."""
+    reference to ``amp``, the read-only (1, 4^n) Liouville tensor of the state,
+    measured qubits first in temporal order, then the outputs, and the read-only
+    Liouville vectors of BP(r) T T^dagger BP(r), one per by-product row)."""
     n, m, plan = pat.n_qubits, pat.n_measured, pat.plan
-    psi = np.transpose(amp.reshape((2,) * n), pat.measured + plan.outputs).reshape(-1)
-    rho = np.multiply.outer(psi, psi.conj()).reshape((2,) * (2 * n))
-    rho = rho.transpose([a for q in range(n) for a in (q, n + q)]).reshape(1, -1)
-    # The first reachable record r0 and its noiseless branch: at each depth
-    # outcome 0 unless its branch vanishes, under the adaptation bit that
-    # the outcomes kept so far give.
-    a0, r0 = psi, 0
+
+    def liouville(v, k):  # |v><v| on k qubits, each (row bit, column bit) pair on one axis
+        rho = np.multiply.outer(v, v.conj()).reshape((2,) * (2 * k))
+        return rho.transpose([a for q in range(k) for a in (q, k + q)]).reshape(-1)
+
+    # The noiseless branches of all record prefixes, projected as the noisy run
+    # below projects; r0 is the first record of noiseless probability over 1e-12.
+    psi = a = np.transpose(amp.reshape((2,) * n), pat.measured + plan.outputs).reshape(1, -1)
     for depth in range(m):
-        s = plan.adapt_bits[r0 << (m - depth), depth]
-        branches = plan.basis[depth, s].conj() @ a0.reshape(2, -1)
-        bit = int(np.vdot(branches[0], branches[0]).real <= _ZERO_BRANCH)
-        a0, r0 = branches[bit], r0 << 1 | bit
+        s = plan.adapt_bits[:: 2 ** (m - depth), depth]
+        a = (plan.basis[depth, s].conj() @ a.reshape(2**depth, 2, -1)).reshape(2 ** (depth + 1), -1)
+    norm2 = np.einsum("ri,ri->r", a, a.conj()).real
+    r0 = int(np.argmax(norm2 > _UNREACHABLE))
     # |A_r0><A_r0| normalized, whose conjugates by BP(r) BP(r0) are the references.
-    k = n - m
-    a0 = np.multiply.outer(a0, a0.conj()).reshape((2,) * (2 * k)) / np.vdot(a0, a0).real
-    a0 = a0.transpose([a for j in range(k) for a in (j, k + j)]).reshape(-1)
-    return weakref.ref(amp), _frozen(rho), _frozen(byproduct_codes(pat, a0, r0))
+    ref = liouville(a[r0], n - m) / norm2[r0]
+    return weakref.ref(amp), _frozen(liouville(psi, n).reshape(1, -1)), _frozen(byproduct_codes(pat, ref, r0))
 
 
 def simulate(resource, pat: MeasurementPattern, channels: Mapping[int, NoiseChannel] | None = None) -> OracleRun:
@@ -87,13 +85,7 @@ def simulate(resource, pat: MeasurementPattern, channels: Mapping[int, NoiseChan
     amp, n = _resource_vector(resource, pat), pat.n_qubits
     if n > MAX_ORACLE_QUBITS:
         raise ValueError(f"brute-force simulation capped at {MAX_ORACLE_QUBITS} qubits, got {n}")
-    stray = sorted(set(channels or ()) - set(range(n)))
-    if stray:
-        raise ValueError(f"channels on qubits {stray} outside the {n}-qubit resource")
-    channels = {q: ch for q, ch in (channels or {}).items() if ch is not None}
-    for q, ch in channels.items():
-        if not isinstance(ch, NoiseChannel):
-            raise TypeError(f"channels[{q}] is a {type(ch).__name__}, not a NoiseChannel or None")
+    channels = _channel_map("channels", channels, range(n), "{name} on qubits {stray} outside the {n}-qubit resource")
     m, plan = pat.n_measured, pat.plan
     # Entries are never written once built: two calls that both miss build
     # their own, and the last one stored stays.

@@ -29,11 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import NoiseChannel
 from .graphstate import GraphState
 from .linalg import PureState, _frozen, kron_all
 
-_ZERO_BRANCH = 1e-20
-# Engine and oracle both leave unscored a record of at most this probability.
+# Engine and oracle both leave unscored a record of at most this probability,
+# and both score against the first record whose noiseless probability exceeds it.
 _UNREACHABLE = 1e-12
 # [z + 2 x] is conjugation by X^x Z^z on one qubit's (row bit, column bit)
 # axis of 4: Z negates entries 1 and 2, X reverses the entries.
@@ -87,6 +88,9 @@ class ByproductSpec:
     fx: BooleanExpr = BooleanExpr()
     fz: BooleanExpr = BooleanExpr()
 
+    def __post_init__(self):
+        object.__setattr__(self, "qubit", operator.index(self.qubit))
+
 
 @dataclass(frozen=True)
 class MeasurementPattern:
@@ -104,6 +108,7 @@ class MeasurementPattern:
     byproducts: tuple[ByproductSpec, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "n_qubits", operator.index(self.n_qubits))
         # Own tuples, so that no caller's list can change the pattern under its plan.
         object.__setattr__(self, "measured", tuple(map(operator.index, self.measured)))
         for name in ("thetas", "alphas", "adapt", "byproducts"):
@@ -356,6 +361,20 @@ def _resource_vector(resource, pat: MeasurementPattern) -> np.ndarray:
     if resource.n != pat.n_qubits:
         raise ValueError(f"pattern expects {pat.n_qubits} qubits, state has {resource.n}")
     return resource.amplitudes
+
+
+def _channel_map(name: str, chans: Mapping[int, NoiseChannel] | None, allowed: Sequence[int], message: str) -> dict:
+    """``chans``, qubits to channels or None, as a dict without the Nones.  A
+    key not in ``allowed`` raises ValueError, ``message`` formatted with
+    ``name``, ``stray`` and ``allowed``, both sorted, and ``n = len(allowed)``;
+    a value neither None nor a NoiseChannel raises TypeError."""
+    stray = (chans or {}).keys() - allowed
+    if stray:
+        raise ValueError(message.format(name=name, stray=sorted(stray), allowed=sorted(allowed), n=len(allowed)))
+    for q, ch in (chans or {}).items():
+        if ch is not None and not isinstance(ch, NoiseChannel):
+            raise TypeError(f"{name}[{q}] is a {type(ch).__name__}, not a NoiseChannel or None")
+    return {q: ch for q, ch in (chans or {}).items() if ch is not None}
 
 
 def frame_branches(resource, pat: MeasurementPattern) -> tuple[np.ndarray, np.ndarray]:

@@ -97,6 +97,19 @@ class TestNegativity:
         rotated = DensityMatrix(u @ rho.entries @ u.conj().T)
         assert abs(negativity(rotated, {0}) - negativity(rho, {0})) < 1e-8
 
+    @pytest.mark.parametrize(
+        "partition, expected",
+        [([0.5], TypeError), ([1.0], TypeError), ([np.int64(1)], 0.5), ((np.uint8(0),), 0.5)],
+        ids=["half", "integral_float", "int64", "uint8"],
+    )
+    def test_integer_partition(self, partition, expected):
+        # int() once read 0.5 as qubit 0.
+        if isinstance(expected, float):
+            assert abs(negativity(bell(), partition) - expected) < 1e-12
+        else:
+            with pytest.raises(expected, match="cannot be interpreted as an integer"):
+                negativity(bell(), partition)
+
     def test_bad_partition(self):
         with pytest.raises(ValueError):
             negativity(bell(), {0, 1})
@@ -212,6 +225,12 @@ class TestDiscord:
         k1 = np.kron(np.diag([0.0, 1.0]), r1.entries)
         rho = DensityMatrix(0.3 * k0 + 0.7 * k1)
         assert abs(discord(rho, measured_side="A", method="optimize")) < 1e-6
+
+    @pytest.mark.parametrize("method", ["auto", "optimize"])
+    def test_rejects_unknown_side(self, method):
+        # The closed form once answered 1.0 for side "C" on the graph state.
+        with pytest.raises(ValueError, match="measured_side must be 'A' or 'B'"):
+            discord(g2_density(), measured_side="C", method=method)
 
     def test_pf_closed_form_value(self):
         # Rank-two Bell mixture: discord is 1 - H(q) with q the mixing weight.

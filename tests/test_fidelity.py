@@ -1090,7 +1090,7 @@ class TestFlipStage:
         """Z(r) = sum_k W[r, k] |psi_k|^2 and Z(r) F(r) = sum_k W[r, k]
         |<T|psi_k>|^2, with W the explicit Kronecker product of every
         measured qubit's read matrix and T = A_r0, the normalized branch of
-        the first record with |psi_r|^2 > 1e-20 (the pattern has no
+        the first record with |psi_r|^2 > 1e-12 (the pattern has no
         by-products); the fixed-point shift makes the z reads asymmetric
         (p0 != p1)."""
         rng = np.random.default_rng(seed)
@@ -1116,7 +1116,7 @@ class TestFlipStage:
         psi = bras @ resource.amplitudes.reshape(2**m, 2)
         norm2 = np.einsum("ka,ka->k", psi, psi.conj()).real
         z = w @ norm2
-        r0 = int(np.flatnonzero(norm2 > 1e-20)[0])
+        r0 = int(np.flatnonzero(norm2 > 1e-12)[0])
         overlap = np.abs(psi @ psi[r0].conj()) ** 2 / norm2[r0]  # [k] = |<A_r0|psi_k>|^2
         zf = w @ overlap
         assert np.max(np.abs(rep.z - z)) < 1e-13

@@ -42,17 +42,25 @@ class TestGraph:
         [
             (3, ((0, 1.7),), TypeError),
             (3, ((0.0, 1),), TypeError),
+            (3.0, ((0, 1),), TypeError),
             (np.int64(3), ((np.int64(2), np.uint8(0)),), ((0, 2),)),
         ],
-        ids=["float_vertex", "integral_float", "numpy_integers"],
+        ids=["float_vertex", "integral_float", "float_count", "numpy_integers"],
     )
     def test_integer_vertices(self, n, edges, expected):
         if isinstance(expected, tuple):
             g = Graph(n, edges)
             assert g.edges == expected and all(type(v) is int for v in g.edges[0])
+            assert type(g.n) is int
         else:
             with pytest.raises(expected, match="cannot be interpreted as an integer"):
                 Graph(n, edges)
+
+    @pytest.mark.parametrize("edge", [(0, 1, 2), (0,), ()], ids=["triple", "single", "empty"])
+    def test_rejects_edges_that_are_not_pairs(self, edge):
+        # A triple once kept its first two vertices and dropped the third.
+        with pytest.raises(ValueError, match=re.escape(f"edge {edge} is not a pair of vertices")):
+            Graph(3, (edge,))
 
     def test_canonical_edges(self):
         g = Graph.from_edges(3, [(2, 1), (1, 0), (1, 2)])

@@ -10,7 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from onewaysim import oracle
 from onewaysim.channels import NoiseChannel
@@ -40,14 +40,15 @@ def assert_matches_engine(resource, pat, chans, tol):
     return run
 
 
+def tilted(p):
+    """The real qubit that reads 1 with probability ``p``."""
+    return np.array([math.sqrt(1.0 - p), math.sqrt(p)])
+
+
 def tilted_case(p1):
     """Four measurements of a product state, the first, third and fourth in
     z: of |0>, of a state that reads 1 with probability ``p1``, and of one
     that reads 1 with probability 1e-16; white noise on the output."""
-
-    def tilted(p):
-        return np.array([math.sqrt(1.0 - p), math.sqrt(p)])
-
     pat = MeasurementPattern(
         n_qubits=5,
         measured=(0, 1, 2, 3),
@@ -352,6 +353,50 @@ class TestNonDeterministicChain:
         assert abs(rep.average - 0.4918) < 1e-4
 
 
+def tilted_chain(p):
+    """A 4-vertex path with input (sqrt(p), sqrt(1 - p)) on vertex 0, which
+    is z-measured, then qubits 1 and 2 at thetas 0.7 and 1.9 with no
+    adaptation, fx = {2} and fz = {1} on output 3: not deterministic.  At
+    p = 0 no record with outcome 0 first has any noiseless weight."""
+    pat = MeasurementPattern(
+        n_qubits=4,
+        measured=(0, 1, 2),
+        thetas=(0.0, 0.7, 1.9),
+        alphas=(0.0, math.pi / 2, math.pi / 2),
+        adapt=(BooleanExpr.zero(),) * 3,
+        byproducts=(ByproductSpec(qubit=3, fx=BooleanExpr.of(2), fz=BooleanExpr.of(1)),),
+    )
+    return pat, resource_state(Graph.path(4), {0: PureState(tilted(p)[::-1])})
+
+
+class TestReferenceRule:
+    """Both checkers take r0 as the first record whose noiseless probability
+    exceeds 1e-12.  The engine once took the first above 1e-20, and the
+    oracle the end of a greedy walk that kept outcome 0 while its prefix
+    was above 1e-20: at p = 3e-20 the walk ended on record (0, 0, 1), of
+    probability 7.5e-21, and the averages read 0.6915 and 0.3085; at
+    p = 1e-14 both scored against record (0, 0, 0), of probability 2.5e-15,
+    and read 0.3085."""
+
+    @pytest.mark.parametrize("p", [0.0, 3e-20, 1e-14])
+    def test_tilt_below_the_rule_scores_as_none(self, p):
+        # The tilt moves every amplitude by at most 1e-7.
+        chans = {q: NoiseChannel.white(0.3, 0.2) for q in range(4)}
+        results = []
+        for tilt in (0.0, p):
+            pat, resource = tilted_chain(tilt)
+            rep = fidelity_nonadaptive(pat, resource, {q: chans[q] for q in pat.measured}, {3: chans[3]})
+            results.append((rep, simulate(resource, pat, chans)))
+        (rep0, run0), (rep, run) = results
+        assert list(run.branches) == list(run0.branches) == list(rep.per_outcome)
+        for key, (z, f) in rep.per_outcome.items():
+            assert abs(z - run.branches[key][0]) < 1e-12 and abs(f - run.fidelities[key]) < 1e-12
+            assert abs(z - rep0.per_outcome[key][0]) < 1e-6 and abs(f - rep0.per_outcome[key][1]) < 1e-6
+            assert abs(run.branches[key][0] - run0.branches[key][0]) < 1e-6
+            assert abs(run.fidelities[key] - run0.fidelities[key]) < 1e-6
+        assert abs(rep.average - 0.6915) < 1e-4 and abs(run.average - 0.6915) < 1e-4
+
+
 def shifted_channels(rng, n):
     """Random CP channels (C >= B/2) with a shifted fixed point (S != 1/2)."""
     out = {}
@@ -393,6 +438,48 @@ class TestAgainstEngine:
         assert abs(sum(p for p, _ in run.branches.values()) - 1.0) < 1e-10
         for f in run.fidelities.values():
             assert -1e-12 <= f <= 1.0 + 1e-12
+
+    @settings(max_examples=40)
+    @given(
+        u=st.floats(0.0, 24.0),
+        thetas=st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=3),
+        adapt=st.lists(st.integers(0, 7), min_size=3, max_size=3),
+        fx=st.integers(0, 15),
+        fz=st.integers(0, 15),
+        noise=st.lists(
+            st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(0.0, 1.0), st.floats(0.0, 2.0)),
+            min_size=5,
+            max_size=5,
+        ),
+        zero_noise=st.sets(st.integers(0, 4)),
+    )
+    # Records (0, 0) and (0, 1) of probability 8.9e-21 each, below a prefix of
+    # 1.8e-20: the old greedy walk and the old engine rule took different r0.
+    @example(u=19.75, thetas=[0.0], adapt=[0, 0, 0], fx=1, fz=0, noise=[(0.0,) * 4] * 5, zero_noise=set())
+    def test_random_chains_at_the_reachability_edge(self, u, thetas, adapt, fx, fz, noise, zero_noise):
+        # The first of m measured qubits reads 0 with probability 10^-u
+        # without noise.  Adaptations and by-products have random supports
+        # among earlier qubits, so most patterns are not deterministic.
+        m = len(thetas) + 1
+
+        def bits(mask, below):
+            return BooleanExpr.of(*(q for q in range(below) if mask >> q & 1))
+
+        pat = MeasurementPattern(
+            n_qubits=m + 1,
+            measured=tuple(range(m)),
+            thetas=(0.0, *thetas),
+            alphas=(0.0,) + (math.pi / 2,) * (m - 1),
+            adapt=(BooleanExpr.zero(),) + tuple(bits(mask, pos + 1) for pos, mask in enumerate(adapt[: m - 1])),
+            byproducts=(ByproductSpec(qubit=m, fx=bits(fx, m), fz=bits(fz, m)),),
+        )
+        p = 10.0**-u
+        resource = resource_state(Graph.path(m + 1), {0: PureState(tilted(p)[::-1])})
+        chans = {
+            q: NoiseChannel(B=b, C=b / 2 + c, S=s, t=0.0 if q in zero_noise else t)
+            for q, (b, c, s, t) in enumerate(noise[: m + 1])
+        }
+        assert_matches_engine(resource, pat, chans, 1e-9)
 
 
 def assert_same_run(a, b):

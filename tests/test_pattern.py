@@ -212,6 +212,31 @@ class TestPatternValidation:
             with pytest.raises(expected, match="cannot be interpreted as an integer"):
                 make()
 
+    @pytest.mark.parametrize(
+        "n_qubits, output, expected",
+        [
+            (3.0, 2, TypeError),
+            (3, 2.0, TypeError),
+            (np.int64(3), np.uint8(2), (3, 2)),
+        ],
+        ids=["float_count", "float_byproduct_qubit", "numpy_integers"],
+    )
+    def test_integer_count_and_byproduct_qubit(self, n_qubits, output, expected):
+        # A count or qubit is coerced on entry: a numpy count was kept as it
+        # came, and a float by-product qubit passed the output check (2.0 == 2).
+        def make():
+            bp = ByproductSpec(qubit=output, fx=BooleanExpr.of(1))
+            return MeasurementPattern(n_qubits, (0, 1), (0.0, 0.0), (math.pi / 2,) * 2, (BooleanExpr(),) * 2, (bp,))
+
+        if isinstance(expected, tuple):
+            pat = make()
+            assert (pat.n_qubits, pat.byproducts[0].qubit) == expected
+            assert type(pat.n_qubits) is int and type(pat.byproducts[0].qubit) is int
+            assert pat.outputs == (2,)
+        else:
+            with pytest.raises(expected, match="cannot be interpreted as an integer"):
+                make()
+
     def test_byproduct_on_measured_qubit_rejected(self):
         with pytest.raises(ValueError, match="non-output"):
             MeasurementPattern(
