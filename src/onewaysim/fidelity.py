@@ -9,7 +9,15 @@ mixtures of |0><0| and |1><1| whose weights depend on the prepared bit,
 because the fixed-point shift breaks the 0/1 symmetry.  Either way, noise
 on a measured qubit is a classical flip of its outcome in the basis it is
 measured in: reading r_i when k_i was prepared has probability
-P(r_i | k_i).
+P(r_i | k_i).  So only C of an equatorial measured qubit reaches Z(r) and
+F(r).  An output's channel reaches the average over the records only by
+its Pauli part when the fx columns span the noisy outputs over GF(2): the
+correction conjugates the shift I -> sZ by X^{fx(r)}, and the records of
+a deterministic pattern are uniform and independent of the corrected
+answer, so the shift cancels.  At fixed C on the measured qubits and
+(B, C) on the outputs, the average is then the same for every B and S,
+though per-record F and the resource's correlations move with them.  A
+z-measured qubit, or an output whose fx is constant, breaks this.
 
 An adaptive pattern picks each basis from the bits read so far, so a
 record r fixes every basis through its adaptation bits s(r), its frame.

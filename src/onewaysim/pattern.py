@@ -280,9 +280,6 @@ class PatternPlan:
     def frames(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct vectors of adaptation bits, (frames, M), and each
         record's frame."""
-        m = self._pat.n_measured
-        if self._pat.is_nonadaptive():
-            return _frozen(np.zeros((1, m), dtype=np.uint8)), _frozen(np.zeros(2**m, dtype=np.intp))
         return _distinct_values(self._pat.measured, self._pat.adapt, 1)
 
     @functools.cached_property

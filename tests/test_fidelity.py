@@ -23,7 +23,7 @@ try:
 except ImportError:  # not on every platform
     getrusage = None
 
-from onewaysim import fidelity
+from onewaysim import channels, correlations, fidelity
 
 from onewaysim.channels import NoiseChannel, mixing_probabilities
 from onewaysim.fidelity import FidelityReport, fidelity_adaptive, fidelity_nonadaptive
@@ -1148,3 +1148,79 @@ class TestFlipFactor:
         assert factor.tobytes() == kron_all(mats[2 : 2 + b]).tobytes()
         # A one-position block reads its matrix in place.
         assert np.shares_memory(factor, reads) == (b == 1)
+
+
+class TestWhatTheComputationSees:
+    """Of the noise on an equatorial, deterministic pattern, the averaged
+    fidelity sees only C on the measured qubits and the Pauli part of the
+    outputs' channels, when the fx columns span the noisy outputs; the
+    resource's correlations see B and S too.  Every qubit below has C = 1
+    and t = 0.5."""
+
+    # (B, S) of RSP's measured qubit 0 and S of its output 1, whose B is 0.5.
+    SETTINGS = [(0.0, 0.5, 0.5), (0.5, 0.5, 0.5), (0.5, 1.0, 1.0), (1.0, 0.5, 0.9), (1.0, 1.0, 0.0)]
+    INPUT = PureState(np.array([0.6, 0.8]))
+
+    @staticmethod
+    def rsp_channels(b0, s0, s1):
+        return NoiseChannel(b0, 1.0, s0, 0.5), NoiseChannel(0.5, 1.0, s1, 0.5)
+
+    @staticmethod
+    def average(pat, resource, chans):
+        """The engine's average, checked against the oracle's."""
+        measured = {q: chans[q] for q in pat.measured}
+        average = fidelity_nonadaptive(pat, resource, measured, {q: chans[q] for q in pat.outputs}).average
+        assert abs(simulate(resource, pat, chans).average - average) < 1e-12
+        return average
+
+    @pytest.mark.parametrize("theta", [0.3, 1.1, 2.5])
+    def test_rsp_average_is_flat_in_b_and_s(self, theta):
+        gs, pat = g2(), rsp_pattern(theta)
+        averages = [self.average(pat, gs, dict(enumerate(self.rsp_channels(*s)))) for s in self.SETTINGS]
+        assert max(averages) - min(averages) < 1e-13
+
+    def test_rsp_resource_correlations_move(self):
+        rho0 = g2().state.density()
+        values = []
+        for setting in self.SETTINGS:
+            c0, c1 = self.rsp_channels(*setting)
+            rho = channels.apply(c1, channels.apply(c0, rho0, 0), 1)
+            values.append((correlations.negativity(rho, (0,)), correlations.concurrence(rho), correlations.discord(rho)))
+        for measure in zip(*values):
+            assert max(measure) - min(measure) > 0.03
+
+    @staticmethod
+    def same_channels(q, s):
+        """(B, C, S) = (0.5, 1, 0.5) on qubits 0..2, S = ``s`` on qubit ``q``."""
+        chans = {v: NoiseChannel(0.5, 1.0, 0.5, 0.5) for v in range(3)}
+        chans[q] = NoiseChannel(0.5, 1.0, s, 0.5)
+        return chans
+
+    def test_z_measured_position_moves_the_average(self):
+        # The input's tilt makes the z outcomes unequal; untilted, their
+        # flips would sum to 1 - e^{-Bt} whatever S is, and move nothing.
+        pat = MeasurementPattern(
+            n_qubits=3,
+            measured=(0, 1),
+            thetas=(0.0, 0.7),
+            alphas=(0.0, math.pi / 2),
+            adapt=(BooleanExpr(),) * 2,
+            byproducts=(ByproductSpec(2, fx=BooleanExpr.of(1), fz=BooleanExpr.of(0)),),
+        )
+        resource = resource_state(Graph.path(3), {0: self.INPUT})
+        low, high = (self.average(pat, resource, self.same_channels(0, s)) for s in (0.5, 0.9))
+        assert low == pytest.approx(0.52077, abs=5e-6) and high == pytest.approx(0.51698, abs=5e-6)
+
+    def test_output_with_constant_fx_moves_the_average(self):
+        # RSP beside an idle input wire 2, an output that no by-product flips.
+        pat = MeasurementPattern(
+            n_qubits=3,
+            measured=(0,),
+            thetas=(0.3,),
+            alphas=(math.pi / 2,),
+            adapt=(BooleanExpr(),),
+            byproducts=(ByproductSpec(1, fx=BooleanExpr.of(0)),),
+        )
+        resource = resource_state(Graph(3, ((0, 1),)), {2: self.INPUT})
+        low, high = (self.average(pat, resource, self.same_channels(2, s)) for s in (0.5, 0.9))
+        assert low == pytest.approx(0.59263, abs=5e-6) and high == pytest.approx(0.57450, abs=5e-6)

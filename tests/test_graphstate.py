@@ -23,7 +23,7 @@ def stabilizer_defect(amp, graph, v):
     axis v of the amplitude tensor, and each Z_j negates the half of axis j
     where qubit j reads 1."""
     t = np.flip(amp.reshape((2,) * graph.n), axis=v).copy()
-    for j in graph.neighbors(v):
+    for j in (b if a == v else a for a, b in graph.edges if v in (a, b)):
         t[(slice(None),) * j + (1,)] *= -1
     return float(np.max(np.abs(t.reshape(-1) - amp)))
 
@@ -65,7 +65,6 @@ class TestGraph:
     def test_canonical_edges(self):
         g = Graph.from_edges(3, [(2, 1), (1, 0), (1, 2)])
         assert g.edges == ((0, 1), (1, 2))
-        assert g.neighbors(1) == (0, 2)
 
 
 class TestBuildGraphState:
@@ -89,8 +88,9 @@ class TestBuildGraphState:
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_invalid_state_rejected(self):
+        # A graph state builds its own state and takes none.
         g = Graph.from_edges(2, [(0, 1)])
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             GraphState(g, PureState.plus(2))
 
 
@@ -112,52 +112,17 @@ class TestNeighborZ:
         assert all(stabilizer_defect(gs.state.amplitudes, gs.graph, v) < ATOL for v in range(15))
 
 
-class TestGivenState:
-    """A given state passes when it is the graph state up to a global phase,
-    to ATOL/2 in every amplitude."""
-
-    def test_rejects_whatever_the_stabilizers_reject(self):
-        # The old rule, each K_v moving the state by at most ATOL, never
-        # rejects a state that the comparison accepts.
-        rng = np.random.default_rng(23)
-        old_rejects = new_rejects = 0
-        for scale in (1e-12, 1e-11, 2e-11, 5e-11, 1e-10, 1e-8, 1e-4, 1.0):
-            for _ in range(30):
-                n = int(rng.integers(1, 7))
-                edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.uniform() < 0.5]
-                g = Graph.from_edges(n, edges)
-                noise = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-                amp = np.exp(1j * rng.uniform(0, 2 * np.pi)) * resource_state(g).amplitudes
-                amp = amp + scale * noise / np.abs(noise).max()
-                state = PureState(amp / np.linalg.norm(amp))
-                rejected = any(stabilizer_defect(state.amplitudes, g, v) > ATOL for v in range(n))
-                try:
-                    GraphState(g, state)
-                except ValueError:
-                    new_rejects += 1
-                else:
-                    assert not rejected, (n, edges, scale)
-                old_rejects += rejected
-        assert 0 < old_rejects <= new_rejects < 240
-
-    def test_cnot15_with_global_phase(self):
-        g = cnot15_graph()
-        state = PureState(np.exp(2.1j) * resource_state(g).amplitudes)
-        assert GraphState(g, state).state is state
-
-    def test_plus_rejected_on_g2(self):
-        # |++> - |g2> is (0, 0, 0, 1), so the deviation is 1.
-        with pytest.raises(ValueError, match=r"deviates from the graph state by 1 up to a global phase"):
-            GraphState(Graph.path(2), PureState.plus(2))
-        with pytest.raises(ValueError, match="orthogonal"):
-            GraphState(Graph.path(2), PureState(np.array([1, 1, -1, 1]) / 2.0))
-
-
 def test_resource_state_embeds_inputs():
     g = Graph.from_edges(2, [(0, 1)])
     psi = resource_state(g, {0: computational([1])})
     # CZ on |1>|+> gives |1>|->.
     assert np.allclose(psi.amplitudes, [0, 0, 1 / np.sqrt(2), -1 / np.sqrt(2)])
+
+
+@pytest.mark.parametrize("given", [np.array([1.0, 0.0]), [1.0, 0.0], "0"], ids=["ndarray", "list", "str"])
+def test_resource_state_rejects_inputs_that_are_not_states(given):
+    with pytest.raises(TypeError, match=f"input on vertex 0 is a {type(given).__name__}, not a PureState"):
+        resource_state(Graph.path(2), {0: given})
 
 
 def per_edge_build(n, edges, inputs):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from onewaysim.graphstate import Graph, GraphState, build_graph_state
+from onewaysim.graphstate import Graph, build_graph_state
 from onewaysim.linalg import (
     DensityMatrix,
     PureState,
@@ -93,7 +93,6 @@ class TestIdentity:
             b = copy(a)
             assert a == a and a != b and hash(a) == hash(a)
             assert a in {a} and b not in {a} and len({a, a, b}) == 2
-        assert GraphState(gs.graph, gs.state) == gs and hash(GraphState(gs.graph, gs.state)) == hash(gs)
 
 
 class TestCheckDensityMatrices:

@@ -135,17 +135,31 @@ class TestBooleanExpr:
             with pytest.raises(expected):
                 make()
 
-    def test_plan_matches_scalar(self):
+    @pytest.mark.parametrize(
+        "pat, n_frames",
+        [
+            (scrambled_pattern(), 8),
+            (rsp_pattern(0.7), 1),
+            (MeasurementPattern(4, (0, 1, 2), (0.2, 0.4, 0.6), (math.pi / 2,) * 3, (BooleanExpr(1),) * 3), 1),
+        ],
+        ids=["scrambled", "nonadaptive", "constant_adaptation"],
+    )
+    def test_plan_matches_scalar(self, pat, n_frames):
         """The plan's adaptation bits and by-product rows, read off all
-        records at once, match ``evaluate`` record by record."""
-        pat = scrambled_pattern()
+        records at once, match ``evaluate`` record by record, and its frames
+        are exactly the distinct rows of adaptation bits, in order of first
+        appearance, whether or not the pattern adapts."""
+        m = pat.n_measured
         rows, row_of = pat.plan.byproducts
         specs = {bp.qubit: bp for bp in pat.byproducts}
-        for r in range(16):
-            bits = dict(zip(pat.measured, outcome_tuple(r, 4)))
+        for r in range(2**m):
+            bits = dict(zip(pat.measured, outcome_tuple(r, m)))
             assert list(pat.plan.adapt_bits[r]) == [evaluate(e, bits) for e in pat.adapt]
             bps = [specs.get(q, ByproductSpec(q)) for q in pat.outputs]
             assert list(rows[row_of[r]]) == [evaluate(bp.fz, bits) + 2 * evaluate(bp.fx, bits) for bp in bps]
+        distinct = list(dict.fromkeys(map(tuple, pat.plan.adapt_bits.tolist())))
+        assert pat.plan.frames[0].tolist() == [list(row) for row in distinct]
+        assert len(distinct) == n_frames
 
 
 class TestPatternValidation:
