@@ -15,6 +15,7 @@ are the two named special cases.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -119,9 +120,14 @@ def superoperator(ch: NoiseChannel) -> np.ndarray:
     return _frozen(out)
 
 
-def apply(ch, rho: DensityMatrix, qubit: int) -> DensityMatrix:
-    """Apply the map to one qubit of a density matrix, identity elsewhere."""
-    n = rho.n
+def apply(ch: NoiseChannel, rho: DensityMatrix, qubit: int) -> DensityMatrix:
+    """Apply the map to one qubit of a density matrix, identity elsewhere.
+    A ``ch`` or ``rho`` of another type, or a qubit that is not an integer,
+    raises TypeError; a qubit out of range raises IndexError."""
+    for name, value, kind in (("ch", ch, NoiseChannel), ("rho", rho, DensityMatrix)):
+        if not isinstance(value, kind):
+            raise TypeError(f"{name} is a {type(value).__name__}, not a {kind.__name__}")
+    n, qubit = rho.n, operator.index(qubit)
     if not (0 <= qubit < n):
         raise IndexError(f"qubit {qubit} out of range for {n} qubits")
     lo, hi = 2**qubit, 2 ** (n - 1 - qubit)

@@ -343,8 +343,9 @@ def fidelity_nonadaptive(
     measured_channels: Mapping[int, NoiseChannel] | None = None,
     answer_channels: Mapping[int, NoiseChannel] | None = None,
 ) -> FidelityReport:
-    """Fidelity report for non-adaptive patterns: the one-frame case of the
-    same engine, under the same rules and guard (``fidelity_adaptive``)."""
+    """Fidelity report for patterns with one set of adaptation bits over
+    all records (``is_nonadaptive``): the one-frame case of the same engine,
+    under the same rules and guard (``fidelity_adaptive``)."""
     if not pat.is_nonadaptive():
         raise ValueError("pattern is adaptive; use fidelity_adaptive")
     return _record_frame_report(pat, resource, measured_channels, answer_channels)

@@ -3,9 +3,10 @@
 The density matrix is a Liouville tensor, one axis of size 4 per qubit
 holding its (row bit, column bit), with the measured qubits first in
 temporal order and the outputs after them, ascending: the oracle
-transposes the resource to this order itself.  Each channel is one 4x4
-superoperator on its qubit's axis; at each depth all 2^depth record
-prefixes, unnormalized, are projected at once onto the effect
+transposes the resource to this order itself.  Each channel is one real
+4x4 superoperator on its qubit's axis, one real product on the tensor's
+float view; at each depth all 2^depth record prefixes, unnormalized, are
+projected at once, by the plan's ``prefix_effects``, onto the effect
 |M_k^s><M_k^s| of their own adaptation bit s.  A leaf's trace is its
 record's probability: the records unreachable by the engine's rule,
 ``pattern._UNREACHABLE``, are dropped there and the rest normalized.
@@ -102,11 +103,11 @@ def simulate(resource, pat: MeasurementPattern, channels: Mapping[int, NoiseChan
         # qubits commute with it and with this measurement.
         t = rho.reshape(2**depth, 4, -1)
         if q in channels:
-            t = superoperator(channels[q]) @ t
-        rho = plan.effect_rows[depth, plan.adapt_bits[:: 2 ** (m - depth), depth]] @ t
+            t = (superoperator(channels[q]) @ t.view(float)).view(complex)
+        rho = plan.prefix_effects[depth] @ t
     for j, q in enumerate(plan.outputs):
         if q in channels:
-            rho = superoperator(channels[q]) @ rho.reshape(2**m * 4**j, 4, -1)
+            rho = (superoperator(channels[q]) @ rho.reshape(2**m * 4**j, 4, -1).view(float)).view(complex)
 
     # Leaves as (record, row bits, column bits) matrices over the outputs.
     k = n - m
@@ -118,8 +119,9 @@ def simulate(resource, pat: MeasurementPattern, channels: Mapping[int, NoiseChan
     mats = mats[records] / prob[:, None, None]
     check_density_matrices(mats)
 
-    # F = tr(R rho) = sum of conj(R) rho over the Liouville entries, R Hermitian.
-    fids = np.einsum("ri,ri->r", refs[plan.byproducts[1][records]].conj(), rho.reshape(2**m, -1)[records]).real / prob
+    # F = tr(R rho) = Re sum of conj(R) rho, R Hermitian: a real dot of float views.
+    leaves = rho.reshape(2**m, -1)[records].view(float)
+    fids = np.einsum("ri,ri->r", refs[plan.byproducts[1][records]].view(float), leaves) / prob
     records, prob, mats, fids = map(_frozen, (records, prob, mats, fids))
     return OracleRun(
         branches=_Records(m, records, prob, mats),

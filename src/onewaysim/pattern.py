@@ -163,7 +163,8 @@ class MeasurementPattern:
         return PatternPlan(self)
 
     def is_nonadaptive(self) -> bool:
-        return all(e.is_zero() for e in self.adapt)
+        """One set of adaptation bits over all records: one frame."""
+        return len(self.plan.frames[0]) == 1
 
 
 def basis_raw(theta: float, alpha: float, s: int, k: int) -> np.ndarray:
@@ -247,7 +248,9 @@ class PatternPlan:
     """The work fixed by a pattern alone, shared by every call that runs it:
     each piece is built on first use, so a pattern made for one call pays
     only for what that call reads, and then kept read-only for the life of
-    the pattern.  Records are in the module's record order.
+    the pattern.  Records are in the module's record order.  The oracle
+    alone reads ``prefix_effects``, the effect rows of every record prefix
+    per depth.
 
     One piece is mutable: ``_memo`` keeps the resource half of the last
     fidelity report ("codes", ``fidelity._frame_codes``: the workspace with
@@ -319,11 +322,13 @@ class PatternPlan:
         return tuple(_frozen(kron_all([bras[pos] for pos in block])) for block in self.blocks)
 
     @functools.cached_property
-    def effect_rows(self) -> np.ndarray:
-        """(M, 2, 2, 4): [pos, s, k] is the row <<E| with <<E|rho>> =
-        <M_k^s|rho|M_k^s> on one qubit's (row bit, column bit) pair."""
-        b = self.basis
-        return _frozen((b.conj()[..., :, None] * b[..., None, :]).reshape(b.shape[:-1] + (4,)))
+    def prefix_effects(self) -> tuple[np.ndarray, ...]:
+        """Per depth d, (2^d, 2, 4): [p, k] is the row <<E| with <<E|rho>> =
+        <M_k^s|rho|M_k^s> on the (row bit, column bit) pair of the qubit at
+        position d, s the adaptation bit that record prefix p gives it."""
+        b, m = self.basis, len(self.basis)
+        rows = (b.conj()[..., :, None] * b[..., None, :]).reshape(b.shape[:-1] + (4,))
+        return tuple(_frozen(rows[d, self.adapt_bits[:: 2 ** (m - d), d]]) for d in range(m))
 
     @functools.cached_property
     def byproducts(self) -> tuple[np.ndarray, np.ndarray]:

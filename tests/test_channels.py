@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -159,6 +160,33 @@ class TestApply:
             step = apply(NoiseChannel(b, c, s, t2), apply(NoiseChannel(b, c, s, t1), rho, 0), 0)
             once = apply(NoiseChannel(b, c, s, t1 + t2), rho, 0)
             assert np.max(np.abs(step.entries - once.entries)) < 1e-9
+
+
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            (("x", 0), TypeError, "ch is a str, not a NoiseChannel"),
+            ((None, 0), TypeError, "ch is a NoneType, not a NoiseChannel"),
+            ((NoiseChannel.identity(), 1.0), TypeError, "'float' object cannot be interpreted as an integer"),
+            ((NoiseChannel.identity(), "1"), TypeError, "'str' object cannot be interpreted as an integer"),
+            ((NoiseChannel.identity(), 2), IndexError, "qubit 2 out of range for 2 qubits"),
+            ((NoiseChannel.identity(), np.int64(-1)), IndexError, "qubit -1 out of range for 2 qubits"),
+        ],
+        ids=["str_channel", "none_channel", "float_qubit", "str_qubit", "qubit_past_end", "negative_numpy_qubit"],
+    )
+    def test_rejects_bad_arguments(self, args, error, message):
+        ch, qubit = args
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            apply(ch, random_density(np.random.default_rng(0), 2), qubit)
+
+    def test_rejects_a_state_that_is_not_a_density_matrix(self):
+        with pytest.raises(TypeError, match=r"^rho is a ndarray, not a DensityMatrix$"):
+            apply(NoiseChannel.identity(), np.eye(4) / 4, 0)
+
+    @pytest.mark.parametrize("qubit", [np.int64(1), np.uint8(1)], ids=["int64", "uint8"])
+    def test_integer_qubit_types(self, qubit):
+        ch, rho = NoiseChannel.white(0.7, 0.4), random_density(np.random.default_rng(1), 2)
+        assert apply(ch, rho, qubit).entries.tobytes() == apply(ch, rho, 1).entries.tobytes()
 
 
 class TestMixingProbabilities:

@@ -33,7 +33,7 @@ from onewaysim.oracle import simulate
 from onewaysim.pattern import BooleanExpr, ByproductSpec, MeasurementPattern, basis_raw, frame_branches
 
 from test_channels import kraus
-from test_pattern import evaluate, outcome_tuple, rotation_pattern, rsp_pattern, scrambled_pattern
+from test_pattern import chain_pattern, evaluate, outcome_tuple, rotation_pattern, rsp_pattern, scrambled_pattern
 
 
 def g2():
@@ -116,26 +116,6 @@ def bloch_map(mat, q, B, C, S, t):
         coeff = np.einsum("ba,abij->ij", pauli, blocks) / 2
         out += np.einsum("ab,ij->abij", images[i], coeff)
     return np.moveaxis(out, (0, 1), (q, 2 + q)).reshape(4, 4)
-
-
-def chain_pattern(thetas):
-    """Cluster chain 0-1-...-m measured in order; the output m carries X
-    from outcomes at odd distance and Z from those at even distance."""
-    m = len(thetas)
-    return MeasurementPattern(
-        n_qubits=m + 1,
-        measured=tuple(range(m)),
-        thetas=tuple(thetas),
-        alphas=(math.pi / 2,) * m,
-        adapt=tuple(BooleanExpr.of(*range(j - 1, -1, -2)) for j in range(m)),
-        byproducts=(
-            ByproductSpec(
-                qubit=m,
-                fx=BooleanExpr.of(*range(m - 1, -1, -2)),
-                fz=BooleanExpr.of(*range(m - 2, -1, -2)),
-            ),
-        ),
-    )
 
 
 class TestRecordFrameEngine:
@@ -467,8 +447,21 @@ class TestNonAdaptiveEngine:
         assert abs(rep.average - (1 - p1)) < 1e-12
 
     def test_rejects_adaptive(self):
-        with pytest.raises(ValueError, match="adaptive"):
-            fidelity_nonadaptive(rotation_pattern(0.1, 0.2, 0.3), resource_state(Graph.path(5)))
+        for pat in (rotation_pattern(0.1, 0.2, 0.3), chain_pattern((0.4, 1.1, 2.9))):
+            with pytest.raises(ValueError, match=r"^pattern is adaptive; use fidelity_adaptive$"):
+                fidelity_nonadaptive(pat, resource_state(Graph.path(pat.n_qubits)))
+
+    def test_constant_adaptation_is_one_frame(self):
+        # Constant adaptation bits negate every angle on every record: one
+        # set of bits, so the non-adaptive entry runs it, byte for byte as
+        # the adaptive one does.
+        pat = MeasurementPattern(4, (0, 1, 2), (0.2, 0.4, 0.6), (math.pi / 2,) * 3, (BooleanExpr(1),) * 3)
+        assert len(pat.plan.frames[0]) == 1 and pat.is_nonadaptive()
+        rng = np.random.default_rng(12)
+        resource = resource_state(Graph.path(4), {0: random_state(rng)})
+        chans = {q: random_cp_channel(rng) for q in range(4)}
+        args = (resource, {q: chans[q] for q in pat.measured}, {3: chans[3]})
+        assert_same_bytes(fidelity_nonadaptive(pat, *args), fidelity_adaptive(dataclasses.replace(pat), *args))
 
     def test_agrees_with_adaptive_engine(self):
         rng = np.random.default_rng(7)

@@ -18,10 +18,11 @@ from onewaysim.fidelity import fidelity_adaptive, fidelity_nonadaptive
 from onewaysim.graphstate import Graph, build_graph_state, resource_state
 from onewaysim.linalg import PLUS, PureState
 from onewaysim.oracle import simulate
-from onewaysim.pattern import BooleanExpr, ByproductSpec, MeasurementPattern
+from onewaysim.pattern import BooleanExpr, ByproductSpec, MeasurementPattern, basis_raw
 
-from test_fidelity import assert_same_bytes, chain_pattern, random_cp_channel, random_state, report
-from test_pattern import rotation_pattern, rsp_pattern
+from test_channels import kraus
+from test_fidelity import assert_same_bytes, random_cp_channel, random_state, report
+from test_pattern import byproduct_unitary, chain_pattern, evaluate, outcome_tuple, rotation_pattern, rsp_pattern
 
 
 def assert_matches_engine(resource, pat, chans, tol):
@@ -480,6 +481,76 @@ class TestAgainstEngine:
             for q, (b, c, s, t) in enumerate(noise[: m + 1])
         }
         assert_matches_engine(resource, pat, chans, 1e-9)
+
+
+def kraus_sum_leaves(amp, pat, chans):
+    """Every record's unnormalized leaf over the outputs, ascending, from a
+    dense evolution: |R><R| on the full 2^n space, each qubit's channel as
+    its Kraus sum, then the measured qubits projected onto |M_k^s> in
+    temporal order and traced out one by one."""
+    n, m = pat.n_qubits, pat.n_measured
+    rho = np.outer(amp, amp.conj())
+    for q, ch in chans.items():
+        ops = [np.kron(np.kron(np.eye(2**q), k), np.eye(2 ** (n - 1 - q))) for k in kraus(ch)]
+        rho = sum(k @ rho @ k.conj().T for k in ops)
+    leaves = []
+    for r in range(2**m):
+        bits, live, t = {}, list(range(n)), rho.reshape((2,) * (2 * n))
+        for pos, (q, k) in enumerate(zip(pat.measured, outcome_tuple(r, m))):
+            v = basis_raw(pat.thetas[pos], pat.alphas[pos], evaluate(pat.adapt[pos], bits), k)
+            i = live.index(q)
+            t = np.tensordot(v.conj(), t, axes=(0, i))
+            t = np.tensordot(t, v, axes=(len(live) - 1 + i, 0))
+            live.remove(q)
+            bits[q] = k
+        leaves.append(t.reshape(2 ** len(live), -1))
+    return np.array(leaves)
+
+
+class TestAgainstKrausSum:
+    """The oracle against a dense evolution that shares no code with it or
+    with the engine, per record, on patterns whose measured qubits do not
+    ascend, with a z measurement and two outputs."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_record(self, seed):
+        rng = np.random.default_rng([seed, 27])
+        n, m = 5, 3
+        order = [int(q) for q in rng.permutation(n)]
+        measured = order[:m] if order[:m] != sorted(order[:m]) else order[m - 1 :: -1]
+        outputs = sorted(order[m:])
+        z_pos = int(rng.integers(m))
+
+        def random_expr(qubits):
+            return BooleanExpr.of(*(q for q in qubits if rng.integers(2)), const=int(rng.integers(2)))
+
+        pat = MeasurementPattern(
+            n_qubits=n,
+            measured=tuple(measured),
+            thetas=tuple(0.0 if pos == z_pos else rng.uniform(0.0, 2 * math.pi) for pos in range(m)),
+            alphas=tuple(0.0 if pos == z_pos else math.pi / 2 for pos in range(m)),
+            adapt=tuple(BooleanExpr() if pos == z_pos else random_expr(measured[:pos]) for pos in range(m)),
+            byproducts=tuple(ByproductSpec(q, fx=random_expr(measured), fz=random_expr(measured)) for q in outputs),
+        )
+        resource, chans = random_state(rng, n), shifted_channels(rng, n)
+        run = simulate(resource, pat, chans)
+
+        leaves = kraus_sum_leaves(resource.amplitudes, pat, chans)
+        ideal = kraus_sum_leaves(resource.amplitudes, pat, {})
+        z = np.trace(leaves, axis1=1, axis2=2).real
+        ideal_z = np.trace(ideal, axis1=1, axis2=2).real
+        r0 = int(np.argmax(ideal_z > 1e-12))
+        t = ideal[r0] / ideal_z[r0]
+        b0 = byproduct_unitary(pat, outcome_tuple(r0, m))
+        reached = [r for r in range(2**m) if z[r] > 1e-12]
+        assert list(run.branches) == list(run.fidelities) == [outcome_tuple(r, m) for r in reached]
+        for r in reached:
+            key = outcome_tuple(r, m)
+            b = byproduct_unitary(pat, key) @ b0
+            p, mat = run.branches[key]
+            assert abs(p - z[r]) < 1e-12
+            assert abs(run.fidelities[key] - np.trace(b @ t @ b.conj().T @ leaves[r]).real / z[r]) < 1e-12
+            assert np.max(np.abs(mat - leaves[r] / z[r])) < 1e-12
 
 
 def assert_same_run(a, b):

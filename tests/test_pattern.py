@@ -78,6 +78,26 @@ def rotation_pattern(p1, p2, p3):
     )
 
 
+def chain_pattern(thetas):
+    """Cluster chain 0-1-...-m measured in order; the output m carries X
+    from outcomes at odd distance and Z from those at even distance."""
+    m = len(thetas)
+    return MeasurementPattern(
+        n_qubits=m + 1,
+        measured=tuple(range(m)),
+        thetas=tuple(thetas),
+        alphas=(math.pi / 2,) * m,
+        adapt=tuple(BooleanExpr.of(*range(j - 1, -1, -2)) for j in range(m)),
+        byproducts=(
+            ByproductSpec(
+                qubit=m,
+                fx=BooleanExpr.of(*range(m - 1, -1, -2)),
+                fz=BooleanExpr.of(*range(m - 2, -1, -2)),
+            ),
+        ),
+    )
+
+
 def euler_rotation(p1, p2, p3):
     def rx(phi):
         return np.cos(phi / 2) * np.eye(2) - 1j * np.sin(phi / 2) * X
@@ -315,6 +335,26 @@ class TestPlan:
         assert plan.order == (1, 3, 4, 0, 2, 5)
         assert plan.blocks == (range(0, 4),)
         assert x_pattern(7, (5, 4, 3, 2, 1, 0, 6)).plan.blocks == (range(0, 3), range(3, 7))
+
+    @pytest.mark.parametrize(
+        "pat",
+        [chain_pattern((0.4, 1.1, 2.9, 0.3, 5.2)), rsp_pattern(0.7), scrambled_pattern()],
+        ids=["chain", "rsp", "scrambled"],
+    )
+    def test_prefix_effects(self, pat):
+        """Depth d holds, for each of the 2^d record prefixes, the Liouville
+        rows of |M_k^s><M_k^s| at position d, s the adaptation bit that the
+        prefix gives that position."""
+        m, effects = pat.n_measured, pat.plan.prefix_effects
+        assert len(effects) == m
+        for d, rows in enumerate(effects):
+            assert rows.shape == (2**d, 2, 4) and not rows.flags.writeable
+            for p in range(2**d):
+                bits = dict(zip(pat.measured, outcome_tuple(p, d)))
+                s = evaluate(pat.adapt[d], bits)
+                for k in (0, 1):
+                    v = basis_raw(pat.thetas[d], pat.alphas[d], s, k)
+                    np.testing.assert_array_equal(rows[p, k], liouville(np.outer(v, v.conj()), 1).conj())
 
     def test_caller_lists_cannot_change_the_pattern(self):
         ref = rotation_pattern(0.3, 0.6, 0.9)
