@@ -239,6 +239,8 @@ def discord(rho: DensityMatrix, measured_side: str = "B", method: str = "auto") 
     Bloch vectors vanish (module docstring; Luo, PRA 77, 042303 (2008));
     ``method='optimize'`` always runs the projective-measurement search.
     """
+    if rho.n != 2:
+        raise ValueError("discord here is two-qubit only")
     if method not in ("auto", "optimize"):
         raise ValueError("method must be 'auto' or 'optimize'")
     if measured_side not in ("A", "B"):

@@ -169,7 +169,7 @@ def _flip_factor(reads: np.ndarray, block: range) -> np.ndarray:
     return part.take(index).prod(axis=0)
 
 
-def _frame_codes(pat: MeasurementPattern, resource, amp: np.ndarray) -> tuple:
+def _frame_codes(pat: MeasurementPattern, amp: np.ndarray) -> tuple:
     """The resource half of a report: (a weak reference to ``amp``, the
     resource's amplitude array, the workspace, refs, own, pick).  Slab 0 of
     the (3, frames d^2, 2^M) workspace holds code[f, :, k], the code Re + Im
@@ -181,7 +181,7 @@ def _frame_codes(pat: MeasurementPattern, resource, amp: np.ndarray) -> tuple:
     two products and a sum; refs[u] is the code of T_r T_r^dagger for the
     records r of by-product row u.  own[r] is record r's flat (frame,
     record) entry, pick[r] its flat (frame, row, record) one."""
-    frame_of, psi = frame_branches(resource, pat)
+    frame_of, psi = pat.plan.frames[1], frame_branches(amp, pat)
     n_frames, n_records, d = psi.shape
     k = len(pat.outputs)
     work = np.empty((3, n_frames * d * d, n_records))
@@ -229,20 +229,37 @@ def _report_bytes(pat: MeasurementPattern) -> int:
     return work * frames + max(branches * frames, 24 * 4**k * rows)
 
 
-def _record_frame_report(
+def fidelity_adaptive(
     pat: MeasurementPattern,
     resource,
-    measured_channels: Mapping[int, NoiseChannel] | None,
-    answer_channels: Mapping[int, NoiseChannel] | None,
+    measured_channels: Mapping[int, NoiseChannel] | None = None,
+    answer_channels: Mapping[int, NoiseChannel] | None = None,
 ) -> FidelityReport:
-    """Z(r) and F(r) of every record from the branches of its own frame.
+    """Exact per-record fidelity of a pattern, adaptive or not: the one
+    engine, which ``fidelity_nonadaptive`` runs on one-frame patterns.
 
-    Hermitian matrices travel as the real code Re + Im of their entries:
-    the real part is the symmetric half and the imaginary part the
-    antisymmetric one, so nothing is lost, and tr(A B) is the dot product
-    of the codes of A and B.  A real superoperator maps each part on its
-    own, so it maps the code of X to the code of its image.
+    ``measured_channels`` may name only measured qubits and
+    ``answer_channels`` only outputs; any other key raises ValueError.  A
+    None value is no channel, as is a missing key.  Record probabilities
+    are renormalized; the factor must already be 1 to 1e-6.  A record gets
+    F NaN and no share of the average when its probability is at most 1e-12
+    before renormalization; any other is scored against BP(r) BP(r0) A_r0,
+    r0 the first record whose noiseless probability exceeds 1e-12.
+
+    A report's workspace of 3 frames d^2 2^M floats, d = 2^outputs, stays
+    on the pattern's plan for later reports on the same resource; a report
+    on another one frees it and builds its own.  A report, on the same
+    resource or not, that needs over ``MAX_WORKSPACE_BYTES`` (64 MiB) with
+    its branches or its reference codes raises ValueError with its size.
+    The guard depends on the pattern alone and is checked when a report
+    builds its resource half, which a pattern that fails it never keeps.
+    A 10-step chain needs 64 MiB, 11 steps 256.
     """
+    # Hermitian matrices travel as the real code Re + Im of their entries:
+    # the real part is the symmetric half and the imaginary part the
+    # antisymmetric one, so nothing is lost, and tr(A B) is the dot product
+    # of the codes of A and B.  A real superoperator maps each part on its
+    # own, so it maps the code of X to the code of its image.
     message = "{name} names qubits {stray}, which are not %s qubits {allowed}"
     measured_channels = _channel_map("measured_channels", measured_channels, pat.measured, message % "measured")
     answer_channels = _channel_map("answer_channels", answer_channels, pat.outputs, message % "output")
@@ -271,7 +288,7 @@ def _record_frame_report(
                 f"a report on {pat.n_measured} measured qubits and {k} outputs needs at least "
                 f"{size / 2**20:.1f} MiB of workspace; the limit is {MAX_WORKSPACE_BYTES >> 20} MiB"
             )
-        memo = _frame_codes(pat, resource, amp)
+        memo = _frame_codes(pat, amp)
     _, work, refs, own, pick = memo
     rows, n_records = work.shape[1:]
     # rho[f, :, r] = sum_k W[r, k] code[f, :, k], W the product of P(read r_i |
@@ -309,43 +326,15 @@ def _record_frame_report(
     return FidelityReport._adopt(z_raw / total, f, reachable)
 
 
-def fidelity_adaptive(
-    pat: MeasurementPattern,
-    resource,
-    measured_channels: Mapping[int, NoiseChannel] | None = None,
-    answer_channels: Mapping[int, NoiseChannel] | None = None,
-) -> FidelityReport:
-    """Exact per-record fidelity for (possibly) adaptive patterns.
-
-    ``measured_channels`` may name only measured qubits and
-    ``answer_channels`` only outputs; any other key raises ValueError.  A
-    None value is no channel, as is a missing key.  Record probabilities
-    are renormalized; the factor must already be 1 to 1e-6.  A record gets
-    F NaN and no share of the average when its probability is at most 1e-12
-    before renormalization; any other is scored against BP(r) BP(r0) A_r0,
-    r0 the first record whose noiseless probability exceeds 1e-12.
-
-    A report's workspace of 3 frames d^2 2^M floats, d = 2^outputs, stays
-    on the pattern's plan for later reports on the same resource; a report
-    on another one frees it and builds its own.  A report, on the same
-    resource or not, that needs over ``MAX_WORKSPACE_BYTES`` (64 MiB) with
-    its branches or its reference codes raises ValueError with its size.
-    The guard depends on the pattern alone and is checked when a report
-    builds its resource half, which a pattern that fails it never keeps.
-    A 10-step chain needs 64 MiB, 11 steps 256.
-    """
-    return _record_frame_report(pat, resource, measured_channels, answer_channels)
-
-
 def fidelity_nonadaptive(
     pat: MeasurementPattern,
     resource,
     measured_channels: Mapping[int, NoiseChannel] | None = None,
     answer_channels: Mapping[int, NoiseChannel] | None = None,
 ) -> FidelityReport:
-    """Fidelity report for patterns with one set of adaptation bits over
-    all records (``is_nonadaptive``): the one-frame case of the same engine,
-    under the same rules and guard (``fidelity_adaptive``)."""
+    """``fidelity_adaptive`` on a pattern with one set of adaptation bits
+    over all records (``is_nonadaptive``), its one frame; an adaptive
+    pattern raises ValueError."""
     if not pat.is_nonadaptive():
         raise ValueError("pattern is adaptive; use fidelity_adaptive")
-    return _record_frame_report(pat, resource, measured_channels, answer_channels)
+    return fidelity_adaptive(pat, resource, measured_channels, answer_channels)

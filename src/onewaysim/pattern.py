@@ -125,6 +125,7 @@ class MeasurementPattern:
             if not math.isfinite(theta):
                 raise ValueError(f"theta[{pos}]={theta}: angles must be finite")
         for pos, alpha in enumerate(self.alphas):
+            _expect(f"adapt[{pos}]", self.adapt[pos], BooleanExpr)
             if not (abs(alpha) < 1e-12 or abs(alpha - math.pi / 2) < 1e-12):
                 raise ValueError(f"alpha[{pos}]={alpha}: only 0 and pi/2 are supported")
             if abs(alpha) < 1e-12 and not self.adapt[pos].is_zero():
@@ -139,7 +140,10 @@ class MeasurementPattern:
             earlier.add(q)
         outputs = set(self.outputs)
         seen = set()
-        for bp in self.byproducts:
+        for i, bp in enumerate(self.byproducts):
+            _expect(f"byproducts[{i}]", bp, ByproductSpec)
+            _expect(f"byproducts[{i}].fx", bp.fx, BooleanExpr)
+            _expect(f"byproducts[{i}].fz", bp.fz, BooleanExpr)
             if bp.qubit not in outputs:
                 raise ValueError(f"by-product on non-output qubit {bp.qubit}")
             if bp.qubit in seen:
@@ -165,6 +169,11 @@ class MeasurementPattern:
     def is_nonadaptive(self) -> bool:
         """One set of adaptation bits over all records: one frame."""
         return len(self.plan.frames[0]) == 1
+
+
+def _expect(name: str, value, kind: type) -> None:
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} is a {type(value).__name__}, not a {kind.__name__}")
 
 
 def basis_raw(theta: float, alpha: float, s: int, k: int) -> np.ndarray:
@@ -379,15 +388,16 @@ def _channel_map(name: str, chans: Mapping[int, NoiseChannel] | None, allowed: S
     return {q: ch for q, ch in (chans or {}).items() if ch is not None}
 
 
-def frame_branches(resource, pat: MeasurementPattern) -> tuple[np.ndarray, np.ndarray]:
+def frame_branches(amp: np.ndarray, pat: MeasurementPattern) -> np.ndarray:
     """Every branch of every adaptation frame, from one contraction.
 
-    A frame is one vector of adaptation bits s(r).  Returns ``frame_of``,
-    the frame row of each record r, and ``psi`` of shape (frames, 2^M,
-    2^outputs): psi[f, k] is the unnormalized output vector left when the
-    measured qubits are projected onto <M_{k_i}^{s_i}| with s the bits of
-    frame f, the outputs ascending.  Record r's own branch is
-    psi[frame_of[r], r].
+    ``amp`` is the checked amplitude array of a resource that ``pat`` runs
+    on (``_resource_vector``).  A frame is one vector of adaptation bits
+    s(r).  Returns ``psi`` of shape (frames, 2^M, 2^outputs): psi[f, k] is
+    the unnormalized output vector left when the measured qubits are
+    projected onto <M_{k_i}^{s_i}| with s the bits of frame f, the outputs
+    ascending.  Record r's own branch is psi[frame_of[r], r], ``frame_of =
+    pat.plan.frames[1]`` the frame row of each record.
 
     The bras form a Kronecker product, applied by the shuffle algorithm
     (Fernandes, Plateau and Stewart, J. ACM 45, 381 (1998)) with one factor
@@ -397,15 +407,14 @@ def frame_branches(resource, pat: MeasurementPattern) -> tuple[np.ndarray, np.nd
     precede the block, which stay in front, contracts the block's axes and
     appends its outcome axes at the end.  The frames, bras, order and
     blocks come from ``pat.plan``."""
-    amp, n, plan = _resource_vector(resource, pat), pat.n_qubits, pat.plan
-    frame_of = plan.frames[1]
-    t = np.transpose(amp.reshape((2,) * n), plan.order).reshape(1, -1)
+    plan = pat.plan
+    t = np.transpose(amp.reshape((2,) * pat.n_qubits), plan.order).reshape(1, -1)
     for block, bras in zip(plan.blocks, plan.bras):
         lead = 2 ** (plan.order.index(pat.measured[block.start]) - block.start)
         t = t.reshape(len(t), lead, bras.shape[1], -1).transpose(0, 1, 3, 2) @ bras[:, None]
         t = t.reshape(len(bras), -1)
     # The axes now read (outputs, k_1, ..., k_M).
-    return frame_of, t.reshape(len(t), -1, frame_of.size).transpose(0, 2, 1)
+    return t.reshape(len(t), -1, 2**pat.n_measured).transpose(0, 2, 1)
 
 
 def byproduct_codes(pat: MeasurementPattern, code: np.ndarray, r0: int) -> np.ndarray:

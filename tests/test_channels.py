@@ -204,6 +204,11 @@ class TestMixingProbabilities:
         for alpha in (math.pi / 2, 0.0):
             assert np.max(np.abs(np.subtract(mixing_probabilities(ch, alpha), p_w / 2))) < 1e-15
 
+    @pytest.mark.parametrize("alpha", [0.3, -math.pi / 2, math.pi])
+    def test_rejects_other_latitudes(self, alpha):
+        with pytest.raises(ValueError, match=re.escape(f"no mixing rule for alpha={alpha}; use 0 or pi/2")):
+            mixing_probabilities(NoiseChannel.white(0.9, 0.4), alpha)
+
     def test_t0_all_zero(self):
         ch = NoiseChannel.identity()
         assert mixing_probabilities(ch, math.pi / 2) == (0.0, 0.0)
@@ -309,6 +314,14 @@ class TestKraus:
         NoiseChannel(**params)  # t = inf selects the stationary state
         with pytest.raises(ValueError, match=message):
             NoiseChannel(**{**params, name: math.nan})
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [("B", "decay rates must be nonnegative"), ("C", "decay rates must be nonnegative"), ("t", "time must be nonnegative")],
+    )
+    def test_negative_parameter_rejected(self, name, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NoiseChannel(**{"B": 0.5, "C": 1.0, "S": 0.7, "t": 0.3, name: -0.1})
 
 
 class TestChoi:

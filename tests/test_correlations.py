@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,30 @@ class TestNegativity:
         with pytest.raises(ValueError):
             negativity(bell(), {0, 1})
 
+    @pytest.mark.parametrize("partition", [(-1,), (2,)], ids=["negative", "past_end"])
+    def test_partition_out_of_range(self, partition):
+        with pytest.raises(ValueError, match=re.escape(f"partition {list(partition)} out of range")):
+            negativity(bell(), partition)
+
+
+TWO_QUBIT_ONLY = {
+    "concurrence": (concurrence, "concurrence is defined for two qubits"),
+    "mutual_information": (mutual_information, "mutual information here is two-qubit only"),
+    "classical_correlation": (classical_correlation, "classical correlation here is two-qubit only"),
+    "discord_auto": (lambda rho: discord(rho), "discord here is two-qubit only"),
+    "discord_optimize": (lambda rho: discord(rho, method="optimize"), "discord here is two-qubit only"),
+}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("name", list(TWO_QUBIT_ONLY))
+def test_two_qubit_measures_refuse_other_sizes(name, n):
+    # Discord on 3 qubits once failed inside numpy's reshape, or, by
+    # optimizer, with mutual information's message.
+    measure, message = TWO_QUBIT_ONLY[name]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        measure(random_density(np.random.default_rng(n), n))
+
 
 class TestEntropies:
     def test_pure_state_entropy_zero(self):
@@ -225,6 +250,14 @@ class TestDiscord:
         k1 = np.kron(np.diag([0.0, 1.0]), r1.entries)
         rho = DensityMatrix(0.3 * k0 + 0.7 * k1)
         assert abs(discord(rho, measured_side="A", method="optimize")) < 1e-6
+
+    def test_rejects_unknown_method(self):
+        with pytest.raises(ValueError, match="method must be 'auto' or 'optimize'"):
+            discord(g2_density(), method="closed")
+
+    def test_classical_correlation_rejects_unknown_side(self):
+        with pytest.raises(ValueError, match="measured_side must be 'A' or 'B'"):
+            classical_correlation(g2_density(), measured_side="C")
 
     @pytest.mark.parametrize("method", ["auto", "optimize"])
     def test_rejects_unknown_side(self, method):
@@ -386,3 +419,7 @@ class TestMep:
     def test_rejects_no_starts(self):
         with pytest.raises(ValueError, match="starts=0"):
             mep(bell(), starts=0)
+
+    def test_rejects_four_qubits(self):
+        with pytest.raises(ValueError, match="activation protocol capped at 3 system qubits"):
+            mep(random_density(np.random.default_rng(4), 4))

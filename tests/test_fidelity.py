@@ -421,6 +421,14 @@ class TestGuardBytes:
         fidelity_adaptive(pat, resource, chans)
         assert traced_peak(lambda: fidelity_adaptive(pat, resource, chans)) < 2**20
 
+    def test_refused_before_the_plan_builds_its_frames(self):
+        # Past the limit with one frame, a report is refused on its
+        # workspace and branches alone, before the plan reads the records.
+        pat = outputs_pattern(11, 1, False)
+        with pytest.raises(ValueError, match=re.escape("needs at least 192.1 MiB of workspace; the limit is 64 MiB")):
+            fidelity_adaptive(pat, PureState.plus(12))
+        assert "frames" not in vars(pat.plan) and "codes" not in pat.plan._memo
+
     def test_seven_outputs(self):
         # A dense joint map of the answer noise on 7 outputs would take
         # 2 GiB; output by output, the noise runs in the workspace.
@@ -867,7 +875,7 @@ def tensordot_branches(amp, pat, s):
 
 
 def assert_matches_one_frame_at_a_time(pat, resource):
-    frame_of, psi = frame_branches(resource, pat)
+    frame_of, psi = pat.plan.frames[1], frame_branches(resource.amplitudes, pat)
     m = pat.n_measured
     assert frame_of.shape == (2**m,) and psi.shape == (frame_of.max() + 1, 2**m, 2 ** len(pat.outputs))
     reference = {}
@@ -1143,12 +1151,27 @@ class TestFlipFactor:
         assert np.shares_memory(factor, reads) == (b == 1)
 
 
+def invariance_settings(rng, pat, count):
+    """``count`` channel maps over the qubits of ``pat`` at one random C per
+    qubit in [0.3, 1.5] and t = 0.4, each drawing anew B in [0, 2C] and S in
+    [0, 1] on every measured qubit and S on every output, whose B is C."""
+    cs = rng.uniform(0.3, 1.5, size=pat.n_qubits)
+
+    def channel(q):
+        b = rng.uniform(0.0, 2.0 * cs[q]) if q in pat.measured else cs[q]
+        return NoiseChannel(b, cs[q], rng.uniform(), 0.4)
+
+    return [{q: channel(q) for q in range(pat.n_qubits)} for _ in range(count)]
+
+
 class TestWhatTheComputationSees:
     """Of the noise on an equatorial, deterministic pattern, the averaged
     fidelity sees only C on the measured qubits and the Pauli part of the
     outputs' channels, when the fx columns span the noisy outputs; the
-    resource's correlations see B and S too.  Every qubit below has C = 1
-    and t = 0.5."""
+    resource's correlations, and per-record F, see B and S too.  Every
+    qubit of the RSP cases and of the two limits has C = 1 and t = 0.5; the
+    rotation and CNOT15 cases draw their settings by
+    ``invariance_settings``."""
 
     # (B, S) of RSP's measured qubit 0 and S of its output 1, whose B is 0.5.
     SETTINGS = [(0.0, 0.5, 0.5), (0.5, 0.5, 0.5), (0.5, 1.0, 1.0), (1.0, 0.5, 0.9), (1.0, 1.0, 0.0)]
@@ -1161,8 +1184,7 @@ class TestWhatTheComputationSees:
     @staticmethod
     def average(pat, resource, chans):
         """The engine's average, checked against the oracle's."""
-        measured = {q: chans[q] for q in pat.measured}
-        average = fidelity_nonadaptive(pat, resource, measured, {q: chans[q] for q in pat.outputs}).average
+        average = report(pat, resource, chans).average
         assert abs(simulate(resource, pat, chans).average - average) < 1e-12
         return average
 
@@ -1171,6 +1193,25 @@ class TestWhatTheComputationSees:
         gs, pat = g2(), rsp_pattern(theta)
         averages = [self.average(pat, gs, dict(enumerate(self.rsp_channels(*s)))) for s in self.SETTINGS]
         assert max(averages) - min(averages) < 1e-13
+
+    def test_rotation_average_is_flat_in_b_and_s(self):
+        rng = np.random.default_rng(70)
+        pat = rotation_pattern(0.3, 1.1, 2.5)
+        resource = resource_state(Graph.path(5), {0: random_state(rng)})
+        sweep = invariance_settings(rng, pat, 5)
+        averages = [self.average(pat, resource, chans) for chans in sweep]
+        assert max(averages) - min(averages) < 1e-13
+        f = np.array([report(pat, resource, chans).f for chans in sweep])
+        assert np.max(np.ptp(f, axis=0)) > 1e-3  # per record, F moves
+
+    def test_cnot15_average_is_flat_in_b_and_s(self):
+        rng = np.random.default_rng(71)
+        pat, graph = cnot15_pattern(), Graph.from_edges(15, CNOT15_EDGES)
+        resource = resource_state(graph, {0: random_state(rng), 8: random_state(rng)})
+        reports = [report(pat, resource, chans) for chans in invariance_settings(rng, pat, 3)]
+        averages = [rep.average for rep in reports]
+        assert max(averages) - min(averages) < 1e-13
+        assert np.max(np.ptp([rep.f for rep in reports], axis=0)) > 1e-3  # per record, F moves
 
     def test_rsp_resource_correlations_move(self):
         rho0 = g2().state.density()

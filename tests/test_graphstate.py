@@ -37,6 +37,10 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 2)])
 
+    def test_rejects_no_vertices(self):
+        with pytest.raises(ValueError, match="graph needs at least one vertex"):
+            Graph(0, ())
+
     @pytest.mark.parametrize(
         "n, edges, expected",
         [
@@ -123,6 +127,11 @@ def test_resource_state_embeds_inputs():
 def test_resource_state_rejects_inputs_that_are_not_states(given):
     with pytest.raises(TypeError, match=f"input on vertex 0 is a {type(given).__name__}, not a PureState"):
         resource_state(Graph.path(2), {0: given})
+
+
+def test_resource_state_rejects_inputs_of_two_qubits():
+    with pytest.raises(ValueError, match="input on vertex 1 must be a single qubit"):
+        resource_state(Graph.path(3), {1: PureState.plus(2)})
 
 
 def per_edge_build(n, edges, inputs):

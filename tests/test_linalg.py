@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -77,6 +78,11 @@ class TestDensityMatrix:
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(2))
+
+    @pytest.mark.parametrize("entries", [np.ones((2, 4)) / 2, np.ones(4) / 4, np.ones((2, 2, 2)) / 4], ids=["wide", "vector", "cube"])
+    def test_rejects_non_square(self, entries):
+        with pytest.raises(ValueError, match=re.escape(f"density matrix must be square, got shape {entries.shape}")):
+            DensityMatrix(entries)
 
 
 class TestIdentity:

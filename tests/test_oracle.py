@@ -199,6 +199,13 @@ class TestSimulate:
         with pytest.raises(TypeError, match=re.escape(message)):
             call()
 
+    @pytest.mark.parametrize("resource", [np.array([1, 1, 1, -1]) / 2, PureState.plus(2).density(), None], ids=["array", "density", "none"])
+    @pytest.mark.parametrize("checker", ["engine", "oracle"])
+    def test_rejects_resource_that_is_not_a_state(self, checker, resource):
+        call = simulate if checker == "oracle" else lambda r, pat: fidelity_adaptive(pat, r)
+        with pytest.raises(TypeError, match=f"^expected PureState or GraphState, got {type(resource).__name__}$"):
+            call(resource, rsp_pattern(0.9))
+
     def test_rejects_resource_of_another_size(self):
         with pytest.raises(ValueError, match="pattern expects 2 qubits, state has 3"):
             simulate(resource_state(Graph.path(3)), rsp_pattern(0.9))
@@ -439,6 +446,34 @@ class TestAgainstEngine:
         assert abs(sum(p for p, _ in run.branches.values()) - 1.0) < 1e-10
         for f in run.fidelities.values():
             assert -1e-12 <= f <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    @settings(max_examples=10)
+    @given(
+        thetas=st.lists(st.floats(0.0, 2 * math.pi), min_size=8, max_size=8),
+        noise=st.lists(
+            st.tuples(st.floats(0.3, 1.5), st.floats(0.0, 2.0), st.floats(0.0, 1.0), st.floats(0.0, 2.0), st.floats(0.0, 1.0)),
+            min_size=9,
+            max_size=9,
+        ),
+        bloch=st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi)),
+    )
+    def test_random_chains_average_sees_only_c(self, m, thetas, noise, bloch):
+        # Per qubit (C, B/C, S, B/C, S) of two settings at t = 0.4: B and S
+        # drawn on the measured qubits, S on the output, whose B is C.
+        polar, azimuth = bloch
+        psi = PureState(np.array([math.cos(polar / 2), math.sin(polar / 2) * np.exp(1j * azimuth)]))
+        resource, pat = resource_state(Graph.path(m + 1), {0: psi}), chain_pattern(tuple(thetas[:m]))
+        averages = []
+        for setting in (1, 3):
+            chans = {
+                q: NoiseChannel(B=row[setting] * row[0] if q < m else row[0], C=row[0], S=row[setting + 1], t=0.4)
+                for q, row in enumerate(noise[: m + 1])
+            }
+            run = assert_matches_engine(resource, pat, chans, 1e-9)
+            averages.append(report(pat, resource, chans).average)
+            assert abs(run.average - averages[-1]) < 1e-12
+        assert abs(averages[0] - averages[1]) < 1e-13
 
     @settings(max_examples=40)
     @given(

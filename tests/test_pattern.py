@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -271,6 +272,37 @@ class TestPatternValidation:
             with pytest.raises(expected, match="cannot be interpreted as an integer"):
                 make()
 
+    @pytest.mark.parametrize(
+        "changes, error, message",
+        [
+            ({"measured": (0, 0)}, ValueError, "measured qubits must be distinct"),
+            ({"measured": (0, 3)}, ValueError, "measured qubit out of range"),
+            ({"measured": (0, -1)}, ValueError, "measured qubit out of range"),
+            ({"thetas": (0.0,)}, ValueError, "angles and adaptations must match the measured list"),
+            ({"adapt": (BooleanExpr(),) * 3}, ValueError, "angles and adaptations must match the measured list"),
+            (
+                {"byproducts": (ByproductSpec(2), ByproductSpec(2, fx=BooleanExpr.of(0)))},
+                ValueError,
+                "duplicate by-product for qubit 2",
+            ),
+            ({"byproducts": (ByproductSpec(2, fz=BooleanExpr.of(2)),)}, ValueError, "by-product references an unmeasured qubit"),
+            # The wrong element types once raised AttributeError, on
+            # ``.support``, ``.qubit`` or ``.xor``.
+            ({"adapt": (BooleanExpr(), 0)}, TypeError, "adapt[1] is a int, not a BooleanExpr"),
+            ({"byproducts": (1,)}, TypeError, "byproducts[0] is a int, not a ByproductSpec"),
+            ({"byproducts": (ByproductSpec(2, fx=1),)}, TypeError, "byproducts[0].fx is a int, not a BooleanExpr"),
+            ({"byproducts": (ByproductSpec(2, fz=(0,)),)}, TypeError, "byproducts[0].fz is a tuple, not a BooleanExpr"),
+        ],
+        ids=[
+            "repeated", "past_end", "negative", "short_thetas", "long_adapt", "duplicate_byproduct", "unmeasured_byproduct",
+            "int_adaptation", "int_byproduct", "int_fx", "tuple_fz",
+        ],
+    )
+    def test_rejects_malformed_patterns(self, changes, error, message):
+        fields = dict(n_qubits=3, measured=(0, 1), thetas=(0.0, 0.0), alphas=(math.pi / 2,) * 2, adapt=(BooleanExpr(),) * 2)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            MeasurementPattern(**{**fields, **changes})
+
     def test_byproduct_on_measured_qubit_rejected(self):
         with pytest.raises(ValueError, match="non-output"):
             MeasurementPattern(
@@ -400,7 +432,7 @@ class TestBasisVector:
 def own_branches(resource, pat):
     """Each record's probability and normalized noiseless branch, taken
     from its own frame."""
-    frame_of, psi = frame_branches(resource, pat)
+    frame_of, psi = pat.plan.frames[1], frame_branches(resource.amplitudes, pat)
     vec = psi[frame_of, np.arange(frame_of.size)]
     probs = np.einsum("ka,ka->k", vec, vec.conj()).real
     return probs, vec / np.sqrt(probs)[:, None]
@@ -410,7 +442,7 @@ class TestIdealAnswers:
     def test_rsp_branches(self):
         phi = 1.1
         gs = build_graph_state(Graph.from_edges(2, [(0, 1)]))
-        probs, hat = own_branches(gs, rsp_pattern(phi))
+        probs, hat = own_branches(gs.state, rsp_pattern(phi))
         target = np.array([np.cos(phi / 2), -1j * np.sin(phi / 2)])
         for k in (0, 1):
             assert abs(probs[k] - 0.5) < 1e-10
