@@ -70,7 +70,7 @@ import numpy as np
 
 from .channels import NoiseChannel, mixing_probabilities, superoperator
 from .linalg import _frozen
-from .pattern import MeasurementPattern, _Records, _UNREACHABLE, _channel_map, _resource_vector, byproduct_codes, frame_branches
+from .pattern import MeasurementPattern, _Records, _UNREACHABLE, _channel_map, _frame_branches, _resource_vector, byproduct_codes
 
 # The most a report may allocate (``_report_bytes``), mostly the (3, frames
 # d^2, 2^M) workspace that stays on the pattern's plan until a report on
@@ -181,7 +181,7 @@ def _frame_codes(pat: MeasurementPattern, amp: np.ndarray) -> tuple:
     two products and a sum; refs[u] is the code of T_r T_r^dagger for the
     records r of by-product row u.  own[r] is record r's flat (frame,
     record) entry, pick[r] its flat (frame, row, record) one."""
-    frame_of, psi = pat.plan.frames[1], frame_branches(amp, pat)
+    frame_of, psi = pat.plan.frames[1], _frame_branches(amp, pat)
     n_frames, n_records, d = psi.shape
     k = len(pat.outputs)
     work = np.empty((3, n_frames * d * d, n_records))
@@ -292,7 +292,7 @@ def fidelity_adaptive(
     _, work, refs, own, pick = memo
     rows, n_records = work.shape[1:]
     # rho[f, :, r] = sum_k W[r, k] code[f, :, k], W the product of P(read r_i |
-    # prepared k_i), by the shuffle of ``frame_branches``: each block of
+    # prepared k_i), by the shuffle of ``_frame_branches``: each block of
     # measured positions gathers its read matrices into one factor and is one
     # matmul that contracts the leading record bits and appends them last.
     # Every stage writes to the slab, 1 or 2, that it does not read; slab 0

@@ -280,7 +280,7 @@ class PatternPlan:
 
     @functools.cached_property
     def order(self) -> tuple[int, ...]:
-        """The qubit order that ``frame_branches`` contracts the resource in:
+        """The qubit order that ``_frame_branches`` contracts the resource in:
         its own when the measured qubits ascend, so that nothing is copied,
         else the outputs and then the measured qubits in temporal order."""
         measured = self._pat.measured
@@ -388,16 +388,17 @@ def _channel_map(name: str, chans: Mapping[int, NoiseChannel] | None, allowed: S
     return {q: ch for q, ch in (chans or {}).items() if ch is not None}
 
 
-def frame_branches(amp: np.ndarray, pat: MeasurementPattern) -> np.ndarray:
+def _frame_branches(amp: np.ndarray, pat: MeasurementPattern) -> np.ndarray:
     """Every branch of every adaptation frame, from one contraction.
 
-    ``amp`` is the checked amplitude array of a resource that ``pat`` runs
-    on (``_resource_vector``).  A frame is one vector of adaptation bits
-    s(r).  Returns ``psi`` of shape (frames, 2^M, 2^outputs): psi[f, k] is
-    the unnormalized output vector left when the measured qubits are
-    projected onto <M_{k_i}^{s_i}| with s the bits of frame f, the outputs
-    ascending.  Record r's own branch is psi[frame_of[r], r], ``frame_of =
-    pat.plan.frames[1]`` the frame row of each record.
+    ``amp`` must be an amplitude array that ``_resource_vector`` has
+    returned for ``pat``: nothing is checked here.  A frame is one vector
+    of adaptation bits s(r).  Returns ``psi`` of shape (frames, 2^M,
+    2^outputs): psi[f, k] is the unnormalized output vector left when the
+    measured qubits are projected onto <M_{k_i}^{s_i}| with s the bits of
+    frame f, the outputs ascending.  Record r's own branch is
+    psi[frame_of[r], r], ``frame_of = pat.plan.frames[1]`` the frame row of
+    each record.
 
     The bras form a Kronecker product, applied by the shuffle algorithm
     (Fernandes, Plateau and Stewart, J. ACM 45, 381 (1998)) with one factor

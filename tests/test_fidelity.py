@@ -30,7 +30,7 @@ from onewaysim.fidelity import FidelityReport, fidelity_adaptive, fidelity_nonad
 from onewaysim.graphstate import Graph, build_graph_state, resource_state
 from onewaysim.linalg import PureState, kron_all
 from onewaysim.oracle import simulate
-from onewaysim.pattern import BooleanExpr, ByproductSpec, MeasurementPattern, basis_raw, frame_branches
+from onewaysim.pattern import BooleanExpr, ByproductSpec, MeasurementPattern, _frame_branches, basis_raw
 
 from test_channels import kraus
 from test_pattern import chain_pattern, evaluate, outcome_tuple, rotation_pattern, rsp_pattern, scrambled_pattern
@@ -875,7 +875,7 @@ def tensordot_branches(amp, pat, s):
 
 
 def assert_matches_one_frame_at_a_time(pat, resource):
-    frame_of, psi = pat.plan.frames[1], frame_branches(resource.amplitudes, pat)
+    frame_of, psi = pat.plan.frames[1], _frame_branches(resource.amplitudes, pat)
     m = pat.n_measured
     assert frame_of.shape == (2**m,) and psi.shape == (frame_of.max() + 1, 2**m, 2 ** len(pat.outputs))
     reference = {}
@@ -951,7 +951,7 @@ class TestPlanReports:
         first, second = ({q: random_cp_channel(rng) for q in range(pat.n_qubits)} for _ in range(2))
         report(pat, resource, first)  # builds the plan
         with monkeypatch.context() as m:
-            m.setattr(fidelity, "frame_branches", no_branches)
+            m.setattr(fidelity, "_frame_branches", no_branches)
             warm = report(pat, resource, second)
         fresh_pat = dataclasses.replace(pat)
         fresh = report(fresh_pat, resource, second)
@@ -1020,7 +1020,7 @@ class TestPlanReports:
         expected = report(dataclasses.replace(pat), gs.state, chans)
         assert_same_bytes(report(pat, gs, chans), expected)
         with monkeypatch.context() as m:
-            m.setattr(fidelity, "frame_branches", no_branches)
+            m.setattr(fidelity, "_frame_branches", no_branches)
             assert_same_bytes(report(pat, gs.state, chans), expected)
             assert_same_bytes(report(pat, gs, chans), expected)
 

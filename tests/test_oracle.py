@@ -517,6 +517,56 @@ class TestAgainstEngine:
         }
         assert_matches_engine(resource, pat, chans, 1e-9)
 
+    @settings(max_examples=40)
+    @given(
+        u=st.floats(0.0, 11.0),
+        theta0=st.floats(0.0, 2 * math.pi),
+        thetas=st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=3),
+        adapt=st.lists(st.integers(0, 7), min_size=3, max_size=3),
+        fx=st.integers(0, 15),
+        fz=st.integers(0, 15),
+        noise=st.lists(
+            st.tuples(st.floats(0.0, 2.0), st.floats(0.3, 2.0), st.floats(0.0, 1.0), st.floats(0.1, 2.0)),
+            min_size=5,
+            max_size=5,
+        ),
+        zero_noise=st.sets(st.integers(1, 4)),
+        bloch=st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi)),
+    )
+    # Gap 1.4e-6 with T read off the noiseless Liouville leaf of r0.
+    @example(u=11.0, theta0=0.9, thetas=[0.0], adapt=[1, 0, 0], fx=3, fz=1, noise=[(0.4, 0.7, 0.8, 0.3)] * 5, zero_noise=set(), bloch=(1.1, 0.7))
+    def test_random_chains_at_the_equatorial_reachability_edge(self, u, theta0, thetas, adapt, fx, fz, noise, zero_noise, bloch):
+        # Qubit 0, off the path of the others, reads 0 in its equatorial
+        # measurement with probability 10^-u without noise, so r0 can be a
+        # record of noiseless probability near 1e-12 whose answer comes out
+        # of a cancellation.  Qubit 1 takes a random input, so that the
+        # resource's amplitudes round.  Qubit 0 always has a channel: without
+        # one, its leaves of probability near 10^-u are themselves that small.
+        m = len(thetas) + 1
+
+        def bits(mask, below):
+            return BooleanExpr.of(*(q for q in range(below) if mask >> q & 1))
+
+        pat = MeasurementPattern(
+            n_qubits=m + 1,
+            measured=tuple(range(m)),
+            thetas=(theta0, *thetas),
+            alphas=(math.pi / 2,) * m,
+            adapt=(BooleanExpr.zero(),) + tuple(bits(mask, pos + 1) for pos, mask in enumerate(adapt[: m - 1])),
+            byproducts=(ByproductSpec(qubit=m, fx=bits(fx, m), fz=bits(fz, m)),),
+        )
+        p = 10.0**-u
+        psi = math.sqrt(p) * basis_raw(theta0, math.pi / 2, 0, 0) + math.sqrt(1.0 - p) * basis_raw(theta0, math.pi / 2, 0, 1)
+        graph = Graph.from_edges(m + 1, [(q, q + 1) for q in range(1, m)])
+        polar, azimuth = bloch
+        tilt = PureState(np.array([math.cos(polar / 2), math.sin(polar / 2) * np.exp(1j * azimuth)]))
+        resource = resource_state(graph, {0: PureState(psi), 1: tilt})
+        chans = {
+            q: NoiseChannel(B=b, C=b / 2 + c, S=s, t=0.0 if q in zero_noise else t)
+            for q, (b, c, s, t) in enumerate(noise[: m + 1])
+        }
+        assert_matches_engine(resource, pat, chans, 1e-9)
+
 
 def kraus_sum_leaves(amp, pat, chans):
     """Every record's unnormalized leaf over the outputs, ascending, from a

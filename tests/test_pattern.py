@@ -15,9 +15,9 @@ from onewaysim.pattern import (
     ByproductSpec,
     MeasurementPattern,
     PatternPlan,
+    _frame_branches,
     basis_raw,
     byproduct_codes,
-    frame_branches,
 )
 
 
@@ -432,7 +432,7 @@ class TestBasisVector:
 def own_branches(resource, pat):
     """Each record's probability and normalized noiseless branch, taken
     from its own frame."""
-    frame_of, psi = pat.plan.frames[1], frame_branches(resource.amplitudes, pat)
+    frame_of, psi = pat.plan.frames[1], _frame_branches(resource.amplitudes, pat)
     vec = psi[frame_of, np.arange(frame_of.size)]
     probs = np.einsum("ka,ka->k", vec, vec.conj()).real
     return probs, vec / np.sqrt(probs)[:, None]
