@@ -414,6 +414,35 @@ def shifted_channels(rng, n):
     return out
 
 
+def edge_pattern(thetas, alpha0, adapt, fx, fz):
+    """m = len(thetas) measured qubits 0..m-1, the first at latitude
+    ``alpha0`` and the rest equatorial, and output m.  Adaptations and
+    by-products have the supports of the bit masks ``adapt`` and ``fx``,
+    ``fz`` among earlier qubits, so most patterns are not deterministic."""
+    m = len(thetas)
+
+    def bits(mask, below):
+        return BooleanExpr.of(*(q for q in range(below) if mask >> q & 1))
+
+    return MeasurementPattern(
+        n_qubits=m + 1,
+        measured=tuple(range(m)),
+        thetas=tuple(thetas),
+        alphas=(alpha0,) + (math.pi / 2,) * (m - 1),
+        adapt=(BooleanExpr.zero(),) + tuple(bits(mask, pos + 1) for pos, mask in enumerate(adapt[: m - 1])),
+        byproducts=(ByproductSpec(qubit=m, fx=bits(fx, m), fz=bits(fz, m)),),
+    )
+
+
+def edge_channels(pat, noise, zero_noise):
+    """Qubit q's channel from noise[q] = (B, C - B/2, S, t), with t = 0 on
+    the qubits in ``zero_noise``."""
+    return {
+        q: NoiseChannel(B=b, C=b / 2 + c, S=s, t=0.0 if q in zero_noise else t)
+        for q, (b, c, s, t) in enumerate(noise[: pat.n_qubits])
+    }
+
+
 class TestAgainstEngine:
     @pytest.mark.parametrize("n_qubits", [8, 10])
     def test_adaptive_chain_shifted_noise(self, n_qubits):
@@ -493,29 +522,11 @@ class TestAgainstEngine:
     # 1.8e-20: the old greedy walk and the old engine rule took different r0.
     @example(u=19.75, thetas=[0.0], adapt=[0, 0, 0], fx=1, fz=0, noise=[(0.0,) * 4] * 5, zero_noise=set())
     def test_random_chains_at_the_reachability_edge(self, u, thetas, adapt, fx, fz, noise, zero_noise):
-        # The first of m measured qubits reads 0 with probability 10^-u
-        # without noise.  Adaptations and by-products have random supports
-        # among earlier qubits, so most patterns are not deterministic.
-        m = len(thetas) + 1
-
-        def bits(mask, below):
-            return BooleanExpr.of(*(q for q in range(below) if mask >> q & 1))
-
-        pat = MeasurementPattern(
-            n_qubits=m + 1,
-            measured=tuple(range(m)),
-            thetas=(0.0, *thetas),
-            alphas=(0.0,) + (math.pi / 2,) * (m - 1),
-            adapt=(BooleanExpr.zero(),) + tuple(bits(mask, pos + 1) for pos, mask in enumerate(adapt[: m - 1])),
-            byproducts=(ByproductSpec(qubit=m, fx=bits(fx, m), fz=bits(fz, m)),),
-        )
-        p = 10.0**-u
-        resource = resource_state(Graph.path(m + 1), {0: PureState(tilted(p)[::-1])})
-        chans = {
-            q: NoiseChannel(B=b, C=b / 2 + c, S=s, t=0.0 if q in zero_noise else t)
-            for q, (b, c, s, t) in enumerate(noise[: m + 1])
-        }
-        assert_matches_engine(resource, pat, chans, 1e-9)
+        # The first of m measured qubits, z-measured, reads 0 with
+        # probability 10^-u without noise.
+        pat = edge_pattern((0.0, *thetas), 0.0, adapt, fx, fz)
+        resource = resource_state(Graph.path(pat.n_qubits), {0: PureState(tilted(10.0**-u)[::-1])})
+        assert_matches_engine(resource, pat, edge_channels(pat, noise, zero_noise), 1e-9)
 
     @settings(max_examples=40)
     @given(
@@ -542,30 +553,13 @@ class TestAgainstEngine:
         # of a cancellation.  Qubit 1 takes a random input, so that the
         # resource's amplitudes round.  Qubit 0 always has a channel: without
         # one, its leaves of probability near 10^-u are themselves that small.
-        m = len(thetas) + 1
-
-        def bits(mask, below):
-            return BooleanExpr.of(*(q for q in range(below) if mask >> q & 1))
-
-        pat = MeasurementPattern(
-            n_qubits=m + 1,
-            measured=tuple(range(m)),
-            thetas=(theta0, *thetas),
-            alphas=(math.pi / 2,) * m,
-            adapt=(BooleanExpr.zero(),) + tuple(bits(mask, pos + 1) for pos, mask in enumerate(adapt[: m - 1])),
-            byproducts=(ByproductSpec(qubit=m, fx=bits(fx, m), fz=bits(fz, m)),),
-        )
-        p = 10.0**-u
+        pat = edge_pattern((theta0, *thetas), math.pi / 2, adapt, fx, fz)
+        p, n = 10.0**-u, pat.n_qubits
         psi = math.sqrt(p) * basis_raw(theta0, math.pi / 2, 0, 0) + math.sqrt(1.0 - p) * basis_raw(theta0, math.pi / 2, 0, 1)
-        graph = Graph.from_edges(m + 1, [(q, q + 1) for q in range(1, m)])
         polar, azimuth = bloch
         tilt = PureState(np.array([math.cos(polar / 2), math.sin(polar / 2) * np.exp(1j * azimuth)]))
-        resource = resource_state(graph, {0: PureState(psi), 1: tilt})
-        chans = {
-            q: NoiseChannel(B=b, C=b / 2 + c, S=s, t=0.0 if q in zero_noise else t)
-            for q, (b, c, s, t) in enumerate(noise[: m + 1])
-        }
-        assert_matches_engine(resource, pat, chans, 1e-9)
+        resource = resource_state(Graph.from_edges(n, [(q, q + 1) for q in range(1, n - 1)]), {0: PureState(psi), 1: tilt})
+        assert_matches_engine(resource, pat, edge_channels(pat, noise, zero_noise), 1e-9)
 
 
 def kraus_sum_leaves(amp, pat, chans):
