@@ -34,12 +34,22 @@ deterministic pattern every noiseless branch is BP(r) T up to a phase
 (Browne, Kashefi, Mhalla and Perdrix, NJP 9, 250 (2007)).  W and the bras
 of a frame are tensor products of 2x2 matrices, applied in blocks of
 B = ``pattern.BLOCK`` positions (B + 1 for a last run that would hold one),
-one matmul over all frames per block: a frame costs O(2^B M 2^n / B) for
-the branches and O(2^B M 2^M d^2 / B) for W.  The branches are contracted
-in the resource's own qubit order, with no copy, when the measured qubits
-ascend.  The codes, Re + Im of each branch projector, take real products
-only, in the oracle's Liouville order, each output's (row bit, column bit)
-pair on one axis of 4.  The answer noise acts on the few reference codes
+by the shuffle algorithm (Fernandes, Plateau and Stewart, J. ACM 45, 381
+(1998)).  The bras take one matmul over all frames per block, O(2^B M 2^n
+/ B) a frame.  W takes one of two paths, chosen by the number of frames.
+With one, each block is one matmul over every record: O(2^B M 2^M d^2 /
+B).  With more, record r needs W on its own frame s(r) alone, so each
+block maps only the (frame, read prefix) pairs that some record reaches, a
+read prefix being a record's outcomes on the blocks before, to the values
+their records read on the block's positions: 2^B d^2 2^rest multiply-adds
+per pair that it leaves, rest the positions after the block, and the pairs
+after the last block are the 2^M records.  A frame of an m-step chain
+fixes every read but the last, so its first block leaves one pair per
+frame, and W costs about frames 2^M d^2, not 2^B M / B times that.  The
+branches are contracted in the resource's own qubit order, with no copy,
+when the measured qubits ascend.  The codes, Re + Im of each branch
+projector, take real products only, in the oracle's Liouville order, each
+output's (row bit, column bit) pair on one axis of 4.  The answer noise acts on the few reference codes
 R, as tr(N(rho) R) = tr(rho N^dagger(R)): each output's 4x4
 superoperator, transposed, on its axis.  See Danos, Kashefi and
 Panangaden, arXiv:0704.1263.
@@ -50,10 +60,12 @@ projectors |psi_{s,k}><psi_{s,k}| and of the references T_r T_r^dagger,
 one per distinct by-product) stays on the pattern's plan, keyed by the
 identity of the resource's read-only amplitude array, which the plan holds
 only weakly.  A later report on the same array runs only the noise half:
-the reads P(r_i | k_i), one gathered flip factor and one matmul per block,
-the traces, the answer noise on the references and one overlap.  A report
-on any other array drops that half before it builds its own, as on a fresh
-plan.  Only a report that builds the resource half checks the size guard,
+the reads P(r_i | k_i), one gathered flip factor and one matmul per block
+(for more than one frame, after a gather of the factor's rows at the
+values read), the traces, the answer noise on the references and one
+overlap; the matmuls and gathers write to buffers that stay on the plan.
+A report on any other array drops that half before it builds its own, as
+on a fresh plan.  Only a report that builds the resource half checks the size guard,
 which depends on the pattern alone.
 
 The brute-force simulator in ``oracle`` is the independent ground truth
@@ -72,9 +84,9 @@ from .channels import NoiseChannel, mixing_probabilities, superoperator
 from .linalg import _frozen
 from .pattern import MeasurementPattern, _Records, _UNREACHABLE, _channel_map, _frame_branches, _resource_vector, byproduct_codes
 
-# The most a report may allocate (``_report_bytes``), mostly the (3, frames
-# d^2, 2^M) workspace that stays on the pattern's plan until a report on
-# another resource; a report that needs more is refused.
+# The most a report may allocate (``_report_bytes``), mostly the workspace
+# that stays on the pattern's plan until a report on another resource; a
+# report that needs more is refused.
 MAX_WORKSPACE_BYTES = 64 * 2**20
 
 
@@ -169,64 +181,101 @@ def _flip_factor(reads: np.ndarray, block: range) -> np.ndarray:
     return part.take(index).prod(axis=0)
 
 
+def _pair_stages(pat: MeasurementPattern) -> tuple[list[tuple[int, int]], list[int]]:
+    """Per block of a pattern of several frames, the floats of its gathered
+    flip factor rows and of its (pairs, 2^rest, 4^outputs) output; and the
+    floats of the buffers that hold them, one for the factor rows and one
+    for the outputs of the even blocks and, with more than one block, of
+    the odd ones, since each block reads the output of the block before."""
+    size, sizes = len(pat.plan.frames[0]) * 2**pat.n_measured * 4 ** len(pat.outputs), []
+    for block, rows in zip(pat.plan.blocks, pat.plan.pairs[0]):
+        size = (size >> len(block)) * rows.shape[1]
+        sizes.append((rows.size << len(block), size))
+    outputs = [max(o for _, o in sizes[parity::2]) for parity in (0, 1) if sizes[parity:]]
+    return sizes, [max(g for g, _ in sizes), *outputs]
+
+
 def _frame_codes(pat: MeasurementPattern, amp: np.ndarray) -> tuple:
     """The resource half of a report: (a weak reference to ``amp``, the
-    resource's amplitude array, the workspace, refs, own, pick).  Slab 0 of
-    the (3, frames d^2, 2^M) workspace holds code[f, :, k], the code Re + Im
-    of |psi_fk><psi_fk| in the oracle's Liouville order, written from the
-    real and imaginary parts x and y of the branches as
+    resource's amplitude array, the workspace, refs, stages, out).  The codes,
+    Re + Im of each |psi_fk><psi_fk| in the oracle's Liouville order, are
+    written from the real and imaginary parts x and y of the branches as
 
         code[I, J] = x_I (x_J - y_J) + y_I (x_J + y_J),
 
     two products and a sum; refs[u] is the code of T_r T_r^dagger for the
-    records r of by-product row u.  own[r] is record r's flat (frame,
-    record) entry, pick[r] its flat (frame, row, record) one."""
-    frame_of, psi = pat.plan.frames[1], _frame_branches(amp, pat)
+    records r of by-product row u, and ``out`` takes the (rows, 2^M)
+    overlaps.  With one frame the workspace is (3, d^2, 2^M), the codes in
+    slab 0 with the records last, and stages is None.  With more it is the
+    (frames, 2^M, d^2) codes, pair-major, and stages holds, per block, a
+    buffer for its gathered flip factor rows and one for its output."""
+    plan, k = pat.plan, len(pat.outputs)
+    psi = _frame_branches(amp, pat)
     n_frames, n_records, d = psi.shape
-    k = len(pat.outputs)
-    work = np.empty((3, n_frames * d * d, n_records))
-    own = frame_of * n_records + np.arange(n_records)
-    pick = (frame_of * len(pat.plan.byproducts[0]) + pat.plan.byproducts[1]) * n_records + np.arange(n_records)
-    # Records last, so that every product below runs over them.  x - y and
-    # x + y take the heads of slabs 1 and 2.  The products x_I (x_J - y_J)
-    # go to the codes, and y_I (x_J + y_J) over slab 1 once x - y is read,
-    # both through views that read all row bits, then all column bits.
+    # x - y and x + y take the heads of the spare and of one more buffer:
+    # slabs 1 and 2 for one frame.  The products x_I (x_J - y_J) go to the
+    # codes, and y_I (x_J + y_J) over the spare once x - y is read, both
+    # through views that read all row bits, then all column bits, records last.
     x, y = (part.transpose(0, 2, 1) for part in (psi.real, psi.imag))
-    diff, total = (work[s, : n_frames * d].reshape(x.shape) for s in (1, 2))
-    np.subtract(x, y, out=diff)
-    np.add(x, y, out=total)
     bits = (n_frames,) + (2,) * (2 * k) + (n_records,)
+    if n_frames == 1:
+        work = np.empty((3, d * d, n_records))
+        codes, spare, total, table = work[0], work[1], work[2, :d], work[0]
+        layout = lambda a: a.reshape(bits)
+    else:
+        work = np.empty((n_frames, n_records, d * d))
+        codes, spare, total, table = work, np.empty(work.shape), np.empty(x.shape), work.reshape(-1, d * d).T
+        layout = lambda a: np.moveaxis(a.reshape((n_frames, n_records) + bits[1:-1]), 1, -1)
+    diff = spare.reshape(-1)[: x.size].reshape(x.shape)
+    np.subtract(x, y, out=diff)
+    np.add(x, y, out=total.reshape(x.shape))
     liouville = [0, *range(1, 2 * k, 2), *range(2, 2 * k + 1, 2), 2 * k + 1]
     rows, cols = (n_frames,) + (2,) * k + (1,) * k + (n_records,), (n_frames,) + (1,) * k + (2,) * k + (n_records,)
-    codes, spare = (work[s].reshape(bits).transpose(liouville) for s in (0, 1))
-    np.multiply(x.reshape(rows), diff.reshape(cols), out=codes)
-    np.multiply(y.reshape(rows), total.reshape(cols), out=spare)
-    np.add(work[0], work[1], out=work[0])
+    np.multiply(x.reshape(rows), diff.reshape(cols), out=layout(codes).transpose(liouville))
+    np.multiply(y.reshape(rows), total.reshape(cols), out=layout(spare).transpose(liouville))
+    np.add(codes, spare, out=codes)
     # The references are built once the branches are freed.
-    del psi, x, y
-    norm2 = _traces(work[0], k).take(own)
+    del psi, x, y, diff, total, spare
+    # ``table`` reads the codes as (d^2, frames 2^M), records last.
+    norm2 = _traces(table, k).take(plan.own)
     r0 = int(np.argmax(norm2 > _UNREACHABLE))
-    refs = byproduct_codes(pat, work[0].reshape(n_frames, -1, n_records)[frame_of[r0], :, r0], r0)
+    refs = byproduct_codes(pat, table[:, plan.own[r0]], r0)
     refs /= norm2[r0]
-    return weakref.ref(amp), work, refs, own, pick
+    if n_frames == 1:
+        # The overlaps go to the slab, 1 or 2, that the last block does not write.
+        return weakref.ref(amp), work, refs, None, work[1 + len(plan.blocks) % 2][: len(refs)]
+    sizes, buffers = _pair_stages(pat)
+    gather, *outs = map(np.empty, buffers)
+    stages = [
+        (gather[:g].reshape(reached.shape + (-1,)), outs[i % 2][:o].reshape(reached.shape + (-1,)))
+        for i, ((g, o), reached) in enumerate(zip(sizes, plan.pairs[0]))
+    ]
+    return weakref.ref(amp), work, refs, stages, np.empty((len(refs), n_records))
 
 
 def _report_bytes(pat: MeasurementPattern) -> int:
-    """A report's peak bytes: its workspace, and its (frames, 2^k, 2^M)
-    complex branches for k outputs or, built once those are freed, its
+    """A report's peak bytes, for k outputs, d = 2^k.  Its workspace: 3 d^2
+    2^M floats for one frame, or frames d^2 2^M codes for more, with its
+    pair stage buffers.  While the codes are built, its (frames, d, 2^M)
+    complex branches and, for more than one frame, a spare of the codes'
+    size and the (frames, d, 2^M) sums x + y; once those are freed, its
     (rows, 4^k) reference codes, up to three copies at once while they are
-    built or take the answer noise.  Frames and rows, read off all 2^M
-    records, are counted only when one frame fits.  A report on another
-    resource than the last frees the last workspace first, so this bounds
-    it too.  The plan's own pieces, built once per pattern, are not
-    counted: mostly its bras, 3.0 MiB at a 10-step chain, whose blocks of
-    3, 3 and 4 positions have 512 frames."""
+    built or take the answer noise.  The size of one frame, counted before
+    the plan reads all 2^M records for the frames, rows and pairs, bounds
+    every other from below.  A report on another resource than the last
+    frees the last workspace first, so this bounds it too.  The plan's own
+    pieces, built once per pattern, are not counted: mostly its bras, 3.0
+    MiB at a 10-step chain, whose blocks of 3, 3 and 4 positions have 512
+    frames."""
     k, m = len(pat.outputs), pat.n_measured
     work, branches = 24 * 4**k * 2**m, 16 * 2**k * 2**m
     if work + branches > MAX_WORKSPACE_BYTES:
         return work + branches
-    frames, rows = len(pat.plan.frames[0]), len(pat.plan.byproducts[0])
-    return work * frames + max(branches * frames, 24 * 4**k * rows)
+    frames, refs = len(pat.plan.frames[0]), 24 * 4**k * len(pat.plan.byproducts[0])
+    if frames == 1:
+        return work + max(branches, refs)
+    codes, stages = 8 * 4**k * 2**m * frames, 8 * (sum(_pair_stages(pat)[1]) + len(pat.plan.byproducts[0]) * 2**m)
+    return codes + max(codes + (branches + 8 * 2**k * 2**m) * frames, stages + refs)
 
 
 def fidelity_adaptive(
@@ -246,14 +295,21 @@ def fidelity_adaptive(
     before renormalization; any other is scored against BP(r) BP(r0) A_r0,
     r0 the first record whose noiseless probability exceeds 1e-12.
 
-    A report's workspace of 3 frames d^2 2^M floats, d = 2^outputs, stays
-    on the pattern's plan for later reports on the same resource; a report
-    on another one frees it and builds its own.  A report, on the same
-    resource or not, that needs over ``MAX_WORKSPACE_BYTES`` (64 MiB) with
-    its branches or its reference codes raises ValueError with its size.
-    The guard depends on the pattern alone and is checked when a report
-    builds its resource half, which a pattern that fails it never keeps.
-    A 10-step chain needs 64 MiB, 11 steps 256.
+    A report's workspace stays on the pattern's plan for later reports on
+    the same resource; a report on another one frees it and builds its
+    own.  For one frame it is 3 d^2 2^M floats, d = 2^outputs, and each
+    block of the outcome-flip stage costs 2^B d^2 2^M multiply-adds.  For
+    more it is the frames d^2 2^M codes with the buffers of the pair stages,
+    which take only the (frame, read prefix) pairs that some record reaches:
+    16 MiB and 2.4 MiB at a 10-step chain, whose warm report takes 1.1 ms
+    on one BLAS thread of a 2-core host, against 8 to 11 ms for all frames
+    at every record.  A report, on the same resource or not, that needs
+    over ``MAX_WORKSPACE_BYTES`` (64 MiB) with its branches and, for more
+    than one frame, the spare it builds the codes in, or with its reference
+    codes, raises ValueError with its size.  The guard depends on the
+    pattern alone and is checked when a report builds its resource half,
+    which a pattern that fails it never keeps.  A 10-step chain needs 56
+    MiB, 11 steps 224.
     """
     # Hermitian matrices travel as the real code Re + Im of their entries:
     # the real part is the symmetric half and the imaginary part the
@@ -289,32 +345,44 @@ def fidelity_adaptive(
                 f"{size / 2**20:.1f} MiB of workspace; the limit is {MAX_WORKSPACE_BYTES >> 20} MiB"
             )
         memo = _frame_codes(pat, amp)
-    _, work, refs, own, pick = memo
-    rows, n_records = work.shape[1:]
-    # rho[f, :, r] = sum_k W[r, k] code[f, :, k], W the product of P(read r_i |
-    # prepared k_i), by the shuffle of ``_frame_branches``: each block of
-    # measured positions gathers its read matrices into one factor and is one
-    # matmul that contracts the leading record bits and appends them last.
-    # Every stage writes to the slab, 1 or 2, that it does not read; slab 0
-    # keeps the codes, and is rho itself without measured qubits.
-    rho, slab = work[0], 0
-    for block in plan.blocks:
-        read = _flip_factor(reads, block)
-        slab = 2 if slab == 1 else 1
-        prev, rho = rho, work[slab]
-        np.matmul(prev.reshape(rows, len(read), -1).transpose(0, 2, 1), read.T, out=rho.reshape(rows, -1, len(read)))
+    _, work, refs, stages, out = memo
+    n_records = 2**pat.n_measured
+    if stages is None:
+        # One frame: rho[:, r] = sum_k W[r, k] code[:, k], W the product of
+        # P(read r_i | prepared k_i), by the shuffle of ``_frame_branches``:
+        # each block of measured positions gathers its read matrices into one
+        # factor and is one matmul that contracts the leading record bits and
+        # appends them last.  Every stage writes to the slab, 1 or 2, that it
+        # does not read; slab 0 keeps the codes, and is rho itself without
+        # measured qubits.
+        rho, slab = work[0], 0
+        for block in plan.blocks:
+            read = _flip_factor(reads, block)
+            slab = 2 if slab == 1 else 1
+            prev, rho = rho, work[slab]
+            np.matmul(prev.reshape(4**k, len(read), -1).transpose(0, 2, 1), read.T, out=rho.reshape(4**k, -1, len(read)))
+    else:
+        # Several frames: each block turns every (frame, read prefix) pair
+        # that some record reaches into its children, one per value that the
+        # pair's records read on the block, by the rows of the block's factor
+        # at those values in one product over the pairs.  The codes stay last,
+        # and the pairs left after the last block are the records.
+        rho = work
+        for block, reached, (rows, nxt) in zip(plan.blocks, plan.pairs[0], stages):
+            np.take(_flip_factor(reads, block), reached, axis=0, out=rows, mode="clip")
+            rho = np.matmul(rows, rho.reshape(len(rows), rows.shape[2], -1), out=nxt)
+        rho = rho.reshape(n_records, -1).T
 
-    # Sums run over all (frame, record) pairs; record r then takes the entry
-    # ``own[r]`` of its frame, or ``pick[r]`` of its frame and by-product row.
-    z_raw = _traces(rho, k).take(own)
+    # Record r reads the column and the (by-product row, column) entry that
+    # the plan's ``ends`` name.
+    column, pick = plan.ends
+    z_raw = _traces(rho, k).take(column)
     # F(r) = tr(rho_r N^dagger(T_r T_r^dagger)) / Z(r): the superoperator of
     # each noisy output j acts, transposed, on the j-th axis of the references.
     for j, ch in enumerate(map(answer_channels.get, pat.outputs)):
         if ch is not None:
             refs = (superoperator(ch).T @ refs.reshape(-1, 4, 4 ** (k - 1 - j))).reshape(len(refs), -1)
-    # The overlap of every (frame, by-product row, record), in a slab that rho is not in.
-    out = work[2 if slab == 1 else 1][: rows // 4**k * len(refs)].reshape(-1, len(refs), n_records)
-    overlap = np.matmul(refs, rho.reshape(len(out), -1, n_records), out=out).take(pick)
+    overlap = np.matmul(refs, rho, out=out).take(pick)
     plan._memo["codes"] = memo
     reachable = z_raw > _UNREACHABLE
     f = np.full(n_records, np.nan)

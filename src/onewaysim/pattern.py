@@ -24,6 +24,7 @@ import functools
 import itertools
 import math
 import operator
+import types
 from collections.abc import ItemsView, Mapping, Sequence, ValuesView
 from dataclasses import dataclass
 
@@ -268,10 +269,12 @@ class PatternPlan:
     last oracle run ("oracle", ``oracle._resource_half``: the Liouville
     tensor and the references), each keyed by the identity of the
     resource's read-only amplitude array, held weakly so the plan never
-    keeps a resource alive."""
+    keeps a resource alive.  The plan holds the pattern's fields, not the
+    pattern, which holds the plan: with no cycle between them, a dropped
+    pattern frees its memo at once, not at the next cyclic collection."""
 
     def __init__(self, pat: MeasurementPattern):
-        self._pat = pat
+        self._pat = types.SimpleNamespace(**vars(pat))
         self._memo: dict[str, tuple] = {}
 
     @functools.cached_property
@@ -346,6 +349,46 @@ class PatternPlan:
         specs = {bp.qubit: bp for bp in self._pat.byproducts}
         terms = [e for bp in (specs.get(q) or ByproductSpec(q) for q in self.outputs) for e in (bp.fz, bp.fx)]
         return _distinct_values(self._pat.measured, terms, 2)
+
+    @functools.cached_property
+    def own(self) -> np.ndarray:
+        """Each record's flat (frame, record) entry."""
+        frame_of = self.frames[1]
+        return _frozen(frame_of * len(frame_of) + np.arange(len(frame_of)))
+
+    @functools.cached_property
+    def pairs(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """The (frame, read prefix) pairs that some record reaches, a read
+        prefix being a record's outcomes on the blocks before: per block,
+        (parents, n) rows with the values that the records of each parent
+        pair read on the block's positions, ascending, and each record's
+        pair after the last block.  The first block's parents are the
+        frames, and the pairs a block leaves are numbered (parent, value)
+        in that order.  Every parent has the same n: a frame's records form
+        a coset of the kernel of the affine adaptation map, and a fixed
+        prefix cuts a coset of one subspace out of each."""
+        frame_of, m = self.frames[1], len(self._pat.measured)
+        records, pair, n_pairs, rows = np.arange(len(frame_of)), frame_of, len(self.frames[0]), []
+        for block in self.blocks:
+            b = len(block)
+            keys = pair << b | (records >> (m - block.stop)) & (1 << b) - 1
+            seen = np.zeros(n_pairs << b, dtype=bool)
+            seen[keys] = True
+            reached = np.flatnonzero(seen)
+            n = len(reached) // n_pairs
+            assert (reached >> b == np.arange(len(reached)) // n).all(), "parents reach unequal read values"
+            rows.append(_frozen((reached & (1 << b) - 1).reshape(n_pairs, n)))
+            pair, n_pairs = np.cumsum(seen)[keys] - 1, len(reached)
+        return tuple(rows), _frozen(pair)
+
+    @functools.cached_property
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where each record reads the last array of the outcome-flip stage,
+        (4^outputs, 2^M) codes: its column, its frame's own for one frame
+        and its pair after the last block for more; and its flat entry in
+        the (rows, 2^M) overlaps of every by-product row with every column."""
+        column = self.own if len(self.frames[0]) == 1 else self.pairs[1]
+        return column, _frozen(self.byproducts[1] * len(column) + column)
 
 
 def _distinct_values(measured: tuple[int, ...], exprs: Sequence[BooleanExpr], width: int) -> tuple[np.ndarray, np.ndarray]:

@@ -33,7 +33,7 @@ from onewaysim.oracle import simulate
 from onewaysim.pattern import BooleanExpr, ByproductSpec, MeasurementPattern, _frame_branches, basis_raw
 
 from test_channels import kraus
-from test_pattern import chain_pattern, evaluate, outcome_tuple, rotation_pattern, rsp_pattern, scrambled_pattern
+from test_pattern import byproduct_unitary, chain_pattern, evaluate, outcome_tuple, rotation_pattern, rsp_pattern, scrambled_pattern
 
 
 def g2():
@@ -287,7 +287,7 @@ class TestAdaptiveEngine:
 
     def test_guard(self):
         # Ten measured qubits run (test_ten_qubit_chain_phase_flip); eleven do not.
-        with pytest.raises(ValueError, match="needs at least 256.0 MiB of workspace; the limit is 64 MiB"):
+        with pytest.raises(ValueError, match="needs at least 224.0 MiB of workspace; the limit is 64 MiB"):
             fidelity_adaptive(chain_pattern((0.0,) * 11), PureState.plus(12))
 
     def test_guard_refuses_every_call(self):
@@ -298,7 +298,7 @@ class TestAdaptiveEngine:
         other = resource_state(Graph.path(12), {0: random_state(rng)})
 
         def refusal(resource):
-            with pytest.raises(ValueError, match="needs at least 256.0 MiB of workspace; the limit is 64 MiB") as refused:
+            with pytest.raises(ValueError, match="needs at least 224.0 MiB of workspace; the limit is 64 MiB") as refused:
                 fidelity_adaptive(pat, resource)
             assert "codes" not in pat.plan._memo
             return str(refused.value)
@@ -325,8 +325,8 @@ class TestAdaptiveEngine:
 
     def test_guard_counts_outputs(self):
         # Ten measured qubits, as in the chain that runs, but 4 outputs: the
-        # 512 frames would need a (3, 512 * 256, 1024) workspace and
-        # (512, 16, 1024) complex branches.
+        # 512 frames would need (512, 1024, 256) codes and a spare of their
+        # size, with (512, 16, 1024) complex branches and sums x + y.
         pat = MeasurementPattern(
             n_qubits=14,
             measured=tuple(range(10)),
@@ -335,7 +335,7 @@ class TestAdaptiveEngine:
             adapt=(BooleanExpr.zero(),) + tuple(BooleanExpr.of(j - 1) for j in range(1, 10)),
         )
         assert len(pat.plan.frames[0]) == 512
-        with pytest.raises(ValueError, match="10 measured qubits and 4 outputs needs at least 3200.0 MiB"):
+        with pytest.raises(ValueError, match="10 measured qubits and 4 outputs needs at least 2240.0 MiB"):
             fidelity_adaptive(pat, PureState.plus(14))
 
 
@@ -981,6 +981,23 @@ class TestPlanReports:
         _, fresh_resource = report_case("cnot15", rng)
         assert_same_bytes(report(pat, fresh_resource, chans), report(dataclasses.replace(pat), fresh_resource, chans))
 
+    def test_dropped_pattern_frees_its_memo(self):
+        # The plan holds the pattern's fields, not the pattern, so no cycle
+        # keeps a dropped pattern's workspace and oracle tensor alive until a
+        # cyclic collection.
+        rng = np.random.default_rng(65)
+        pat, resource = report_case("chain", rng)
+        chans = {q: random_cp_channel(rng) for q in range(pat.n_qubits)}
+        report(pat, resource, chans)
+        simulate(resource, pat, chans)
+        held = [weakref.ref(pat.plan._memo[key][1]) for key in ("codes", "oracle")]
+        gc.disable()
+        try:
+            del pat
+            assert [ref() for ref in held] == [None, None]
+        finally:
+            gc.enable()
+
     def test_threads_sharing_a_pattern(self):
         # CNOT15 reports are long enough, and spend enough time in numpy
         # without the GIL, that a workspace shared by both threads would show.
@@ -1028,23 +1045,27 @@ class TestPlanReports:
 def warm_report_faults():
     """Minor page faults per warm report of a t sweep, on a fresh CNOT15
     resource each time or on one chain resource throughout, keyed by case.
+    The chains have 6 and 9 steps: the 9-step one has pair stages above the
+    allocator's mmap threshold, so one allocated per report would show.
     Each sweep runs twice: with each report alive until the next one
     returns, as in the benchmark loop, and with each report dropped at
     once."""
     rng = np.random.default_rng(56)
     cnot, graph = cnot15_pattern(), Graph.from_edges(15, CNOT15_EDGES)
-    chain, chain_resource = report_case("chain", rng)
+    six = report_case("chain", rng)
+    nine = chain_pattern(tuple(rng.uniform(0.0, 2 * math.pi, size=9))), resource_state(Graph.path(10), {0: random_state(rng)})
     times = np.linspace(0.05, 0.6, 20)
 
     def cnot_report(t):
         inputs = {0: random_state(rng), 8: random_state(rng)}
         return report(cnot, resource_state(graph, inputs), {q: NoiseChannel.white(0.25, t) for q in range(15)})
 
-    def chain_report(t):
-        return report(chain, chain_resource, {q: NoiseChannel(B=0.8, C=0.9, S=0.7, t=t) for q in range(chain.n_qubits)})
+    def chain_report(chain, resource, t):
+        return report(chain, resource, {q: NoiseChannel(B=0.8, C=0.9, S=0.7, t=t) for q in range(chain.n_qubits)})
 
+    sweeps = {"cnot15": cnot_report, "6-step chain": functools.partial(chain_report, *six), "9-step chain": functools.partial(chain_report, *nine)}
     faults = {}
-    for one in (cnot_report, chain_report):
+    for name, one in sweeps.items():
         for kept in (1, 0):
             # The last ``kept`` reports stay alive.
             alive = collections.deque(maxlen=kept)
@@ -1053,7 +1074,7 @@ def warm_report_faults():
             before = getrusage(RUSAGE_SELF).ru_minflt
             for t in times:
                 alive.append(one(t))
-            faults[f"{one.__name__}, {kept} kept"] = (getrusage(RUSAGE_SELF).ru_minflt - before) / len(times)
+            faults[f"{name}, {kept} kept"] = (getrusage(RUSAGE_SELF).ru_minflt - before) / len(times)
     return faults
 
 
@@ -1123,6 +1144,90 @@ class TestFlipStage:
         assert np.max(np.abs(rep.z - z)) < 1e-13
         reached = ~np.isnan(rep.f)
         assert np.max(np.abs((rep.z * rep.f)[reached] - zf[reached])) < 1e-12
+
+
+    @staticmethod
+    def per_record_kron(pat, resource, chans):
+        """Z(r) = sum_k W[r, k] |psi_{s(r),k}|^2 and Z(r) F(r) = sum_k W[r, k]
+        |<T_r|psi_{s(r),k}>|^2, T_r = BP(r) BP(r0) A_r0, with W and every
+        frame's bras built by np.kron, and each record's branches psi_{s(r)}
+        from the bras of its own adaptation bits s(r)."""
+        m, outputs = pat.n_measured, pat.outputs
+        reads = []
+        for q, alpha in zip(pat.measured, pat.alphas):
+            p0, p1 = mixing_probabilities(chans[q], alpha) if q in chans else (0.0, 0.0)
+            reads.append(np.array([[1.0 - p0, p1], [p0, 1.0 - p1]]))
+        w = functools.reduce(np.kron, reads, np.eye(1))
+        amp = resource.amplitudes.reshape((2,) * pat.n_qubits).transpose(pat.measured + outputs).reshape(2**m, -1)
+        records = [outcome_tuple(r, m) for r in range(2**m)]
+        frames = [tuple(evaluate(e, dict(zip(pat.measured, rec))) for e in pat.adapt) for rec in records]
+        psi = {}
+        for s in set(frames):
+            rows = [np.conj([basis_raw(pat.thetas[i], pat.alphas[i], s[i], b) for b in (0, 1)]) for i in range(m)]
+            psi[s] = functools.reduce(np.kron, rows, np.eye(1)) @ amp
+        norm2 = np.array([np.vdot(psi[s][r], psi[s][r]).real for r, s in enumerate(frames)])
+        r0 = int(np.flatnonzero(norm2 > 1e-12)[0])
+        t = byproduct_unitary(pat, records[r0]) @ psi[frames[r0]][r0] / math.sqrt(norm2[r0])
+        z = np.array([w[r] @ np.sum(np.abs(psi[s]) ** 2, axis=1) for r, s in enumerate(frames)])
+        zf = np.array([w[r] @ np.abs(psi[s] @ (byproduct_unitary(pat, records[r]) @ t).conj()) ** 2 for r, s in enumerate(frames)])
+        return z, zf
+
+    def assert_matches_per_record_kron(self, pat, resource, chans):
+        rep = fidelity_adaptive(pat, resource, chans)
+        z, zf = self.per_record_kron(pat, resource, chans)
+        assert np.max(np.abs(rep.z - z)) < 1e-13
+        reached = ~np.isnan(rep.f)
+        assert np.array_equal(reached, z > 1e-12)
+        assert np.max(np.abs((rep.z * rep.f)[reached] - zf[reached])) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(2, 8), k=st.integers(0, 2), seed=st.integers(0, 2**16))
+    def test_adaptive_matches_per_record_kron(self, m, k, seed):
+        """Random patterns of m measured qubits, in random order among k
+        outputs: z-axis positions, each other one adapting by a random
+        constant and a random set of earlier outcomes, and random
+        by-products, under channels with shifted fixed points."""
+        rng = np.random.default_rng(seed)
+        order = [int(q) for q in rng.permutation(m + k)]
+        measured, z_axis = tuple(order[:m]), rng.random(m) < 0.25
+        subset = lambda qubits: [q for q in qubits if rng.random() < 0.5]
+        pat = MeasurementPattern(
+            n_qubits=m + k,
+            measured=measured,
+            thetas=tuple(rng.uniform(0.0, 2 * math.pi, size=m)),
+            alphas=tuple(0.0 if z else math.pi / 2 for z in z_axis),
+            adapt=tuple(
+                BooleanExpr() if z_axis[pos] else BooleanExpr.of(*subset(measured[:pos]), const=int(rng.integers(2)))
+                for pos in range(m)
+            ),
+            byproducts=tuple(
+                ByproductSpec(q, fx=BooleanExpr.of(*subset(measured)), fz=BooleanExpr.of(*subset(measured), const=int(rng.integers(2))))
+                for q in order[m:]
+            ),
+        )
+        chans = {q: random_cp_channel(rng) for q in measured}
+        self.assert_matches_per_record_kron(pat, random_state(rng, m + k), chans)
+
+    def test_partly_pruned_blocks(self):
+        """Adaptations that fix some of a block's read values and leave the
+        rest free: qubit 4 adapts on qubit 0 and qubit 6 on qubits 1 and 4,
+        so the first block, qubits 0 to 2, reads 4 of its 8 values per frame
+        and the second 8 of its 16 per (frame, read prefix)."""
+        rng = np.random.default_rng(66)
+        adapt = [BooleanExpr()] * 7
+        adapt[4], adapt[6] = BooleanExpr.of(0), BooleanExpr.of(1, 4, const=1)
+        pat = MeasurementPattern(
+            n_qubits=8,
+            measured=tuple(range(7)),
+            thetas=tuple(rng.uniform(0.0, 2 * math.pi, size=7)),
+            alphas=(math.pi / 2,) * 7,
+            adapt=tuple(adapt),
+            byproducts=(ByproductSpec(7, fx=BooleanExpr.of(0, 3), fz=BooleanExpr.of(5, 6)),),
+        )
+        assert len(pat.plan.frames[0]) == 4
+        assert [rows.shape for rows in pat.plan.pairs[0]] == [(4, 4), (16, 8)]
+        chans = {q: random_cp_channel(rng) for q in pat.measured}
+        self.assert_matches_per_record_kron(pat, resource_state(Graph.path(8), {0: random_state(rng)}), chans)
 
 
 class TestFlipFactor:
