@@ -10,6 +10,12 @@ projected at once, by the plan's ``prefix_effects``, onto the effect
 |M_k^s><M_k^s| of their own adaptation bit s.  A leaf's trace is its
 record's probability: the records unreachable by the engine's rule,
 ``pattern._UNREACHABLE``, are dropped there and the rest normalized.
+The normalized leaves are validated as one stack by the rule of
+``linalg.check_density_matrices``: Hermitian and of unit trace to ATOL,
+then one batched Cholesky factorization of M + EIG_ATOL I, which certifies
+that no eigenvalue lies below -EIG_ATOL; ``eigvalsh`` runs only if it
+fails.  A leaf that fails raises ValueError naming its record and its
+probability.
 Noise acts on the state, never on the effects, so the oracle stays
 independent of the outcome-flip reduction that ``fidelity`` rests on.
 Each leaf is scored by one Liouville dot against BP(r) T,
@@ -31,7 +37,7 @@ from typing import Mapping
 import numpy as np
 
 from .channels import NoiseChannel, superoperator
-from .linalg import _frozen, check_density_matrices
+from .linalg import _density_fault, _frozen
 from .pattern import MeasurementPattern, _Records, _UNREACHABLE, _channel_map, _resource_vector, byproduct_codes
 
 MAX_ORACLE_QUBITS = 10
@@ -111,20 +117,31 @@ def simulate(resource, pat: MeasurementPattern, channels: Mapping[int, NoiseChan
         if q in channels:
             rho = (superoperator(channels[q]) @ rho.reshape(2**m * 4**j, 4, -1).view(float)).view(complex)
 
-    # Leaves as (record, row bits, column bits) matrices over the outputs.
+    # Leaves as (record, row bits, column bits) matrices over the outputs, and
+    # as Liouville rows.  When every record is reachable, as under noise of
+    # full rank, they are read where they lie; otherwise the reachable ones
+    # are gathered.
     k = n - m
     mats = rho.reshape((-1,) + (2, 2) * k).transpose([0] + list(range(1, 2 * k, 2)) + list(range(2, 2 * k + 1, 2)))
     mats = mats.reshape(-1, 2**k, 2**k)
-    prob = mats.trace(axis1=1, axis2=2).real
-    records = np.flatnonzero(prob > _UNREACHABLE)
-    prob = prob[records]
-    mats = mats[records] / prob[:, None, None]
-    check_density_matrices(mats)
+    leaves, rows = rho.reshape(2**m, -1), plan.byproducts[1]
+    # Contiguous, as a gather leaves it, so that ``prob @ fids`` sums the same.
+    prob = np.ascontiguousarray(mats.trace(axis1=1, axis2=2).real)
+    reachable = prob > _UNREACHABLE
+    records = None if reachable.all() else _frozen(np.flatnonzero(reachable))
+    if records is not None:
+        prob, mats, leaves, rows = prob[records], mats[records], leaves[records], rows[records]
+    mats = mats / prob[:, None, None]
+    fault = _density_fault(mats)
+    if fault is not None:
+        i, what = fault
+        r = i if records is None else int(records[i])
+        outcomes = tuple((r >> (m - 1 - j)) & 1 for j in range(m))
+        raise ValueError(f"the leaf of record {outcomes}, of probability {float(prob[i])!r}, is no density matrix: {what}")
 
     # F = tr(R rho) = Re sum of conj(R) rho, R Hermitian: a real dot of float views.
-    leaves = rho.reshape(2**m, -1)[records].view(float)
-    fids = np.einsum("ri,ri->r", refs[plan.byproducts[1][records]].view(float), leaves) / prob
-    records, prob, mats, fids = map(_frozen, (records, prob, mats, fids))
+    fids = np.einsum("ri,ri->r", refs[rows].view(float), leaves.view(float)) / prob
+    prob, mats, fids = map(_frozen, (prob, mats, fids))
     return OracleRun(
         branches=_Records(m, records, prob, mats),
         fidelities=_Records(m, records, fids),

@@ -1042,6 +1042,16 @@ class TestPlanReports:
             assert_same_bytes(report(pat, gs, chans), expected)
 
 
+def nine_step_chain(rng):
+    """A 9-step chain and its resource, whose pair stages lie above glibc's
+    initial mmap threshold."""
+    return chain_pattern(tuple(rng.uniform(0.0, 2 * math.pi, size=9))), resource_state(Graph.path(10), {0: random_state(rng)})
+
+
+def chain_report(chain, resource, t):
+    return report(chain, resource, {q: NoiseChannel(B=0.8, C=0.9, S=0.7, t=t) for q in range(chain.n_qubits)})
+
+
 def warm_report_faults():
     """Minor page faults per warm report of a t sweep, on a fresh CNOT15
     resource each time or on one chain resource throughout, keyed by case.
@@ -1053,15 +1063,12 @@ def warm_report_faults():
     rng = np.random.default_rng(56)
     cnot, graph = cnot15_pattern(), Graph.from_edges(15, CNOT15_EDGES)
     six = report_case("chain", rng)
-    nine = chain_pattern(tuple(rng.uniform(0.0, 2 * math.pi, size=9))), resource_state(Graph.path(10), {0: random_state(rng)})
+    nine = nine_step_chain(rng)
     times = np.linspace(0.05, 0.6, 20)
 
     def cnot_report(t):
         inputs = {0: random_state(rng), 8: random_state(rng)}
         return report(cnot, resource_state(graph, inputs), {q: NoiseChannel.white(0.25, t) for q in range(15)})
-
-    def chain_report(chain, resource, t):
-        return report(chain, resource, {q: NoiseChannel(B=0.8, C=0.9, S=0.7, t=t) for q in range(chain.n_qubits)})
 
     sweeps = {"cnot15": cnot_report, "6-step chain": functools.partial(chain_report, *six), "9-step chain": functools.partial(chain_report, *nine)}
     faults = {}
@@ -1094,6 +1101,21 @@ def test_warm_reports_fault_in_no_pages():
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True)
     for case, per_report in json.loads(done.stdout.splitlines()[-1]).items():
         assert per_report < 50, f"{case}: {per_report} minor faults per report"
+
+
+def test_warm_reports_write_their_pair_stages_in_place():
+    """A warm report on the 9-step chain writes each block's output into the
+    plan's pair-stage buffers, so its traced peak stays below the smallest of
+    them.  The page-fault test above cannot see such a buffer allocated per
+    report: once glibc has raised its mmap threshold, blocks of that size
+    come from the heap, which is already faulted in."""
+    chain, resource = nine_step_chain(np.random.default_rng(56))
+    for t in (0.05, 0.1):
+        chain_report(chain, resource, t)
+    smallest = 8 * min(fidelity._pair_stages(chain)[1][1:])
+    for t in (0.2, 0.4):
+        peak = traced_peak(lambda: chain_report(chain, resource, t))
+        assert peak < smallest, f"a warm report peaks at {peak} bytes; the smallest pair-stage output holds {smallest}"
 
 
 class TestFlipStage:

@@ -142,6 +142,21 @@ class TestSimulate:
         run = assert_matches_engine(resource, pat, chans, 1e-12)
         assert len(run.branches) == (4 if p1 == 1e-10 else 2)
 
+    @pytest.mark.parametrize("case", ["pruned", "chain"])
+    def test_a_faulty_leaf_names_its_record(self, case, monkeypatch):
+        # The check's stack index 1 is the second reachable record: (0, 0, 1,
+        # 0) of the tilted case, where the leaves are gathered, and (0, 0, 0,
+        # 1) of a chain, where every record is reachable.
+        if case == "pruned":
+            (pat, resource, chans), key = tilted_case(0.5), (0, 0, 1, 0)
+        else:
+            pat, key = chain_pattern((0.3, 1.1, 2.0, 0.7)), (0, 0, 0, 1)
+            resource, chans = resource_state(Graph.path(5)), {q: NoiseChannel.white(0.3, 0.5) for q in range(5)}
+        prob = simulate(resource, pat, chans).branches[key][0]
+        monkeypatch.setattr(oracle, "_density_fault", lambda mats: (1, "the reason"))
+        with pytest.raises(ValueError, match=re.escape(f"the leaf of record {key}, of probability {prob!r}, is no density matrix: the reason")):
+            simulate(resource, pat, chans)
+
     def test_lookups_read_their_rows(self):
         # A lookup equals its row as ``items()`` reads it, type for type, on
         # an oracle run with dropped records and on a report with
